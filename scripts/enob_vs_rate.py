@@ -20,7 +20,7 @@ def main() -> None:
             f_in_hz=adc.f_os_hz, f_out_hz=adc.f_os_hz / total,
             cutoff_hz=50.0,
         )
-        stages = design_decimator(spec)
+        stages, _ = design_decimator(spec)
         e_q = measure_enob(stages, adc)
         e_f = measure_enob(stages, adc, quantize_output=False)
         print(f"{total:5d}  {adc.f_os_hz / total:8.1f}   {e_q:9.3f}  {e_f:9.3f}")

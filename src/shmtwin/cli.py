@@ -13,7 +13,7 @@ import sys
 from dataclasses import replace
 
 from . import presets
-from .decimator import DecimatorSpec, design_decimator, measure_response, save_stages
+from .decimator import DecimatorSpec, design_decimator, save_stages
 from .energy import DAYS_PER_YEAR, SessionPlan, battery_life_days, energy_day
 from .radio import CoverageClass
 from .repro import TARGETS, run_repro
@@ -94,14 +94,13 @@ def _cmd_repro(args) -> int:
 def _cmd_design_filter(args) -> int:
     try:
         spec = DecimatorSpec(coeff_budget=args.budget)
-        stages = design_decimator(spec)
+        stages, rep = design_decimator(spec)
     except ValueError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as e:  # design failure carries its own message
         print(f"stage failure: design: {e}", file=sys.stderr)
         return EXIT_STAGE
-    rep = measure_response(stages, spec)
     print(f"stages = {len(stages)}  decims = {tuple(st.decim for st in stages)}")
     print(f"taps per stage = {rep.stage_taps}  total = {rep.total_coeffs}")
     print(f"passband ripple = {rep.passband_ripple_db:.4f} dB "

@@ -21,7 +21,7 @@ means flatness to 45 Hz and aliasing protection for everything folding onto
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import signal
@@ -29,7 +29,7 @@ from scipy import signal
 from .signals import AdcSpec, SensorSpec, apply_sensor, quantize
 
 
-class FilterDesignError(Exception):
+class FilterDesignError(RuntimeError):
     """Raised when a chain cannot meet its spec within the coefficient budget."""
 
 
@@ -160,9 +160,12 @@ def _stage_meets(h, fs, f_pass, f_stop, pp_budget_db, atten_target_db) -> bool:
     return bool(atten.min() >= atten_target_db)
 
 
-def design_decimator(spec: DecimatorSpec = DecimatorSpec()) -> list[FilterStage]:
+def design_decimator(
+    spec: DecimatorSpec = DecimatorSpec(),
+) -> tuple[list[FilterStage], FilterReport]:
     """Design all stages and verify the cascade against the spec.
 
+    Returns the stages and the measured report the verification used.
     Raises FilterDesignError if a stage cannot close, the coefficient budget
     is exceeded, or the composite response misses the targets.
     """
@@ -230,7 +233,7 @@ def design_decimator(spec: DecimatorSpec = DecimatorSpec()) -> list[FilterStage]
             f"composite attenuation {report.stopband_atten_db:.2f} dB below "
             f"{spec.stopband_atten_db} dB"
         )
-    return stages
+    return stages, report
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +332,24 @@ def cascade(x: np.ndarray, stages: list[FilterStage]) -> np.ndarray:
     return y
 
 
+def _output_counts(
+    codes: np.ndarray,
+    stages: list[FilterStage],
+    adc: AdcSpec,
+    sensor: SensorSpec,
+) -> np.ndarray:
+    """Decimate ADC codes to float output counts, before rounding."""
+    codes = np.asarray(codes)
+    need = warmup_input_samples(stages)
+    if len(codes) < max(need, 1):
+        raise ValueError(
+            f"input of {len(codes)} samples is shorter than the chain warm-up ({need})"
+        )
+    y = cascade(codes.astype(float) - adc.midscale, stages)
+    lsb_to_g = adc.vref_v / adc.n_codes / sensor.sensitivity_v_per_g
+    return y * lsb_to_g * (32768.0 / sensor.full_scale_g)
+
+
 def run_chain(
     codes: np.ndarray,
     stages: list[FilterStage],
@@ -341,16 +362,7 @@ def run_chain(
     zero and the output is signed acceleration: full scale +/-32768 counts
     corresponds to +/-sensor.full_scale_g.
     """
-    codes = np.asarray(codes)
-    need = warmup_input_samples(stages)
-    if len(codes) < max(need, 1):
-        raise ValueError(
-            f"input of {len(codes)} samples is shorter than the chain warm-up ({need})"
-        )
-    x = codes.astype(float) - adc.midscale
-    y = cascade(x, stages)
-    lsb_to_g = adc.vref_v / adc.n_codes / sensor.sensitivity_v_per_g
-    counts = np.rint(y * lsb_to_g * (32768.0 / sensor.full_scale_g))
+    counts = np.rint(_output_counts(codes, stages, adc, sensor))
     return np.clip(counts, -32768, 32767).astype(np.int16)
 
 
@@ -384,20 +396,13 @@ def measure_enob(
     n = int(round(duration_s * adc.f_os_hz))
     t = np.arange(n) / adc.f_os_hz
     accel = sensor.full_scale_g * np.sin(2.0 * np.pi * test_freq_hz * t)
-    dither_sensor = SensorSpec(
-        noise_density_ug_sqrthz=dither_density_ug_sqrthz,
-        sensitivity_v_per_g=sensor.sensitivity_v_per_g,
-        full_scale_g=sensor.full_scale_g,
-        supply_v=sensor.supply_v,
-    )
+    dither_sensor = replace(sensor, noise_density_ug_sqrthz=dither_density_ug_sqrthz)
     volts = apply_sensor(accel, dither_sensor, adc.f_os_hz, seed=seed)
     codes, _ = quantize(volts, adc)
     if quantize_output:
         out = run_chain(codes, stages, adc, sensor).astype(float)
     else:
-        y = cascade(codes.astype(float) - adc.midscale, stages)
-        lsb_to_g = adc.vref_v / adc.n_codes / sensor.sensitivity_v_per_g
-        out = y * lsb_to_g * (32768.0 / sensor.full_scale_g)
+        out = _output_counts(codes, stages, adc, sensor)
 
     skip = int(math.ceil(warmup_input_samples(stages) / total_decim)) * 2 + 8
     x = out[skip:]

@@ -145,8 +145,7 @@ def session_active_s(
     """Wall-clock active seconds per session: acquisition blocks plus the
     radio window (connect plus per-packet airtime, repetitions included)."""
     n = plan.n_packets
-    reps = 2 ** params.ecl(coverage)
-    return n * plan.block_s + params.t_connect_s + n * params.t_packet_s * reps
+    return n * plan.block_s + params.radio_window_s(n, coverage)
 
 
 @dataclass(frozen=True)
@@ -318,8 +317,7 @@ def simulate_power_trace(
     """
     n = plan.n_packets
     t_blocks = n * plan.block_s
-    reps = 2 ** params.ecl(coverage)
-    t_radio = params.t_connect_s + n * params.t_packet_s * reps
+    t_radio = params.radio_window_s(n, coverage)
     t_sess = t_blocks + t_radio
     if sessions_in_window < 0:
         raise ValueError("session count cannot be negative")

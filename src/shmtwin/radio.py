@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -177,6 +177,10 @@ class EnergyParams:
     def ecl(self, coverage: CoverageClass) -> int:
         return _COVERAGE_ECL[coverage]
 
+    def radio_window_s(self, n_packets: int, coverage: CoverageClass) -> float:
+        """Connect time plus n packets of airtime, each repeated 2**ecl times."""
+        return self.t_connect_s + n_packets * self.t_packet_s * 2 ** self.ecl(coverage)
+
 
 def epb_uj_per_bit(payload_bytes: int, energy_j: float) -> float:
     """Microjoules spent per payload bit."""
@@ -253,7 +257,6 @@ class PacketTx:
     seq: int
     energy_j: float
     retransmissions: int
-    delivered: bool = True
 
 
 @dataclass(frozen=True)
@@ -295,8 +298,7 @@ def uplink_session(
     if mode not in ("deterministic", "stochastic"):
         raise ValueError(f"unknown mode {mode!r}")
     mult = params.coverage_multiplier(coverage)
-    ecl = params.ecl(coverage)
-    reps = 2 ** ecl
+    reps = 2 ** params.ecl(coverage)
 
     means_mj = [params.e_connect_first_tx_mj]
     means_mj += [params.e_packet_tx_mj] * (len(packets) - 1)
@@ -320,7 +322,7 @@ def uplink_session(
         coverage=coverage,
         packets=txs,
         energy_j=float(sum(energies)),
-        duration_s=params.t_connect_s + len(packets) * params.t_packet_s * reps,
+        duration_s=params.radio_window_s(len(packets), coverage),
         mode=mode,
     )
 
@@ -389,7 +391,7 @@ def event_rows(
     missing = set(sink.missing_seqs) if sink is not None else set()
     rows = []
     for i, tx in enumerate(record.packets):
-        t = t0_s + params.t_connect_s + i * params.t_packet_s * tx.retransmissions
+        t = t0_s + params.radio_window_s(i, record.coverage)
         rows.append({
             "timestamp_s": round(t, 6),
             "node_id": node_id,

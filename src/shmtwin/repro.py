@@ -8,14 +8,12 @@ tolerances and are flagged in the row name rather than silently absorbed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import presets
-from .decimator import design_decimator, measure_response, run_chain
 from .energy import (
     DAYS_PER_YEAR,
     LS336000,
@@ -28,15 +26,13 @@ from .energy import (
     simulate_power_trace,
     validate_window,
 )
-from .modal import compute_spectrum, detect_peaks
 from .radio import (
     DEFAULT_DISPERSION_SIGMA,
     CoverageClass,
     EnergyParams,
     epb_uj_per_bit,
-    session_energy_j,
 )
-from .signals import AdcSpec, SensorSpec, apply_sensor, quantize, synth_structure_response
+from .scenario import parse_scenario_text, run_scenario
 
 
 @dataclass(frozen=True)
@@ -106,19 +102,22 @@ def repro_table3(outdir=None) -> list[ReproRow]:
     ]
 
 
+_TABLE5_SCENARIO = """\
+[scenario]
+seed = {seed}
+[signal-synth]
+structure = NO_DAMAGE
+excitation = dwell
+[energy-model]
+t_acq_s = 180
+"""
+
+
 def repro_table5(outdir=None, seed: int = 0) -> list[ReproRow]:
-    """Tone comparison: run the full sensing pipeline on the reference modes
+    """Tone comparison: run the scenario pipeline on the reference modes
     and compare each estimated frequency to the reference column."""
-    sensor = SensorSpec()
-    adc = AdcSpec()
-    accel = synth_structure_response(presets.NO_DAMAGE, 180.0, seed=seed,
-                                     excitation="dwell")
-    volts = apply_sensor(accel, sensor, f_os_hz=adc.f_os_hz, seed=seed + 1)
-    codes, _ = quantize(volts, adc)
-    stages = design_decimator()
-    samples = run_chain(codes, stages, adc, sensor)
-    est = detect_peaks(compute_spectrum(samples))
-    freqs = est.freqs()
+    sc = parse_scenario_text(_TABLE5_SCENARIO.format(seed=seed))
+    freqs = run_scenario(sc, write=False).estimate.freqs()
     rows = []
     for (label, _mems_hz, ref_hz, _delta), got in zip(presets.TONE_COMPARISON, freqs):
         rows.append(_pct_row(f"mode_{label}_hz", ref_hz, got, 0.1))

@@ -14,14 +14,13 @@ baseline structure, and account the day's energy.
 from __future__ import annotations
 
 import configparser
-import io
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import presets
-from .decimator import DecimatorSpec, FilterReport, design_decimator, measure_response, run_chain
+from .decimator import DecimatorSpec, FilterReport, design_decimator, run_chain
 from .energy import (
     BatterySpec,
     EnergyBreakdown,
@@ -420,8 +419,7 @@ def run_scenario(s: Scenario, write: bool = True) -> RunResult:
         raise StageError("synth", e) from e
 
     try:
-        stages = design_decimator(s.decimator)
-        filt_report = measure_response(stages, s.decimator)
+        stages, filt_report = design_decimator(s.decimator)
         samples = run_chain(codes, stages, s.adc, s.sensor)
     except (ValueError, RuntimeError) as e:
         raise StageError("dsp", e) from e

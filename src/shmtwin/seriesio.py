@@ -1,9 +1,7 @@
-"""Timeseries serialization: CSV columns and raw binary with a sidecar.
+"""Timeseries serialization as CSV columns.
 
 CSV files carry a header row and one column per channel, dot-decimal,
-UTF-8.  Raw files are little-endian sample dumps; a one-line text sidecar
-(same path plus ".meta") records rate, units, dtype and length so the dump
-is self-describing.
+UTF-8, each value written with repr so it reads back exactly.
 """
 
 from __future__ import annotations
@@ -11,8 +9,6 @@ from __future__ import annotations
 import csv
 
 import numpy as np
-
-_RAW_DTYPES = {"int16": "<i2", "int32": "<i4", "float32": "<f4", "float64": "<f8"}
 
 
 def write_csv_columns(path, columns: dict[str, np.ndarray]) -> None:
@@ -38,28 +34,3 @@ def read_csv_columns(path) -> dict[str, np.ndarray]:
             for c, v in zip(cols, row):
                 c.append(float(v))
     return {h: np.asarray(c) for h, c in zip(header, cols)}
-
-
-def write_raw(path, x: np.ndarray, rate_hz: float, units: str) -> None:
-    x = np.asarray(x)
-    name = x.dtype.name
-    if name not in _RAW_DTYPES:
-        raise ValueError(f"unsupported dtype {name}; one of {sorted(_RAW_DTYPES)}")
-    with open(path, "wb") as f:
-        f.write(np.ascontiguousarray(x, dtype=_RAW_DTYPES[name]).tobytes())
-    with open(str(path) + ".meta", "w", encoding="utf-8") as f:
-        f.write(f"rate_hz={rate_hz!r} units={units} dtype={name} n={x.size}\n")
-
-
-def read_raw(path) -> tuple[np.ndarray, float, str]:
-    with open(str(path) + ".meta", encoding="utf-8") as f:
-        fields = dict(tok.split("=", 1) for tok in f.readline().split())
-    dtype = fields["dtype"]
-    if dtype not in _RAW_DTYPES:
-        raise ValueError(f"sidecar names unsupported dtype {dtype}")
-    with open(path, "rb") as f:
-        x = np.frombuffer(f.read(), dtype=_RAW_DTYPES[dtype]).copy()
-    n = int(fields["n"])
-    if x.size != n:
-        raise ValueError(f"sidecar says {n} samples, file holds {x.size}")
-    return x.astype(dtype), float(fields["rate_hz"]), fields["units"]

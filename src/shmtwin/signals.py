@@ -17,7 +17,7 @@ series, sample for sample.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import signal
@@ -243,9 +243,13 @@ def quantize(volts: np.ndarray, adc: AdcSpec = AdcSpec()) -> tuple[np.ndarray, i
     """Quantize voltage to ADC codes; returns (codes, saturated sample count).
 
     code = floor(v / vref * 2^bits), clipped to [0, 2^bits - 1].  Mid-supply
-    lands exactly on the midscale code (2048 for 12 bits).
+    lands exactly on the midscale code (2048 for 12 bits).  Non-finite
+    input is rejected rather than cast to an arbitrary code.
     """
     v = np.asarray(volts, dtype=float)
+    n_bad = v.size - int(np.count_nonzero(np.isfinite(v)))
+    if n_bad:
+        raise ValueError(f"{n_bad} of {v.size} input samples are not finite")
     raw = np.floor(v / adc.vref_v * adc.n_codes).astype(np.int64)
     n_sat = int(np.count_nonzero((raw < 0) | (raw > adc.n_codes - 1)))
     codes = np.clip(raw, 0, adc.n_codes - 1)

@@ -1,12 +1,11 @@
 import pytest
 
-from shmtwin.decimator import DecimatorSpec, design_decimator, measure_response
+from shmtwin.decimator import DecimatorSpec, design_decimator
 
 
 @pytest.fixture(scope="session")
 def default_chain():
     """The 256x chain is used all over; design it once per test session."""
     spec = DecimatorSpec()
-    stages = design_decimator(spec)
-    report = measure_response(stages, spec)
+    stages, report = design_decimator(spec)
     return spec, stages, report

@@ -45,6 +45,13 @@ def test_run_stage_failure(tmp_path, capsys):
     assert "stage failure" in capsys.readouterr().err
 
 
+def test_run_filter_design_failure_is_a_stage_error(tmp_path, capsys):
+    path = _write(tmp_path, GOOD + "[dsp-chain]\ncoeff_budget = 50\n")
+    assert main(["run", path, "--outputs", str(tmp_path / "o")]) == EXIT_STAGE
+    assert ("stage failure: stage dsp: chain needs 218 coefficients, budget is 50"
+            in capsys.readouterr().err)
+
+
 def test_run_seed_override_changes_outputs(tmp_path):
     path = _write(tmp_path, GOOD + "[nbiot-sim]\nmode = stochastic\n")
     a, b = tmp_path / "a", tmp_path / "b"

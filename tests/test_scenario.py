@@ -1,8 +1,10 @@
 import hashlib
+import sys
 from pathlib import Path
 
 import pytest
 
+from shmtwin import decimator
 from shmtwin.modal import Verdict
 from shmtwin.radio import CoverageClass
 from shmtwin.scenario import (
@@ -137,6 +139,31 @@ def test_too_short_record_is_a_stage_error(tmp_path):
     with pytest.raises(StageError) as exc:
         run_scenario(s, write=False)
     assert exc.value.stage == "modal"
+
+
+# an infinite peak times the envelope's zero at onset gives NaN as well as inf
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_non_finite_acceleration_is_a_synth_error(tmp_path):
+    text = _short_run_text(tmp_path, extra=("[signal-synth]\nevent_onset_s = 1\n"
+                                            "event_peak_g = inf\nevent_duration_s = 1\n"))
+    with pytest.raises(StageError) as exc:
+        run_scenario(parse_scenario_text(text), write=False)
+    assert exc.value.stage == "synth"
+
+
+def test_run_measures_the_chain_once(tmp_path, monkeypatch):
+    measure = decimator.measure_response
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return measure(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("shmtwin."):
+            monkeypatch.setattr(module, "measure_response", counting, raising=False)
+    run_scenario(parse_scenario_text(_short_run_text(tmp_path)), write=False)
+    assert len(calls) == 1
 
 
 def test_event_trigger_location(tmp_path):

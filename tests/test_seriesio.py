@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from shmtwin.seriesio import (
-    read_csv_columns,
-    read_raw,
-    write_csv_columns,
-    write_raw,
-)
+from shmtwin.seriesio import read_csv_columns, write_csv_columns
 
 
 def test_csv_columns_exact_round_trip(tmp_path):
@@ -28,24 +23,3 @@ def test_csv_columns_rejects_bad_input(tmp_path):
     with pytest.raises(ValueError):
         write_csv_columns(tmp_path / "x.csv",
                           {"a": np.zeros(3), "b": np.zeros(4)})
-
-
-@pytest.mark.parametrize("dtype", ["int16", "int32", "float32", "float64"])
-def test_raw_round_trip(tmp_path, dtype):
-    rng = np.random.default_rng(1)
-    if dtype.startswith("int"):
-        x = rng.integers(-1000, 1000, size=257).astype(dtype)
-    else:
-        x = rng.standard_normal(257).astype(dtype)
-    path = tmp_path / "series.raw"
-    write_raw(path, x, rate_hz=25600.0, units="counts")
-    back, rate, units = read_raw(path)
-    assert back.dtype == x.dtype
-    assert np.array_equal(back, x)
-    assert rate == 25600.0 and units == "counts"
-    assert (tmp_path / "series.raw.meta").read_text().startswith("rate_hz=25600.0")
-
-
-def test_raw_rejects_unsupported_dtype(tmp_path):
-    with pytest.raises(ValueError):
-        write_raw(tmp_path / "x.raw", np.zeros(4, dtype=np.complex128), 100.0, "g")

@@ -110,6 +110,11 @@ def test_quantize_midscale_and_saturation():
     assert codes.min() >= 0 and codes.max() <= 4095
 
 
+def test_quantize_rejects_non_finite():
+    with pytest.raises(ValueError, match="3 of 4 input samples are not finite"):
+        quantize(np.array([1.0, np.nan, np.inf, -np.inf]))
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.floats(min_value=0.0, max_value=3.2999), min_size=1, max_size=50))
 def test_quantize_dequantize_round_trip(volts):
