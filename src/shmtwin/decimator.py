@@ -51,9 +51,6 @@ class FilterStage:
     def n_taps(self) -> int:
         return int(self.coeffs.size)
 
-    def is_symmetric(self, tol: float = 1e-12) -> bool:
-        return bool(np.allclose(self.coeffs, self.coeffs[::-1], atol=tol))
-
 
 def _default_stage_decims(total_decim: int, n_stages: int) -> tuple[int, ...]:
     """Split total_decim into n_stages factors, big factors last.
@@ -107,7 +104,6 @@ class DecimatorSpec:
         decims = self.stage_decims
         if decims is None:
             decims = _default_stage_decims(self.total_decim, self.n_stages)
-            object.__setattr__(self, "stage_decims", decims)
         decims = tuple(int(d) for d in decims)
         object.__setattr__(self, "stage_decims", decims)
         if len(decims) != self.n_stages:
@@ -449,27 +445,3 @@ def save_stages(path, stages: list[FilterStage]) -> None:
         lines.append("")
     with open(path, "w") as f:
         f.write("\n".join(lines))
-
-
-def load_stages(path) -> list[FilterStage]:
-    with open(path) as f:
-        tokens = [
-            ln.strip()
-            for ln in f
-            if ln.strip() and not ln.lstrip().startswith("#")
-        ]
-    stages = []
-    i = 0
-    while i < len(tokens):
-        if not tokens[i].startswith("stage"):
-            raise ValueError(f"expected 'stage', got {tokens[i]!r}")
-        decim = int(tokens[i + 1].split()[1])
-        n_taps = int(tokens[i + 2].split()[1])
-        coeffs = [float(tok) for tok in tokens[i + 3 : i + 3 + n_taps]]
-        if len(coeffs) != n_taps:
-            raise ValueError("stage file truncated")
-        stages.append(FilterStage(np.array(coeffs), decim))
-        i += 3 + n_taps
-    if not stages:
-        raise ValueError("no stages found")
-    return stages

@@ -12,7 +12,7 @@ as independent cross-checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -63,16 +63,11 @@ class SessionPlan:
         """Payload bytes produced per day (16-bit samples, no padding)."""
         return 2 * self.samples_per_session * self.n_sessions_per_day
 
-    def daily_wire_bytes(self) -> int:
-        """Bytes on the air per day, final packets padded to full size."""
-        return 2 * self.payload_samples * self.n_packets * self.n_sessions_per_day
-
 
 @dataclass(frozen=True)
 class BatterySpec:
     name: str
     capacity_j: float
-    rechargeable: bool = False
     derating: float = 1.0       # scalar capacity multiplier (temperature etc.)
 
     def __post_init__(self):
@@ -90,10 +85,10 @@ class BatterySpec:
         return self.capacity_j * self.derating
 
 
-# D-size cells used throughout: a primary Li-SOCl2 cell and a rechargeable
+# D-size cells used throughout: a primary Li-SOCl2 cell and a secondary
 # Li-ion of the same footprint.  17 Ah and 5.4 Ah at 3.7 V nominal.
-LS336000 = BatterySpec("LS336000", 226440.0, rechargeable=False)
-VL34570 = BatterySpec("VL34570", 71928.0, rechargeable=True)
+LS336000 = BatterySpec("LS336000", 226440.0)
+VL34570 = BatterySpec("VL34570", 71928.0)
 
 
 @dataclass(frozen=True)
@@ -367,14 +362,7 @@ def validate_window(
     window_s = float(t[-1] - t[0])
     e_measured = float(np.trapezoid(p, t))
 
-    n = plan.n_packets
-    model_plan = SessionPlan(
-        n_sessions_per_day=plan.n_sessions_per_day,
-        t_acq_s=plan.t_acq_s,
-        f_s_hz=plan.f_s_hz,
-        payload_samples=plan.payload_samples,
-        k_acq=model_k_acq,
-    )
+    model_plan = replace(plan, k_acq=model_k_acq)
     e_sess = (energy_acquisition_j(model_plan, params)
               + energy_transmission_j(model_plan, coverage, params))
     t_active = sessions_in_window * session_active_s(plan, coverage, params)

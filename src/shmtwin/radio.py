@@ -8,9 +8,12 @@ plus a deep-sleep floor current.  Radio conditions enter as a coverage
 class derived from RSSI; worse coverage scales session energy by a measured
 multiplier and doubles modeled airtime per extended-coverage level.
 
-States and timers follow the usual lifecycle: attach, transmit bursts in
-RRC connected, linger in connected then idle discontinuous reception, and
-fall into power saving mode until the next wake or tracking-area update.
+The power-state machine names the usual lifecycle: attach, transmit
+bursts in RRC connected, linger in connected then idle discontinuous
+reception, and fall into power saving mode until the next wake.  Its
+T3324/T3412 expiry events are transitions only; no timer is simulated.
+The measured session wind-down already covers the idle window, and every
+plan wakes at least once a day, so no periodic tracking-area update is due.
 """
 
 from __future__ import annotations
@@ -77,29 +80,6 @@ class RadioStateMachine:
         return nxt
 
 
-@dataclass(frozen=True)
-class TimerConfig:
-    """Network-assigned timers, seconds."""
-
-    t3324_s: float = 60.0          # idle eDRX window before PSM
-    t3412_s: float = 86400.0       # periodic tracking-area update
-    cedrx_cycle_s: float = 2.048
-    iedrx_cycle_s: float = 5.12
-
-    MAX_T3412_S = 413.0 * 86400.0  # encoding ceiling, about 413 days
-
-    def __post_init__(self):
-        if self.t3324_s < 0 or self.t3412_s <= 0:
-            raise ValueError("timers must be positive")
-        if self.t3324_s > self.t3412_s:
-            raise ValueError("t3324 cannot exceed t3412")
-        if self.t3412_s > self.MAX_T3412_S:
-            raise ValueError("t3412 beyond the encodable maximum")
-        for cyc in (self.cedrx_cycle_s, self.iedrx_cycle_s):
-            if not 0.256 <= cyc <= 9.216:
-                raise ValueError(f"eDRX cycle {cyc} s outside [0.256, 9.216]")
-
-
 class CoverageClass(enum.Enum):
     GOOD = "GOOD"
     MEDIUM = "MEDIUM"
@@ -132,8 +112,6 @@ class EnergyParams:
     """Measured energy constants of the radio module and acquisition path.
 
     Energies are in millijoules as measured; helpers hand out joules.
-    The payload table holds mean energy per transmission session versus
-    payload size in bytes, from the module characterization campaign.
     """
 
     e_acq_1s_mj: float = 52.596          # one second of acquisition activity
@@ -146,14 +124,6 @@ class EnergyParams:
     t_connect_s: float = 6.0             # with per-packet time: 26 s radio for
     t_packet_s: float = 2.0              # a 10-packet session, matching the
                                          # measured 91 s active split 65 + 26
-    payload_energy_table: tuple[tuple[int, float], ...] = (
-        (10, 0.7130),
-        (200, 0.8123),
-        (500, 0.9405),
-        (1300, 1.0326),
-        (5400, 2.1199),
-        (10800, 3.6702),
-    )
 
     def __post_init__(self):
         for name in ("e_acq_1s_mj", "e_sd_write_mj", "e_connect_first_tx_mj",
@@ -161,11 +131,6 @@ class EnergyParams:
                      "v_supply_v", "t_connect_s", "t_packet_s"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        tbl = tuple((int(b), float(e)) for b, e in self.payload_energy_table)
-        object.__setattr__(self, "payload_energy_table", tbl)
-        for (b0, e0), (b1, e1) in zip(tbl, tbl[1:]):
-            if not (b0 < b1 and e0 < e1):
-                raise ValueError("payload table must increase in bytes and energy")
 
     @property
     def sleep_power_w(self) -> float:
@@ -256,7 +221,6 @@ DEFAULT_DISPERSION_SIGMA = 1.645 - math.sqrt(1.645**2 - 2.0 * math.log(2.0))
 class PacketTx:
     seq: int
     energy_j: float
-    retransmissions: int
 
 
 @dataclass(frozen=True)
@@ -298,7 +262,6 @@ def uplink_session(
     if mode not in ("deterministic", "stochastic"):
         raise ValueError(f"unknown mode {mode!r}")
     mult = params.coverage_multiplier(coverage)
-    reps = 2 ** params.ecl(coverage)
 
     means_mj = [params.e_connect_first_tx_mj]
     means_mj += [params.e_packet_tx_mj] * (len(packets) - 1)
@@ -313,10 +276,7 @@ def uplink_session(
     else:
         energies = means_j
 
-    txs = tuple(
-        PacketTx(seq=p.seq, energy_j=e, retransmissions=reps)
-        for p, e in zip(packets, energies)
-    )
+    txs = tuple(PacketTx(seq=p.seq, energy_j=e) for p, e in zip(packets, energies))
     return UplinkRecord(
         session_id=packets[0].session_id,
         coverage=coverage,
@@ -351,7 +311,6 @@ class SinkReport:
     delivered: tuple[Packet, ...]
     missing_seqs: tuple[int, ...]
     samples: np.ndarray
-    loss_prob: float
 
     @property
     def delivered_count(self) -> int:
@@ -370,7 +329,6 @@ def deliver(packets: list[Packet], loss_prob: float = 0.0, seed: int = 0) -> Sin
         delivered=tuple(got),
         missing_seqs=lost,
         samples=reassemble(got),
-        loss_prob=loss_prob,
     )
 
 
@@ -408,8 +366,3 @@ def write_event_log(path, rows: list[dict]) -> None:
         w = csv.DictWriter(f, fieldnames=EVENT_LOG_FIELDS)
         w.writeheader()
         w.writerows(rows)
-
-
-def read_event_log(path) -> list[dict]:
-    with open(path, newline="") as f:
-        return list(csv.DictReader(f))

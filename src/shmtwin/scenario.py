@@ -43,7 +43,6 @@ from .radio import (
     CoverageClass,
     EnergyParams,
     SinkReport,
-    TimerConfig,
     UplinkRecord,
     classify_coverage,
     deliver,
@@ -99,7 +98,6 @@ class Scenario:
     coverage: CoverageClass
     uplink_mode: str
     loss_prob: float
-    timers: TimerConfig
     plan: SessionPlan
     battery: BatterySpec
     harvester: HarvesterSpec | None
@@ -153,8 +151,6 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "rssi_dbm": (float, None),
         "mode": (str, "deterministic"),
         "loss_prob": (float, 0.0),
-        "t3324_s": (float, 60.0),
-        "t3412_s": (float, 86400.0),
     },
     "energy-model": {
         "n_sessions_per_day": (int, 6),
@@ -262,7 +258,6 @@ def parse_scenario_text(text: str) -> Scenario:
             stopband_atten_db=dsp["stopband_atten_db"],
             coeff_budget=dsp["coeff_budget"],
         )
-        timers = TimerConfig(t3324_s=nb["t3324_s"], t3412_s=nb["t3412_s"])
         battery = replace(presets.BATTERIES[en["battery"]], derating=en["battery_derating"])
         plan = SessionPlan(
             n_sessions_per_day=en["n_sessions_per_day"],
@@ -295,7 +290,6 @@ def parse_scenario_text(text: str) -> Scenario:
         coverage=coverage,
         uplink_mode=nb["mode"],
         loss_prob=nb["loss_prob"],
-        timers=timers,
         plan=plan,
         battery=battery,
         harvester=presets.DEFAULT_HARVESTER if en["harvester"] == "default" else None,
@@ -355,8 +349,6 @@ def serialize_scenario(s: Scenario) -> str:
             "rssi_dbm": s.rssi_dbm,
             "mode": s.uplink_mode,
             "loss_prob": s.loss_prob,
-            "t3324_s": s.timers.t3324_s,
-            "t3412_s": s.timers.t3412_s,
         },
         "energy-model": {
             "n_sessions_per_day": s.plan.n_sessions_per_day,

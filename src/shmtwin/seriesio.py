@@ -1,7 +1,8 @@
 """Timeseries serialization as CSV columns.
 
 CSV files carry a header row and one column per channel, dot-decimal,
-UTF-8, each value written with repr so it reads back exactly.
+UTF-8, CRLF line endings, each value written with repr so it reads back
+exactly.
 """
 
 from __future__ import annotations
@@ -10,27 +11,21 @@ import csv
 
 import numpy as np
 
+_BLOCK_ROWS = 4096
+
 
 def write_csv_columns(path, columns: dict[str, np.ndarray]) -> None:
     if not columns:
         raise ValueError("need at least one column")
     arrays = {k: np.asarray(v) for k, v in columns.items()}
-    n = {a.size for a in arrays.values()}
-    if len(n) != 1:
+    sizes = {a.size for a in arrays.values()}
+    if len(sizes) != 1:
         raise ValueError("columns must have equal length")
+    (n,) = sizes
     with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(arrays.keys())
-        for row in zip(*arrays.values()):
-            w.writerow([repr(v.item()) if hasattr(v, "item") else repr(v) for v in row])
-
-
-def read_csv_columns(path) -> dict[str, np.ndarray]:
-    with open(path, newline="", encoding="utf-8") as f:
-        r = csv.reader(f)
-        header = next(r)
-        cols = [[] for _ in header]
-        for row in r:
-            for c, v in zip(cols, row):
-                c.append(float(v))
-    return {h: np.asarray(c) for h, c in zip(header, cols)}
+        csv.writer(f).writerow(arrays.keys())
+        # Python floats are converted one block at a time, so a long
+        # spectrum never holds a second full-size copy of its columns.
+        for i in range(0, n, _BLOCK_ROWS):
+            rows = zip(*(a[i:i + _BLOCK_ROWS].tolist() for a in arrays.values()))
+            f.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)

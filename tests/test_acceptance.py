@@ -42,6 +42,7 @@ from shmtwin.presets import (
     PAYLOAD_EPB_ROWS,
     TABLE3_PLAN,
     TABLE3_PUBLISHED,
+    TEN_YEAR_DAILY_BYTES,
     TEN_YEAR_PLAN,
     VALIDATION_PLAN,
     WINDOW_MEASURED_J,
@@ -94,7 +95,7 @@ def test_criterion_03_validation_window():
 
 def test_criterion_04_ten_year_plan_and_drain_point():
     assert battery_life_years(TEN_YEAR_PLAN, LS336000) >= 10.0
-    assert TEN_YEAR_PLAN.daily_data_bytes() == 84000
+    assert TEN_YEAR_PLAN.daily_data_bytes() == TEN_YEAR_DAILY_BYTES
     drain_days = battery_life_days(DRAIN_PLAN, LS336000)
     assert drain_days == pytest.approx(DRAIN_POINT_DAYS, rel=DRAIN_POINT_TOL)
 

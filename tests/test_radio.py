@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -17,13 +18,11 @@ from shmtwin.radio import (
     RadioEvent,
     RadioState,
     RadioStateMachine,
-    TimerConfig,
     classify_coverage,
     deliver,
     epb_uj_per_bit,
     event_rows,
     packetize,
-    read_event_log,
     reassemble,
     session_energy_j,
     step,
@@ -90,18 +89,6 @@ def test_machine_closed_under_arbitrary_events(events):
             assert len(m.audit) == audits + 1
 
 
-def test_timer_config_bounds():
-    TimerConfig()                                           # defaults valid
-    with pytest.raises(ValueError):
-        TimerConfig(t3324_s=200.0, t3412_s=100.0)           # active > TAU
-    with pytest.raises(ValueError):
-        TimerConfig(t3412_s=500 * 86400.0)                  # past 413-day limit
-    with pytest.raises(ValueError):
-        TimerConfig(cedrx_cycle_s=0.1)
-    with pytest.raises(ValueError):
-        TimerConfig(iedrx_cycle_s=20.0)
-
-
 def test_coverage_classification():
     assert classify_coverage(-60.0) is CoverageClass.GOOD
     assert classify_coverage(-94.9) is CoverageClass.GOOD
@@ -120,8 +107,6 @@ def test_energy_params_validation():
         EnergyParams(e_packet_tx_mj=0.0)
     with pytest.raises(ValueError):
         EnergyParams(i_sleep_ua=-1.0)
-    with pytest.raises(ValueError):
-        EnergyParams(payload_energy_table=((10, 0.9), (200, 0.8)))
     p = EnergyParams()
     assert p.sleep_power_w == pytest.approx(34e-6 * 3.3)
     assert p.coverage_multiplier(CoverageClass.BAD) == 3.8
@@ -245,7 +230,8 @@ def test_event_log_round_trip(tmp_path):
     assert rows[0]["timestamp_s"] == 126.0      # t0 + connect time
     path = tmp_path / "uplink.csv"
     write_event_log(path, rows)
-    back = read_event_log(path)
+    with open(path, newline="") as f:
+        back = list(csv.DictReader(f))
     assert len(back) == 3
     for orig, rt in zip(rows, back):
         assert float(rt["energy_j"]) == float(orig["energy_j"])

@@ -54,6 +54,13 @@ def test_unknown_key_rejected():
         parse_scenario_text(MINIMAL + "typo_key = 1\n")
 
 
+@pytest.mark.parametrize("key", ["t3324_s", "t3412_s"])
+def test_nbiot_timer_keys_rejected(key):
+    # the session energies already bill the timers; the keys are not accepted
+    with pytest.raises(ConfigError, match=f"unknown key '{key}' in \\[nbiot-sim\\]"):
+        parse_scenario_text(MINIMAL + f"[nbiot-sim]\n{key} = 60\n")
+
+
 def test_unknown_section_rejected():
     with pytest.raises(ConfigError):
         parse_scenario_text(MINIMAL + "[mystery]\nx = 1\n")
