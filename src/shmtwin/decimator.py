@@ -20,7 +20,9 @@ means flatness to 45 Hz and aliasing protection for everything folding onto
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -33,16 +35,22 @@ class FilterDesignError(RuntimeError):
     """Raised when a chain cannot meet its spec within the coefficient budget."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class FilterStage:
-    """One FIR lowpass plus the decimation that follows it."""
+    """One FIR lowpass plus the decimation that follows it.
+
+    The coefficients are a private read-only copy, so a stage can be shared
+    between callers without any of them changing it for the others.
+    """
 
     coeffs: np.ndarray
     decim: int
 
     def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=float)
-        if self.coeffs.ndim != 1 or self.coeffs.size == 0:
+        coeffs = np.array(self.coeffs, dtype=float)
+        coeffs.setflags(write=False)
+        object.__setattr__(self, "coeffs", coeffs)
+        if coeffs.ndim != 1 or coeffs.size == 0:
             raise ValueError("stage needs a non-empty 1-D coefficient vector")
         if self.decim < 1:
             raise ValueError(f"decimation factor must be >= 1, got {self.decim}")
@@ -156,14 +164,18 @@ def _stage_meets(h, fs, f_pass, f_stop, pp_budget_db, atten_target_db) -> bool:
     return bool(atten.min() >= atten_target_db)
 
 
+@functools.lru_cache(maxsize=8)
 def design_decimator(
     spec: DecimatorSpec = DecimatorSpec(),
-) -> tuple[list[FilterStage], FilterReport]:
+) -> tuple[tuple[FilterStage, ...], FilterReport]:
     """Design all stages and verify the cascade against the spec.
 
-    Returns the stages and the measured report the verification used.
-    Raises FilterDesignError if a stage cannot close, the coefficient budget
-    is exceeded, or the composite response misses the targets.
+    Returns the stages, as a tuple, and the measured report the verification
+    used.  The design is cached per spec: equal specs get the same stage
+    objects back, whose coefficients are read-only.  Raises
+    FilterDesignError if a stage cannot close, the coefficient budget is
+    exceeded, or the composite response misses the targets; a failing spec
+    is not cached and raises again on every call.
     """
     f_protect = spec.protected_edge_hz
     filtering = [d for d in spec.stage_decims if d > 1]
@@ -229,7 +241,7 @@ def design_decimator(
             f"composite attenuation {report.stopband_atten_db:.2f} dB below "
             f"{spec.stopband_atten_db} dB"
         )
-    return stages, report
+    return tuple(stages), report
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +263,7 @@ def _alias_bands(spec: DecimatorSpec) -> list[tuple[float, float]]:
     return bands
 
 
-def _composite_gain(stages: list[FilterStage], spec: DecimatorSpec, freqs: np.ndarray):
+def _composite_gain(stages: Sequence[FilterStage], spec: DecimatorSpec, freqs: np.ndarray):
     """|H| of the cascade referred to the input rate, normalized to DC."""
     h_total = np.ones(len(freqs), dtype=complex)
     dc = 1.0
@@ -264,7 +276,7 @@ def _composite_gain(stages: list[FilterStage], spec: DecimatorSpec, freqs: np.nd
     return np.abs(h_total) / abs(dc)
 
 
-def measure_response(stages: list[FilterStage], spec: DecimatorSpec) -> FilterReport:
+def measure_response(stages: Sequence[FilterStage], spec: DecimatorSpec) -> FilterReport:
     """Sweep the cascade and report ripple, attenuation, size and delay.
 
     Attenuation is the worst case over every alias band; a chain with no
@@ -304,7 +316,7 @@ def measure_response(stages: list[FilterStage], spec: DecimatorSpec) -> FilterRe
 # running
 
 
-def warmup_input_samples(stages: list[FilterStage]) -> int:
+def warmup_input_samples(stages: Sequence[FilterStage]) -> int:
     """Cascade group delay referred to the input rate, rounded up."""
     delay = 0.0
     rate_factor = 1  # input samples per sample at the current stage's input
@@ -314,7 +326,7 @@ def warmup_input_samples(stages: list[FilterStage]) -> int:
     return int(math.ceil(delay))
 
 
-def cascade(x: np.ndarray, stages: list[FilterStage]) -> np.ndarray:
+def cascade(x: np.ndarray, stages: Sequence[FilterStage]) -> np.ndarray:
     """Filter-and-decimate through all stages (float in, float out).
 
     Polyphase evaluation with phase-0 alignment: output sample k of a stage
@@ -330,7 +342,7 @@ def cascade(x: np.ndarray, stages: list[FilterStage]) -> np.ndarray:
 
 def _output_counts(
     codes: np.ndarray,
-    stages: list[FilterStage],
+    stages: Sequence[FilterStage],
     adc: AdcSpec,
     sensor: SensorSpec,
 ) -> np.ndarray:
@@ -341,14 +353,16 @@ def _output_counts(
         raise ValueError(
             f"input of {len(codes)} samples is shorter than the chain warm-up ({need})"
         )
-    y = cascade(codes.astype(float) - adc.midscale, stages)
+    x = codes.astype(float)
+    x -= adc.midscale
+    y = cascade(x, stages)
     lsb_to_g = adc.vref_v / adc.n_codes / sensor.sensitivity_v_per_g
     return y * lsb_to_g * (32768.0 / sensor.full_scale_g)
 
 
 def run_chain(
     codes: np.ndarray,
-    stages: list[FilterStage],
+    stages: Sequence[FilterStage],
     adc: AdcSpec = AdcSpec(),
     sensor: SensorSpec = SensorSpec(),
 ) -> np.ndarray:
@@ -363,7 +377,7 @@ def run_chain(
 
 
 def measure_enob(
-    stages: list[FilterStage],
+    stages: Sequence[FilterStage],
     adc: AdcSpec = AdcSpec(),
     test_freq_hz: float = 10.0,
     sensor: SensorSpec = SensorSpec(),
@@ -434,7 +448,7 @@ def measure_enob(
 # stage file format
 
 
-def save_stages(path, stages: list[FilterStage]) -> None:
+def save_stages(path, stages: Sequence[FilterStage]) -> None:
     """Write the chain as text: one block per stage, full-precision taps."""
     lines = [f"# decimation chain: {len(stages)} stages"]
     for i, st in enumerate(stages, start=1):

@@ -405,14 +405,19 @@ def run_scenario(s: Scenario, write: bool = True) -> RunResult:
             accel = inject_transient(accel, s.event, f_os_hz=s.adc.f_os_hz)
         trig = (trigger_index(accel, s.trigger_threshold_g)
                 if s.trigger_threshold_g is not None else None)
+        # Drop each full-rate record once the next stage has consumed it:
+        # how many are alive at once sets the run's peak memory.
         volts = apply_sensor(accel, s.sensor, f_os_hz=s.adc.f_os_hz, seed=s.seed + 1)
+        del accel
         codes, n_sat = quantize(volts, s.adc)
+        del volts
     except (ValueError, RuntimeError) as e:
         raise StageError("synth", e) from e
 
     try:
         stages, filt_report = design_decimator(s.decimator)
         samples = run_chain(codes, stages, s.adc, s.sensor)
+        del codes
     except (ValueError, RuntimeError) as e:
         raise StageError("dsp", e) from e
 

@@ -161,25 +161,38 @@ def synth_structure_response(
                 f"mode at {m.freq_hz} Hz is at or above Nyquist ({nyquist} Hz)"
             )
 
+    # Each mode is evaluated in one reused buffer (``arg``) with the same
+    # operations in the same order as the plain expressions
+    # amp * sin(w * t + phase) and y * (rms_amp / sqrt(mean(y * y))), so the
+    # series is bit-identical to them without a full-length temporary per
+    # operator.
     n = int(round(duration_s * f_os_hz))
-    t = np.arange(n) / f_os_hz
+    if excitation == "dwell":
+        t = np.arange(n) / f_os_hz
     rng = np.random.default_rng(seed)
     accel = np.zeros(n)
+    arg = np.empty(n)
     for m in model.modes:
         if excitation == "dwell":
             phase = rng.uniform(0.0, 2.0 * np.pi)
             if m.rms_amp_g == 0.0:
                 continue
-            accel += m.rms_amp_g * np.sqrt(2.0) * np.sin(2.0 * np.pi * m.freq_hz * t + phase)
+            np.multiply(2.0 * np.pi * m.freq_hz, t, out=arg)
+            arg += phase
+            np.sin(arg, out=arg)
+            arg *= m.rms_amp_g * np.sqrt(2.0)
+            accel += arg
             continue
-        noise = rng.standard_normal(n)
+        rng.standard_normal(out=arg)
         if m.rms_amp_g == 0.0:
             continue  # draw consumed anyway so seeds stay comparable across models
         b, a = _resonator_coeffs(m.freq_hz, m.damping_ratio, f_os_hz)
-        y = signal.lfilter(b, a, noise)
-        rms = np.sqrt(np.mean(y * y))
+        y = signal.lfilter(b, a, arg)
+        np.multiply(y, y, out=arg)
+        rms = np.sqrt(np.mean(arg))
         if rms > 0:
-            accel += y * (m.rms_amp_g / rms)
+            y *= m.rms_amp_g / rms
+            accel += y
     return accel
 
 
@@ -235,8 +248,12 @@ def apply_sensor(
     bandwidth works out to about 5.66 mg RMS.
     """
     rng = np.random.default_rng(seed)
-    noise = rng.standard_normal(len(accel)) * spec.noise_rms_g(f_os_hz)
-    return spec.supply_v / 2.0 + spec.sensitivity_v_per_g * (np.asarray(accel) + noise)
+    volts = rng.standard_normal(len(accel))
+    volts *= spec.noise_rms_g(f_os_hz)
+    volts += accel
+    volts *= spec.sensitivity_v_per_g
+    volts += spec.supply_v / 2.0
+    return volts
 
 
 def quantize(volts: np.ndarray, adc: AdcSpec = AdcSpec()) -> tuple[np.ndarray, int]:
@@ -250,9 +267,12 @@ def quantize(volts: np.ndarray, adc: AdcSpec = AdcSpec()) -> tuple[np.ndarray, i
     n_bad = v.size - int(np.count_nonzero(np.isfinite(v)))
     if n_bad:
         raise ValueError(f"{n_bad} of {v.size} input samples are not finite")
-    raw = np.floor(v / adc.vref_v * adc.n_codes).astype(np.int64)
-    n_sat = int(np.count_nonzero((raw < 0) | (raw > adc.n_codes - 1)))
-    codes = np.clip(raw, 0, adc.n_codes - 1)
+    scaled = v / adc.vref_v
+    scaled *= adc.n_codes
+    codes = np.floor(scaled, out=scaled).astype(np.int64)
+    del scaled
+    n_sat = int(np.count_nonzero((codes < 0) | (codes > adc.n_codes - 1)))
+    np.clip(codes, 0, adc.n_codes - 1, out=codes)
     return codes, n_sat
 
 

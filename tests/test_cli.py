@@ -1,5 +1,3 @@
-from pathlib import Path
-
 import pytest
 
 from shmtwin.cli import EXIT_CONFIG, EXIT_OK, EXIT_STAGE, main

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import signal as sp_signal
@@ -42,8 +44,44 @@ def test_designed_chain_meets_targets(default_chain):
 
 
 def test_budget_too_small_fails_loudly():
-    with pytest.raises(FilterDesignError):
-        design_decimator(DecimatorSpec(coeff_budget=20))
+    spec = DecimatorSpec(coeff_budget=20)
+    for _ in range(2):  # a failed design is not cached: it fails every time
+        with pytest.raises(FilterDesignError):
+            design_decimator(spec)
+
+
+def test_equal_specs_share_one_design():
+    stages, report = design_decimator(DecimatorSpec())
+    again, report_again = design_decimator(DecimatorSpec(stage_decims=(2, 2, 2, 2, 4, 4)))
+    assert isinstance(stages, tuple)
+    assert again is stages and report_again is report
+    assert all(a is b for a, b in zip(again, stages))
+
+
+def test_different_specs_get_different_designs(default_chain):
+    _, stages, _ = default_chain
+    tighter, _ = design_decimator(DecimatorSpec(stopband_atten_db=80.0))
+    assert [st.n_taps for st in tighter] != [st.n_taps for st in stages]
+
+
+def test_designed_stages_are_read_only(default_chain):
+    _, stages, _ = default_chain
+    before = stages[0].coeffs.copy()
+    with pytest.raises(ValueError):
+        stages[0].coeffs[0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        stages[0].decim = 3
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        stages[0].coeffs = before
+    assert np.array_equal(stages[0].coeffs, before)
+
+
+def test_stage_keeps_a_private_copy_of_its_taps():
+    taps = np.array([0.25, 0.5, 0.25])
+    st = FilterStage(taps, 2)
+    taps[0] = 9.0
+    assert st.coeffs[0] == 0.25
+    assert taps.flags.writeable
 
 
 def test_cascade_equals_naive_filter_then_decimate(default_chain):

@@ -28,7 +28,7 @@ from shmtwin.presets import (
     TEN_YEAR_PLAN,
     VALIDATION_PLAN,
 )
-from shmtwin.radio import CoverageClass, EnergyParams
+from shmtwin.radio import CoverageClass
 
 SLEEP_W = 34e-6 * 3.3
 

@@ -11,7 +11,6 @@ from shmtwin.radio import (
     DEFAULT_DISPERSION_SIGMA,
     EVENT_LOG_FIELDS,
     PACKET_BYTES,
-    SAMPLES_PER_PACKET,
     CoverageClass,
     EnergyParams,
     Packet,

@@ -1,5 +1,3 @@
-from pathlib import Path
-
 import pytest
 
 from shmtwin.repro import TARGETS, run_repro

@@ -1,5 +1,6 @@
 import hashlib
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -169,8 +170,26 @@ def test_run_measures_the_chain_once(tmp_path, monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("shmtwin."):
             monkeypatch.setattr(module, "measure_response", counting, raising=False)
-    run_scenario(parse_scenario_text(_short_run_text(tmp_path)), write=False)
+    decimator.design_decimator.cache_clear()
+    s = parse_scenario_text(_short_run_text(tmp_path))
+    run_scenario(s, write=False)
     assert len(calls) == 1
+    run_scenario(s, write=False)  # same spec: the cached design is reused
+    assert len(calls) == 1
+
+
+def test_run_peak_memory_in_record_sizes(tmp_path):
+    s = parse_scenario_text(
+        f"[scenario]\nseed = 3\noutputs = {tmp_path}/out\n[energy-model]\nt_acq_s = 30\n")
+    run_scenario(s, write=False)  # warm-up: filter design and lazy imports
+    record_bytes = int(round(s.plan.t_acq_s * s.adc.f_os_hz)) * 8
+    tracemalloc.start()
+    try:
+        run_scenario(s, write=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * record_bytes, f"peak {peak / record_bytes:.2f} record-sizes"
 
 
 def test_event_trigger_location(tmp_path):

@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import signal as sp_signal
 
+from shmtwin.decimator import run_chain
 from shmtwin.signals import (
+    _resonator_coeffs,
     AdcSpec,
     EventSpec,
     ModeSpec,
@@ -152,3 +155,62 @@ def test_synth_deterministic_per_seed():
     c = synth_structure_response(FOUR_MODES, 2.0, seed=8)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def _naive_front_end(model, duration_s, f_os_hz, seed, excitation, sensor, adc):
+    """The front end written as plain whole-array expressions: the oracle."""
+    n = int(round(duration_s * f_os_hz))
+    t = np.arange(n) / f_os_hz
+    rng = np.random.default_rng(seed)
+    accel = np.zeros(n)
+    for m in model.modes:
+        if excitation == "dwell":
+            phase = rng.uniform(0.0, 2.0 * np.pi)
+            if m.rms_amp_g == 0.0:
+                continue
+            accel += m.rms_amp_g * np.sqrt(2.0) * np.sin(2.0 * np.pi * m.freq_hz * t + phase)
+            continue
+        noise = rng.standard_normal(n)
+        if m.rms_amp_g == 0.0:
+            continue
+        b, a = _resonator_coeffs(m.freq_hz, m.damping_ratio, f_os_hz)
+        y = sp_signal.lfilter(b, a, noise)
+        accel += y * (m.rms_amp_g / np.sqrt(np.mean(y * y)))
+    noise = np.random.default_rng(seed + 1).standard_normal(n) * sensor.noise_rms_g(f_os_hz)
+    volts = sensor.supply_v / 2.0 + sensor.sensitivity_v_per_g * (accel + noise)
+    raw = np.floor(volts / adc.vref_v * adc.n_codes).astype(np.int64)
+    return accel, volts, np.clip(raw, 0, adc.n_codes - 1)
+
+
+@pytest.mark.parametrize("excitation", ["dwell", "ambient"])
+def test_front_end_matches_plain_expressions_bit_for_bit(excitation):
+    model = StructureModel(
+        modes=(ModeSpec(2.807), ModeSpec(8.379, rms_amp_g=0.0),
+               ModeSpec(13.125, 0.02, 1.9), ModeSpec(16.052)),
+        label="oracle",
+    )
+    sensor, adc = SensorSpec(), AdcSpec()
+    accel_ref, volts_ref, codes_ref = _naive_front_end(
+        model, 3.0, adc.f_os_hz, 11, excitation, sensor, adc)
+    accel = synth_structure_response(model, 3.0, adc.f_os_hz, seed=11, excitation=excitation)
+    volts = apply_sensor(accel, sensor, adc.f_os_hz, seed=12)
+    codes, n_sat = quantize(volts, adc)
+    assert n_sat > 0  # the loud mode drives the clip path too
+    assert np.array_equal(accel, accel_ref)
+    assert np.array_equal(volts, volts_ref)
+    assert np.array_equal(codes, codes_ref)
+
+
+def test_front_end_stages_leave_their_inputs_unchanged(default_chain):
+    _, stages, _ = default_chain
+    accel = synth_structure_response(FOUR_MODES, 2.0, seed=4, excitation="dwell")
+    accel_before = accel.copy()
+    inject_transient(accel, EventSpec(onset_s=0.5, peak_g=0.3, duration_s=0.5))
+    volts = apply_sensor(accel, seed=5)
+    assert np.array_equal(accel, accel_before)
+    volts_before = volts.copy()
+    codes, _ = quantize(volts)
+    assert np.array_equal(volts, volts_before)
+    codes_before = codes.copy()
+    run_chain(codes, stages)
+    assert np.array_equal(codes, codes_before)
