@@ -35,12 +35,13 @@ class FilterDesignError(RuntimeError):
     """Raised when a chain cannot meet its spec within the coefficient budget."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FilterStage:
     """One FIR lowpass plus the decimation that follows it.
 
     The coefficients are a private read-only copy, so a stage can be shared
-    between callers without any of them changing it for the others.
+    between callers without any of them changing it for the others.  Two
+    stages are equal when their decimation and their taps, bit for bit, are.
     """
 
     coeffs: np.ndarray
@@ -54,6 +55,14 @@ class FilterStage:
             raise ValueError("stage needs a non-empty 1-D coefficient vector")
         if self.decim < 1:
             raise ValueError(f"decimation factor must be >= 1, got {self.decim}")
+
+    def __eq__(self, other):
+        if not isinstance(other, FilterStage):
+            return NotImplemented
+        return self.decim == other.decim and self.coeffs.tobytes() == other.coeffs.tobytes()
+
+    def __hash__(self):
+        return hash((self.decim, self.coeffs.tobytes()))
 
     @property
     def n_taps(self) -> int:
@@ -326,18 +335,70 @@ def warmup_input_samples(stages: Sequence[FilterStage]) -> int:
     return int(math.ceil(delay))
 
 
-def cascade(x: np.ndarray, stages: Sequence[FilterStage]) -> np.ndarray:
-    """Filter-and-decimate through all stages (float in, float out).
+def check_warmup(n_in: int, stages: Sequence[FilterStage]) -> None:
+    """Raise ValueError if a record of n_in input samples cannot fill the chain."""
+    need = warmup_input_samples(stages)
+    if n_in < max(need, 1):
+        raise ValueError(
+            f"input of {n_in} samples is shorter than the chain warm-up ({need})"
+        )
 
-    Polyphase evaluation with phase-0 alignment: output sample k of a stage
-    equals the full convolution at input index k * decim, so the result
+
+class ChainState:
+    """A cascade fed one block at a time.
+
+    Output k of a stage is the full convolution at its input index
+    k * decim (phase-0 alignment), which reads the taps - 1 inputs before
+    that index.  Each stage therefore carries its latest
+    ceil((taps - 1) / decim) * decim inputs or fewer, starting on a multiple
+    of decim, into the next block.  A record pushed in blocks of any sizes
+    gives, concatenated, the same samples bit for bit as the record pushed
+    whole (multistage polyphase decimation with state, Crochiere & Rabiner
+    1983).
+    """
+
+    def __init__(self, stages: Sequence[FilterStage]):
+        self.stages = tuple(stages)
+        n = len(self.stages)
+        self._tail = [np.zeros(0)] * n  # inputs each stage still needs
+        self._tail_at = [0] * n  # input index of each tail's first sample
+        self._n_in = [0] * n  # inputs each stage has seen
+
+    def push(self, x: np.ndarray) -> np.ndarray:
+        """Filter-and-decimate the next block; returns the outputs it completes."""
+        y = np.asarray(x, dtype=float)
+        for i, st in enumerate(self.stages):
+            y = self._push_stage(i, st, y)
+        return y
+
+    def _push_stage(self, i: int, st: FilterStage, x: np.ndarray) -> np.ndarray:
+        d = st.decim
+        history = -(-(st.n_taps - 1) // d) * d
+        tail, at = self._tail[i], self._tail_at[i]
+        z = np.concatenate((tail, x)) if tail.size else x
+        end = self._n_in[i] + len(x)
+        k0 = -(-self._n_in[i] // d)  # first output this block completes
+        k1 = -(-end // d)  # one past its last
+        y = np.zeros(0)
+        if k1 > k0:
+            start = max(k0 * d - history, 0)  # a multiple of d, never before at
+            skip = (k0 * d - start) // d
+            y = signal.upfirdn(st.coeffs, z[start - at:], up=1, down=d)[skip:skip + k1 - k0]
+        keep = min(max(k1 * d - history, 0), end)
+        self._tail[i] = z[keep - at:].copy()
+        self._tail_at[i] = keep
+        self._n_in[i] = end
+        return y
+
+
+def cascade(x: np.ndarray, stages: Sequence[FilterStage]) -> np.ndarray:
+    """Filter-and-decimate a whole record through all stages (float in, float out).
+
+    One push through a fresh ChainState, so output sample k of a stage
+    equals the full convolution at input index k * decim and the result
     matches naive lfilter-then-slice composition sample for sample.
     """
-    y = np.asarray(x, dtype=float)
-    for st in stages:
-        n_out = -(-len(y) // st.decim)  # ceil
-        y = signal.upfirdn(st.coeffs, y, up=1, down=st.decim)[:n_out]
-    return y
+    return ChainState(stages).push(x)
 
 
 def _output_counts(
@@ -345,17 +406,18 @@ def _output_counts(
     stages: Sequence[FilterStage],
     adc: AdcSpec,
     sensor: SensorSpec,
+    state: ChainState | None = None,
 ) -> np.ndarray:
     """Decimate ADC codes to float output counts, before rounding."""
     codes = np.asarray(codes)
-    need = warmup_input_samples(stages)
-    if len(codes) < max(need, 1):
-        raise ValueError(
-            f"input of {len(codes)} samples is shorter than the chain warm-up ({need})"
-        )
+    if state is None:
+        check_warmup(len(codes), stages)
+        state = ChainState(stages)
+    elif state.stages != tuple(stages):
+        raise ValueError("the chain state was built for other stages")
     x = codes.astype(float)
     x -= adc.midscale
-    y = cascade(x, stages)
+    y = state.push(x)
     lsb_to_g = adc.vref_v / adc.n_codes / sensor.sensitivity_v_per_g
     return y * lsb_to_g * (32768.0 / sensor.full_scale_g)
 
@@ -365,14 +427,21 @@ def run_chain(
     stages: Sequence[FilterStage],
     adc: AdcSpec = AdcSpec(),
     sensor: SensorSpec = SensorSpec(),
+    state: ChainState | None = None,
 ) -> np.ndarray:
     """Decimate raw ADC codes to a signed 16-bit series at the output rate.
 
     Midscale is subtracted first, so a rail-to-rail-centered input maps to
     zero and the output is signed acceleration: full scale +/-32768 counts
     corresponds to +/-sensor.full_scale_g.
+
+    Without ``state`` the codes are a whole record, checked against the
+    chain warm-up.  With a ``ChainState`` over the same stages they are the
+    next block of a record whose length the caller has checked with
+    ``check_warmup``; the state carries each stage's tail between calls,
+    and the blocks' outputs concatenate to the whole record's.
     """
-    counts = np.rint(_output_counts(codes, stages, adc, sensor))
+    counts = np.rint(_output_counts(codes, stages, adc, sensor, state))
     return np.clip(counts, -32768, 32767).astype(np.int16)
 
 

@@ -24,14 +24,25 @@ class Verdict(enum.Enum):
 
 @dataclass(frozen=True)
 class Spectrum:
-    freqs: np.ndarray
     mags: np.ndarray
-    df_hz: float          # grid spacing after zero padding
+    nfft: int
+    f_s_hz: float
     res_hz: float         # true resolution, f_s / record length
 
     def __post_init__(self):
-        if len(self.freqs) != len(self.mags):
-            raise ValueError("freqs and mags length mismatch")
+        if len(self.mags) != self.nfft // 2 + 1:
+            raise ValueError("mags length does not match the FFT length")
+
+    @property
+    def df_hz(self) -> float:
+        """Grid spacing after zero padding."""
+        return self.f_s_hz / self.nfft
+
+    @property
+    def freqs(self) -> np.ndarray:
+        """Bin frequencies, built on each access: only bundle writing reads
+        them all, so a run without a bundle never holds them."""
+        return np.fft.rfftfreq(self.nfft, 1.0 / self.f_s_hz)
 
 
 @dataclass(frozen=True)
@@ -87,7 +98,7 @@ def compute_spectrum(
     works on.  Magnitudes are scaled so an in-band sine of amplitude A
     shows a peak of about A.
     """
-    x = np.asarray(samples, dtype=float)
+    x = np.array(samples, dtype=float)
     if len(x) < 1024:
         raise ValueError(f"record of {len(x)} samples is too short (need >= 1024)")
     if window == "hann":
@@ -96,17 +107,29 @@ def compute_spectrum(
         w = np.ones(len(x))
     else:
         raise ValueError(f"unknown window {window!r}")
-    x = x - np.mean(x)
-    nfft = 4 * _next_pow2(len(x))
-    mags = np.abs(np.fft.rfft(w * x, nfft)) * (2.0 / np.sum(w))
-    freqs = np.fft.rfftfreq(nfft, 1.0 / f_s_hz)
-    return Spectrum(freqs=freqs, mags=mags, df_hz=f_s_hz / nfft,
-                    res_hz=f_s_hz / len(x))
+    # Mean removal and windowing run in place and each padded-length array
+    # is dropped once the next one exists, so the magnitudes, not the
+    # temporaries, set this stage's peak memory.
+    x -= np.mean(x)
+    x *= w
+    scale = 2.0 / np.sum(w)
+    del w
+    n = len(x)
+    nfft = 4 * _next_pow2(n)
+    bins = np.fft.rfft(x, nfft)
+    del x
+    mags = np.abs(bins)
+    del bins
+    mags *= scale
+    return Spectrum(mags=mags, nfft=nfft, f_s_hz=f_s_hz, res_hz=f_s_hz / n)
 
 
-def _parabolic_refine(logm: np.ndarray, k: int) -> tuple[float, float]:
-    """Vertex of the parabola through (k-1, k, k+1); returns (bin, log-mag)."""
-    a, b, c = logm[k - 1], logm[k], logm[k + 1]
+def _parabolic_refine(mags: np.ndarray, k: int) -> tuple[float, float]:
+    """Vertex of the parabola through the log-magnitudes at (k-1, k, k+1).
+
+    Returns (bin, log-mag).
+    """
+    a, b, c = np.log10(np.maximum(mags[k - 1:k + 2], 1e-300))
     denom = a - 2.0 * b + c
     if denom == 0.0:
         return float(k), b
@@ -167,12 +190,12 @@ def detect_peaks(
     idx = np.array(sorted(accepted))
     proms = signal.peak_prominences(mags, idx)[0]
 
-    logm = np.log10(np.maximum(mags, 1e-300))
+    f_top = spectrum.freqs[-1]
     peaks = []
     for k, prom in zip(idx, proms):
-        kref, logmag = _parabolic_refine(logm, int(k))
+        kref, logmag = _parabolic_refine(mags, int(k))
         f = kref * spectrum.df_hz
-        if 0.0 < f < spectrum.freqs[-1]:
+        if 0.0 < f < f_top:
             peaks.append(Peak(freq_hz=float(f), magnitude=float(10.0 ** logmag),
                               prominence=float(prom)))
     peaks.sort(key=lambda p: p.freq_hz)

@@ -8,7 +8,9 @@ fully seeded; two runs of the same file produce byte-identical outputs.
 The pipeline mirrors the device: synthesize ground-truth acceleration,
 apply the sensor and ADC, decimate to the output rate, packetize and
 uplink, reassemble at the sink, estimate modal peaks, compare against the
-baseline structure, and account the day's energy.
+baseline structure, and account the day's energy.  The front end, up to
+the decimated output, runs in fixed blocks of the record with its state
+carried between them, so its memory does not grow with the record.
 """
 
 from __future__ import annotations
@@ -20,7 +22,15 @@ from pathlib import Path
 import numpy as np
 
 from . import presets
-from .decimator import DecimatorSpec, FilterReport, design_decimator, run_chain
+from .decimator import (
+    ChainState,
+    DecimatorSpec,
+    FilterReport,
+    FilterStage,
+    check_warmup,
+    design_decimator,
+    run_chain,
+)
 from .energy import (
     BatterySpec,
     EnergyBreakdown,
@@ -59,6 +69,7 @@ from .signals import (
     apply_sensor,
     inject_transient,
     quantize,
+    record_samples,
     synth_structure_response,
     trigger_index,
 )
@@ -393,33 +404,74 @@ def _truth_estimate(model: StructureModel) -> ModalEstimate:
     return ModalEstimate(peaks=peaks)
 
 
+# Input samples per block of the streamed front end.  Throughput is flat
+# from 16 Ki to 128 Ki samples; peak memory grows with the block.
+_BLOCK = 65536
+
+
+def _sense(s: Scenario, n: int,
+           stages: tuple[FilterStage, ...]) -> tuple[np.ndarray, int, int | None]:
+    """Synthesize, sense, quantize and decimate the record block by block.
+
+    Dwell tones are synthesized per block.  Ambient modes are normalized
+    over the whole record, so that record is synthesized in one pass and
+    read in block slices.  Sensor noise comes from one Generator drawn
+    block by block and the chain carries its stage tails, so only the
+    output series is a whole-record array.  Returns the output samples, the
+    saturated-code count and the trigger sample.
+    """
+    f_os = s.adc.f_os_hz
+    noise = np.random.default_rng(s.seed + 1)
+    chain = ChainState(stages)
+    out = []
+    n_sat = 0
+    trig = None
+    stage = "synth"
+    try:
+        ambient = (synth_structure_response(s.structure, s.plan.t_acq_s, f_os_hz=f_os,
+                                            seed=s.seed, excitation=s.excitation)
+                   if s.excitation == "ambient" else None)
+        for i0 in range(0, n, _BLOCK):
+            i1 = min(i0 + _BLOCK, n)
+            stage = "synth"
+            if ambient is None:
+                accel = synth_structure_response(
+                    s.structure, s.plan.t_acq_s, f_os_hz=f_os, seed=s.seed,
+                    excitation=s.excitation, start=i0, stop=i1,
+                )
+            else:
+                accel = ambient[i0:i1]
+            if s.event is not None:
+                accel = inject_transient(accel, s.event, f_os_hz=f_os,
+                                         start=i0, record_len=n)
+            if trig is None and s.trigger_threshold_g is not None:
+                hit = trigger_index(accel, s.trigger_threshold_g)
+                trig = None if hit is None else i0 + hit
+            volts = apply_sensor(accel, s.sensor, f_os_hz=f_os, seed=noise)
+            codes, sat = quantize(volts, s.adc)
+            n_sat += sat
+            stage = "dsp"
+            out.append(run_chain(codes, stages, s.adc, s.sensor, state=chain))
+    except (ValueError, RuntimeError) as e:
+        raise StageError(stage, e) from e
+    return np.concatenate(out), n_sat, trig
+
+
 def run_scenario(s: Scenario, write: bool = True) -> RunResult:
     params = EnergyParams()
 
     try:
-        accel = synth_structure_response(
-            s.structure, s.plan.t_acq_s, f_os_hz=s.adc.f_os_hz,
-            seed=s.seed, excitation=s.excitation,
-        )
-        if s.event is not None:
-            accel = inject_transient(accel, s.event, f_os_hz=s.adc.f_os_hz)
-        trig = (trigger_index(accel, s.trigger_threshold_g)
-                if s.trigger_threshold_g is not None else None)
-        # Drop each full-rate record once the next stage has consumed it:
-        # how many are alive at once sets the run's peak memory.
-        volts = apply_sensor(accel, s.sensor, f_os_hz=s.adc.f_os_hz, seed=s.seed + 1)
-        del accel
-        codes, n_sat = quantize(volts, s.adc)
-        del volts
-    except (ValueError, RuntimeError) as e:
+        n = record_samples(s.structure, s.plan.t_acq_s, s.adc.f_os_hz, s.excitation)
+    except ValueError as e:
         raise StageError("synth", e) from e
 
     try:
         stages, filt_report = design_decimator(s.decimator)
-        samples = run_chain(codes, stages, s.adc, s.sensor)
-        del codes
+        check_warmup(n, stages)
     except (ValueError, RuntimeError) as e:
         raise StageError("dsp", e) from e
+
+    samples, n_sat, trig = _sense(s, n, stages)
 
     try:
         packets = packetize(samples, session_id=0)

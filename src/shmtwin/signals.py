@@ -128,12 +128,38 @@ def _resonator_coeffs(freq_hz: float, damping: float, fs_hz: float):
     return b, a
 
 
+def record_samples(
+    model: StructureModel,
+    duration_s: float,
+    f_os_hz: float = 25600.0,
+    excitation: str = "ambient",
+) -> int:
+    """Length of the record synth_structure_response returns for these inputs.
+
+    Raises ValueError for any input it would reject, so a caller that
+    synthesizes block by block can fail before the first block.
+    """
+    if duration_s <= 0:
+        raise ValueError(f"duration must be positive, got {duration_s}")
+    if excitation not in ("ambient", "dwell"):
+        raise ValueError(f"unknown excitation {excitation!r}")
+    nyquist = f_os_hz / 2.0
+    for m in model.modes:
+        if m.freq_hz >= nyquist:
+            raise ValueError(
+                f"mode at {m.freq_hz} Hz is at or above Nyquist ({nyquist} Hz)"
+            )
+    return int(round(duration_s * f_os_hz))
+
+
 def synth_structure_response(
     model: StructureModel,
     duration_s: float,
     f_os_hz: float = 25600.0,
     seed: int = 0,
     excitation: str = "ambient",
+    start: int = 0,
+    stop: int | None = None,
 ) -> np.ndarray:
     """Synthesize the acceleration seen at the sensor mount, in g.
 
@@ -149,29 +175,31 @@ def synth_structure_response(
 
     Either way the per-mode sample RMS equals ``rms_amp_g`` exactly, and a
     model where every mode has rms_amp_g == 0 returns an all-zero series.
+
+    Returns samples [start, stop) of the record, all of it by default.  A
+    dwell record can be synthesized block by block: the tones are evaluated
+    on absolute sample indices and every call draws the same phases from
+    ``seed`` in mode order, so the blocks concatenate to the whole record
+    bit for bit.  Ambient synthesis normalizes each mode over the whole
+    record and returns only the whole record.
     """
-    if duration_s <= 0:
-        raise ValueError(f"duration must be positive, got {duration_s}")
-    if excitation not in ("ambient", "dwell"):
-        raise ValueError(f"unknown excitation {excitation!r}")
-    nyquist = f_os_hz / 2.0
-    for m in model.modes:
-        if m.freq_hz >= nyquist:
-            raise ValueError(
-                f"mode at {m.freq_hz} Hz is at or above Nyquist ({nyquist} Hz)"
-            )
+    n = record_samples(model, duration_s, f_os_hz, excitation)
+    stop = n if stop is None else stop
+    if not 0 <= start <= stop <= n:
+        raise ValueError(f"samples [{start}, {stop}) are not within a record of {n}")
+    if excitation == "ambient" and (start, stop) != (0, n):
+        raise ValueError("ambient synthesis returns only the whole record")
 
     # Each mode is evaluated in one reused buffer (``arg``) with the same
     # operations in the same order as the plain expressions
     # amp * sin(w * t + phase) and y * (rms_amp / sqrt(mean(y * y))), so the
     # series is bit-identical to them without a full-length temporary per
     # operator.
-    n = int(round(duration_s * f_os_hz))
     if excitation == "dwell":
-        t = np.arange(n) / f_os_hz
+        t = np.arange(start, stop) / f_os_hz
     rng = np.random.default_rng(seed)
-    accel = np.zeros(n)
-    arg = np.empty(n)
+    accel = np.zeros(stop - start)
+    arg = np.empty(stop - start)
     for m in model.modes:
         if excitation == "dwell":
             phase = rng.uniform(0.0, 2.0 * np.pi)
@@ -201,25 +229,33 @@ def inject_transient(
     event: EventSpec,
     f_os_hz: float = 25600.0,
     carrier_freq_hz: float = 2.807,
+    start: int = 0,
+    record_len: int | None = None,
 ) -> np.ndarray:
     """Add a half-sine-enveloped tone burst; returns a new array.
 
     The carrier is phased to hit its crest at the envelope center, so the
     burst peak equals ``event.peak_g`` up to sampling granularity.  Samples
     outside [onset, onset + duration) are unchanged.
+
+    ``accel`` may be one block of a longer record: it then holds samples
+    [start, start + len(accel)) of a record of ``record_len`` samples, and
+    gets the part of the burst that falls inside it.  By default the block
+    ends the record.
     """
-    n = len(accel)
+    n = start + len(accel) if record_len is None else record_len
     i0 = int(round(event.onset_s * f_os_hz))
     i1 = int(round((event.onset_s + event.duration_s) * f_os_hz))
     if i1 > n:
         raise ValueError("event extends past the end of the series")
     out = np.array(accel, dtype=float, copy=True)
+    i0, i1 = max(i0, start), min(i1, start + len(accel))
     if i1 <= i0 or event.peak_g == 0.0:
         return out
     t = (np.arange(i0, i1) / f_os_hz) - event.onset_s
     envelope = np.sin(np.pi * t / event.duration_s)
     carrier = np.cos(2.0 * np.pi * carrier_freq_hz * (t - event.duration_s / 2.0))
-    out[i0:i1] += event.peak_g * envelope * carrier
+    out[i0 - start:i1 - start] += event.peak_g * envelope * carrier
     return out
 
 
@@ -239,13 +275,17 @@ def apply_sensor(
     accel: np.ndarray,
     spec: SensorSpec = SensorSpec(),
     f_os_hz: float = 25600.0,
-    seed: int = 0,
+    seed: int | np.random.Generator = 0,
 ) -> np.ndarray:
     """Map acceleration to sensor output voltage, adding broadband noise.
 
     v[n] = supply/2 + sensitivity * (a[n] + w[n]) with w white Gaussian,
     RMS = density * sqrt(f_os/2).  The default density over a 12.8 kHz
     bandwidth works out to about 5.66 mg RMS.
+
+    ``seed`` may also be a ``numpy.random.Generator``, which is drawn from
+    as it stands: passing one Generator for every block of a record gives
+    the same noise, bit for bit, as one call on the whole record.
     """
     rng = np.random.default_rng(seed)
     volts = rng.standard_normal(len(accel))

@@ -7,6 +7,7 @@ from scipy import signal as sp_signal
 from shmtwin.decimator import (
     DecimatorSpec,
     FilterDesignError,
+    ChainState,
     FilterStage,
     cascade,
     design_decimator,
@@ -94,6 +95,41 @@ def test_cascade_equals_naive_filter_then_decimate(default_chain):
         ref = sp_signal.lfilter(st.coeffs, [1.0], ref)[:: st.decim]
     assert y.shape == ref.shape
     assert np.max(np.abs(y - ref)) < 1e-12
+
+
+@pytest.mark.parametrize("chain", ["designed", "edge"])
+def test_chain_state_blocks_equal_whole_cascade(default_chain, chain):
+    stages = default_chain[1]
+    if chain == "edge":  # a one-tap decimator carries no history; decim 1 passes through
+        stages = (FilterStage([0.5], 3), FilterStage([0.25, 0.5, 0.25], 1), *stages[:2])
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal(100_003)  # not a multiple of any stage's decimation
+    whole = cascade(x, stages)
+    sizes = [1, 2, 255, 1000, 4103, 12345, 7, 65536]
+    state = ChainState(stages)
+    parts, i = [], 0
+    while i < len(x):
+        n = sizes[len(parts) % len(sizes)]
+        parts.append(state.push(x[i:i + n]))
+        i += n
+    assert np.concatenate(parts).tobytes() == whole.tobytes()
+
+
+def test_run_chain_state_must_match_its_stages(default_chain):
+    _, stages, _ = default_chain
+    with pytest.raises(ValueError):
+        run_chain(np.zeros(10, dtype=int), stages[:3], state=ChainState(stages))
+
+
+def test_filter_stage_value_equality_and_hash():
+    a = FilterStage([0.25, 0.5, 0.25], 2)
+    b = FilterStage(np.array([0.25, 0.5, 0.25]), 2)
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != FilterStage([0.25, 0.5, 0.25], 4)
+    assert a != FilterStage([0.25, 0.5, 0.2500000000000001], 2)
+    assert a != FilterStage([0.25, 0.5], 2)
+    assert a != "stage"
 
 
 def test_90hz_tone_rejected_below_minus_60_dbfs(default_chain):

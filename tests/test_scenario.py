@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from shmtwin import decimator
+from shmtwin import decimator, scenario
 from shmtwin.modal import Verdict
 from shmtwin.radio import CoverageClass
 from shmtwin.scenario import (
@@ -208,3 +208,65 @@ def test_stochastic_uplink_scenario_runs(tmp_path):
     text = _short_run_text(tmp_path, extra="[nbiot-sim]\nmode = stochastic\nloss_prob = 0.2\n")
     r = run_scenario(parse_scenario_text(text), write=False)
     assert r.uplink.mode == "stochastic"
+
+
+def test_dwell_peak_memory_flat_in_record_length(tmp_path):
+    peaks = []
+    for t_acq in (30, 120):
+        s = parse_scenario_text(f"[scenario]\nseed = 3\noutputs = {tmp_path}/out\n"
+                                f"[energy-model]\nt_acq_s = {t_acq}\n")
+        run_scenario(s, write=False)  # warm-up: filter design and lazy imports
+        tracemalloc.start()
+        try:
+            run_scenario(s, write=False)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0], f"peaks {peaks[0]} -> {peaks[1]} bytes"
+
+
+_STRADDLE = (
+    # the burst starts in the first default block and the trigger fires in
+    # the second; a 3 g peak drives the ADC into saturation
+    "[signal-synth]\nexcitation = ambient\nevent_onset_s = 2.5\n"
+    "event_peak_g = 3.0\nevent_duration_s = 1.0\ntrigger_threshold_g = 0.2\n"
+)
+
+
+@pytest.mark.parametrize("extra", ["", _STRADDLE], ids=["dwell", "ambient-event"])
+@pytest.mark.parametrize("block", [1000, 4096 + 7, 10**9])
+def test_block_size_does_not_change_the_run(tmp_path, monkeypatch, extra, block):
+    def run(name):
+        text = (f"[scenario]\nseed = 11\noutputs = {tmp_path}/{name}\n"
+                f"[energy-model]\nt_acq_s = 12\n" + extra)
+        r = run_scenario(parse_scenario_text(text))
+        return r, (r.outputs / "summary.csv").read_text(), _dir_digest(r.outputs)
+
+    ref, ref_summary, ref_digest = run("default")
+    if extra:
+        assert ref.trigger_sample is not None
+        assert 2.5 * 25600 < scenario._BLOCK < ref.trigger_sample
+        assert "saturated_codes,0\n" not in ref_summary
+    monkeypatch.setattr(scenario, "_BLOCK", block)
+    r, summary, digest = run("other")
+    assert r.samples_out.tobytes() == ref.samples_out.tobytes()
+    assert r.trigger_sample == ref.trigger_sample
+    assert summary == ref_summary  # saturated_codes among the rest
+    assert digest == ref_digest
+
+
+def test_event_past_the_end_is_a_synth_error(tmp_path):
+    text = _short_run_text(tmp_path, extra=("[signal-synth]\nevent_onset_s = 179\n"
+                                            "event_peak_g = 0.5\nevent_duration_s = 5\n"))
+    text = text.replace("t_acq_s = 45", "t_acq_s = 180")
+    with pytest.raises(StageError) as exc:
+        run_scenario(parse_scenario_text(text), write=False)
+    assert exc.value.stage == "synth"
+
+
+def test_record_shorter_than_the_warm_up_is_a_dsp_error(tmp_path):
+    text = _short_run_text(tmp_path).replace("t_acq_s = 45", "t_acq_s = 0.1")
+    with pytest.raises(StageError) as exc:
+        run_scenario(parse_scenario_text(text), write=False)
+    assert exc.value.stage == "dsp"
+    assert "2560 samples" in str(exc.value)
