@@ -41,13 +41,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_des = sub.add_parser("design-filter", help="design the decimation chain and report compliance")
     p_des.add_argument("--save", default=None, help="write stage coefficients to this file")
-    p_des.add_argument("--budget", type=int, default=1000, help="total coefficient budget")
+    p_des.add_argument("--budget", type=int, default=DecimatorSpec.coeff_budget,
+                       help="total coefficient budget")
 
     p_life = sub.add_parser("lifetime", help="battery lifetime for an acquisition plan")
     p_life.add_argument("--tacq", type=float, required=True, help="seconds of acquisition per session")
     p_life.add_argument("--sessions", type=int, required=True, help="sessions per day")
     p_life.add_argument("--battery", choices=sorted(presets.BATTERIES), default="LS336000")
-    p_life.add_argument("--k-acq", type=float, default=6.5, dest="k_acq")
+    p_life.add_argument("--k-acq", type=float, default=SessionPlan.k_acq, dest="k_acq")
     p_life.add_argument("--coverage", choices=[c.name for c in CoverageClass], default="GOOD")
     return ap
 

@@ -99,7 +99,7 @@ class DecimatorSpec:
 
     n_stages: int = 6
     total_decim: int = 256
-    f_in_hz: float = 25600.0
+    f_in_hz: float = AdcSpec.f_os_hz
     f_out_hz: float = 100.0
     cutoff_hz: float = 50.0
     passband_ripple_db: float = 0.1

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .radio import CoverageClass, EnergyParams, session_energy_j
+from .radio import SAMPLES_PER_PACKET, CoverageClass, EnergyParams, session_energy_j
 
 SECONDS_PER_DAY = 86400.0
 DAYS_PER_YEAR = 365.25
@@ -28,23 +28,20 @@ class SessionPlan:
 
     k_acq is the billing factor for acquisition energy per packet: the
     measured per-second activity cost is charged for k_acq seconds per
-    650-sample block.  The physical block duration is payload_samples/f_s
-    (6.5 s at defaults) regardless of k_acq.
+    packet of SAMPLES_PER_PACKET samples.  The physical block duration is
+    SAMPLES_PER_PACKET/f_s (6.5 s at defaults) regardless of k_acq.
     """
 
     n_sessions_per_day: int = 6
     t_acq_s: float = 60.0
     f_s_hz: float = 100.0
-    payload_samples: int = 650
     k_acq: float = 6.5
 
     def __post_init__(self):
         if self.n_sessions_per_day < 0:
             raise ValueError("session count cannot be negative")
-        if self.t_acq_s <= 0 or self.f_s_hz <= 0 or self.k_acq <= 0:
-            raise ValueError("t_acq_s, f_s_hz and k_acq must be positive")
-        if self.payload_samples < 1:
-            raise ValueError("payload_samples must be at least 1")
+        if not all(0 < v < math.inf for v in (self.t_acq_s, self.f_s_hz, self.k_acq)):
+            raise ValueError("t_acq_s, f_s_hz and k_acq must be positive and finite")
 
     @property
     def samples_per_session(self) -> int:
@@ -52,12 +49,12 @@ class SessionPlan:
 
     @property
     def n_packets(self) -> int:
-        return -(-self.samples_per_session // self.payload_samples)
+        return -(-self.samples_per_session // SAMPLES_PER_PACKET)
 
     @property
     def block_s(self) -> float:
         """Physical duration of one packet's worth of samples."""
-        return self.payload_samples / self.f_s_hz
+        return SAMPLES_PER_PACKET / self.f_s_hz
 
     def daily_data_bytes(self) -> int:
         """Payload bytes produced per day (16-bit samples, no padding)."""
@@ -75,10 +72,6 @@ class BatterySpec:
             raise ValueError("capacity must be positive")
         if not 0 < self.derating <= 1:
             raise ValueError("derating must be in (0, 1]")
-
-    @classmethod
-    def from_ah(cls, name: str, ah: float, v: float, **kw) -> "BatterySpec":
-        return cls(name=name, capacity_j=ah * v * 3600.0, **kw)
 
     @property
     def usable_j(self) -> float:
@@ -260,7 +253,7 @@ def lifetime_curve(
     battery: BatterySpec,
     coverage: CoverageClass = CoverageClass.GOOD,
     params: EnergyParams = EnergyParams(),
-    k_acq: float = 6.5,
+    k_acq: float = SessionPlan.k_acq,
 ) -> list[tuple[float, int, float]]:
     """Rows (t_acq_s, n_sessions, lifetime_days) over a plan grid."""
     rows = []

@@ -2,8 +2,10 @@
 
 A scenario is a flat INI-style file with one section per stage of the
 node: signal synthesis, the decimation chain, modal analysis, the uplink,
-and the energy plan.  Unknown sections or keys are errors.  Every run is
-fully seeded; two runs of the same file produce byte-identical outputs.
+and the energy plan.  Each key sets one field of ``Scenario`` or of a spec
+it holds (``_TABLE``); a key left out keeps that field's default.  Unknown
+sections or keys are errors.  Every run is fully seeded; two runs of the
+same file produce byte-identical outputs.
 
 The pipeline mirrors the device: synthesize ground-truth acceleration,
 apply the sensor and ADC, decimate to the output rate, packetize and
@@ -16,6 +18,9 @@ carried between them, so its memory does not grow with the record.
 from __future__ import annotations
 
 import configparser
+import functools
+import inspect
+import typing
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -32,6 +37,7 @@ from .decimator import (
     run_chain,
 )
 from .energy import (
+    DAYS_PER_YEAR,
     BatterySpec,
     EnergyBreakdown,
     HarvesterSpec,
@@ -89,224 +95,213 @@ class StageError(Exception):
         self.cause = cause
 
 
+def _default(fn, name: str):
+    """The default that function ``fn`` gives its parameter ``name``."""
+    return inspect.signature(fn).parameters[name].default
+
+
 @dataclass(frozen=True)
 class Scenario:
+    """One configured run of the node.
+
+    A field a scenario file leaves out keeps its default here, and each of
+    those defaults is the one its owner gives: the spec dataclasses, or the
+    modal functions for their parameters.  The scenario's own choices are
+    the dwell excitation, the NO_DAMAGE structure and a 180 s record.
+    """
+
     label: str
     seed: int
     outputs: str
-    structure: StructureModel
-    baseline: StructureModel
-    excitation: str
-    sensor: SensorSpec
-    adc: AdcSpec
-    decimator: DecimatorSpec
-    modal_window: str
-    max_peaks: int
-    min_prominence: float
-    light_shift_pct: float
-    moderate_shift_pct: float
-    rssi_dbm: float | None
-    coverage: CoverageClass
-    uplink_mode: str
-    loss_prob: float
-    plan: SessionPlan
-    battery: BatterySpec
-    harvester: HarvesterSpec | None
-    event: EventSpec | None
-    trigger_threshold_g: float | None
+    structure: StructureModel = presets.NO_DAMAGE
+    baseline: StructureModel = presets.NO_DAMAGE
+    excitation: str = "dwell"
+    sensor: SensorSpec = SensorSpec()
+    adc: AdcSpec = AdcSpec()
+    decimator: DecimatorSpec = DecimatorSpec()
+    modal_window: str = _default(compute_spectrum, "window")
+    max_peaks: int = _default(detect_peaks, "max_peaks")
+    min_prominence: float = _default(detect_peaks, "min_prominence")
+    light_shift_pct: float = _default(compare_modes, "light_pct")
+    moderate_shift_pct: float = _default(compare_modes, "moderate_pct")
+    rssi_dbm: float | None = None
+    coverage: CoverageClass = CoverageClass.GOOD
+    uplink_mode: str = "deterministic"
+    loss_prob: float = 0.0
+    plan: SessionPlan = SessionPlan(t_acq_s=180.0)
+    battery: BatterySpec = presets.BATTERIES["LS336000"]
+    harvester: HarvesterSpec | None = None
+    event: EventSpec | None = None
+    trigger_threshold_g: float | None = None
+
+    def __post_init__(self):
+        # every stage seeds a numpy Generator from it, and those take no
+        # negative seed
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if not 0.0 <= self.loss_prob < 1.0:
+            raise ConfigError(f"loss_prob must be in [0, 1), got {self.loss_prob}")
 
 
-# Schema: section -> key -> (converter, default).  REQUIRED means the key
-# must be present in the file.
-REQUIRED = object()
-
-_SCHEMA: dict[str, dict[str, tuple]] = {
+# The scenario file: section -> key -> the Scenario field the key reads and
+# writes, as a dotted path into the spec that holds it.  The order is the
+# order serialize_scenario writes.
+_TABLE: dict[str, dict[str, str]] = {
     "scenario": {
-        "label": (str, ""),
-        "seed": (int, REQUIRED),
-        "outputs": (str, ""),
-        "baseline": (str, "NO_DAMAGE"),
+        "label": "label",
+        "seed": "seed",
+        "outputs": "outputs",
+        "baseline": "baseline",
     },
     "signal-synth": {
-        "structure": (str, "NO_DAMAGE"),
-        "excitation": (str, "dwell"),
-        "noise_density_ug_sqrthz": (float, 50.0),
-        "sensitivity_v_per_g": (float, 0.66),
-        "full_scale_g": (float, 2.0),
-        "supply_v": (float, 3.3),
-        "adc_bits": (int, 12),
-        "vref_v": (float, 3.3),
-        "f_os_hz": (float, 25600.0),
-        "event_onset_s": (float, None),
-        "event_peak_g": (float, None),
-        "event_duration_s": (float, None),
-        "trigger_threshold_g": (float, None),
+        "structure": "structure",
+        "excitation": "excitation",
+        "noise_density_ug_sqrthz": "sensor.noise_density_ug_sqrthz",
+        "sensitivity_v_per_g": "sensor.sensitivity_v_per_g",
+        "full_scale_g": "sensor.full_scale_g",
+        "supply_v": "sensor.supply_v",
+        "adc_bits": "adc.bits",
+        "vref_v": "adc.vref_v",
+        "f_os_hz": "adc.f_os_hz",
+        "event_onset_s": "event.onset_s",
+        "event_peak_g": "event.peak_g",
+        "event_duration_s": "event.duration_s",
+        "trigger_threshold_g": "trigger_threshold_g",
     },
     "dsp-chain": {
-        "n_stages": (int, 6),
-        "total_decim": (int, 256),
-        "cutoff_hz": (float, 50.0),
-        "passband_ripple_db": (float, 0.1),
-        "stopband_atten_db": (float, 60.0),
-        "coeff_budget": (int, 1000),
+        "n_stages": "decimator.n_stages",
+        "total_decim": "decimator.total_decim",
+        "cutoff_hz": "decimator.cutoff_hz",
+        "passband_ripple_db": "decimator.passband_ripple_db",
+        "stopband_atten_db": "decimator.stopband_atten_db",
+        "coeff_budget": "decimator.coeff_budget",
     },
     "modal-analysis": {
-        "window": (str, "hann"),
-        "max_peaks": (int, 8),
-        "min_prominence": (float, 10.0),
-        "light_shift_pct": (float, 1.0),
-        "moderate_shift_pct": (float, 10.0),
+        "window": "modal_window",
+        "max_peaks": "max_peaks",
+        "min_prominence": "min_prominence",
+        "light_shift_pct": "light_shift_pct",
+        "moderate_shift_pct": "moderate_shift_pct",
     },
     "nbiot-sim": {
-        "coverage": (str, None),
-        "rssi_dbm": (float, None),
-        "mode": (str, "deterministic"),
-        "loss_prob": (float, 0.0),
+        "coverage": "coverage",
+        "rssi_dbm": "rssi_dbm",
+        "mode": "uplink_mode",
+        "loss_prob": "loss_prob",
     },
     "energy-model": {
-        "n_sessions_per_day": (int, 6),
-        "t_acq_s": (float, 180.0),
-        "k_acq": (float, 6.5),
-        "battery": (str, "LS336000"),
-        "battery_derating": (float, 1.0),
-        "harvester": (str, "none"),
+        "n_sessions_per_day": "plan.n_sessions_per_day",
+        "t_acq_s": "plan.t_acq_s",
+        "k_acq": "plan.k_acq",
+        "battery": "battery",
+        "battery_derating": "battery.derating",
+        "harvester": "harvester",
     },
 }
 
+# Keys whose values are names: name -> the value it stands for.
+_NAMES = {
+    "baseline": presets.STRUCTURES,
+    "structure": presets.STRUCTURES,
+    "excitation": {n: n for n in ("ambient", "dwell")},
+    "window": {n: n for n in ("rect", "hann")},
+    "coverage": CoverageClass.__members__,
+    "mode": {n: n for n in ("deterministic", "stochastic")},
+    "battery": presets.BATTERIES,
+    "harvester": {"none": None, "default": presets.DEFAULT_HARVESTER},
+}
 
-def _collect(cfg: configparser.ConfigParser) -> dict[str, dict]:
-    """Apply the schema: reject unknowns, convert types, fill defaults."""
-    for section in cfg.sections():
-        if section not in _SCHEMA:
-            raise ConfigError(f"unknown section [{section}]")
-        for key in cfg[section]:
-            if key not in _SCHEMA[section]:
-                raise ConfigError(f"unknown key {key!r} in [{section}]")
-    out: dict[str, dict] = {}
-    for section, keys in _SCHEMA.items():
-        out[section] = {}
-        for key, (conv, default) in keys.items():
-            if cfg.has_option(section, key):
-                raw = cfg.get(section, key)
-                try:
-                    out[section][key] = conv(raw)
-                except ValueError as e:
-                    raise ConfigError(f"bad value for {key} in [{section}]: {e}") from e
-            elif default is REQUIRED:
-                raise ConfigError(f"missing required key {key!r} in [{section}]")
-            else:
-                out[section][key] = default
-    return out
+
+_hints = functools.cache(typing.get_type_hints)
+
+
+def _leaf_type(path: str) -> type:
+    """Type of the field a path ends on, with ``X | None`` read as X."""
+    t = Scenario
+    for name in path.split("."):
+        t = _hints(t)[name]
+        t = (typing.get_args(t) or (t,))[0]
+    return t
+
+
+# Every other key converts with the type of its field.
+_TYPES = {key: _leaf_type(path) for keys in _TABLE.values()
+          for key, path in keys.items() if key not in _NAMES}
+
+
+def _convert(key: str, raw: str):
+    if key in _TYPES:
+        return _TYPES[key](raw)
+    if raw not in _NAMES[key]:
+        raise ValueError(f"{raw!r} is not one of {sorted(_NAMES[key])}")
+    return _NAMES[key][raw]
+
+
+def _name_of(key: str, value) -> str:
+    """The name that parses to ``value``; a derated battery keeps its name."""
+    for name, v in _NAMES[key].items():
+        if v == value or isinstance(v, BatterySpec) and v.name == value.name:
+            return name
+    raise ValueError(f"{key} {value!r} has no name")
+
+
+def _get(obj, path: str):
+    for name in path.split("."):
+        obj = None if obj is None else getattr(obj, name)
+    return obj
 
 
 def parse_scenario_text(text: str) -> Scenario:
-    cfg = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), strict=True)
+    cfg = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), strict=True,
+                                    interpolation=None)
     try:
         cfg.read_string(text)
     except configparser.Error as e:
         raise ConfigError(f"cannot parse scenario: {e}") from e
-    d = _collect(cfg)
+    # the keys given, by the path of the object they set fields of; "" is
+    # the Scenario itself
+    given: dict[str, dict] = {"": {}}
+    for section in cfg.sections():
+        if section not in _TABLE:
+            raise ConfigError(f"unknown section [{section}]")
+        for key in cfg[section]:
+            if key not in _TABLE[section]:
+                raise ConfigError(f"unknown key {key!r} in [{section}]")
+            path = _TABLE[section][key]
+            try:
+                value = _convert(key, cfg.get(section, key))
+            except ValueError as e:
+                raise ConfigError(f"bad value for {key} in [{section}]: {e}") from e
+            owner, _, name = path.rpartition(".")
+            given.setdefault(owner, {})[name] = value
+    top = given.pop("")
+    if "seed" not in top:
+        raise ConfigError("missing required key 'seed' in [scenario]")
 
-    sc, syn, dsp, mod, nb, en = (d["scenario"], d["signal-synth"], d["dsp-chain"],
-                                 d["modal-analysis"], d["nbiot-sim"], d["energy-model"])
-
-    def preset_structure(name):
-        if name not in presets.STRUCTURES:
-            raise ConfigError(f"unknown structure preset {name!r}; "
-                              f"one of {sorted(presets.STRUCTURES)}")
-        return presets.STRUCTURES[name]
-
-    structure = preset_structure(syn["structure"])
-    baseline = preset_structure(sc["baseline"])
-    if syn["excitation"] not in ("ambient", "dwell"):
-        raise ConfigError(f"excitation must be ambient or dwell, got {syn['excitation']!r}")
-    if mod["window"] not in ("rect", "hann"):
-        raise ConfigError(f"window must be rect or hann, got {mod['window']!r}")
-    if nb["mode"] not in ("deterministic", "stochastic"):
-        raise ConfigError(f"mode must be deterministic or stochastic, got {nb['mode']!r}")
-    if not 0.0 <= nb["loss_prob"] < 1.0:
-        raise ConfigError(f"loss_prob must be in [0, 1), got {nb['loss_prob']}")
-
-    if nb["coverage"] is not None and nb["rssi_dbm"] is not None:
-        raise ConfigError("give coverage or rssi_dbm, not both")
-    if nb["rssi_dbm"] is not None:
-        coverage = classify_coverage(nb["rssi_dbm"])
-    elif nb["coverage"] is not None:
-        try:
-            coverage = CoverageClass[nb["coverage"]]
-        except KeyError:
-            raise ConfigError(f"unknown coverage {nb['coverage']!r}") from None
-    else:
-        coverage = CoverageClass.GOOD
-
-    event_keys = (syn["event_onset_s"], syn["event_peak_g"], syn["event_duration_s"])
-    if any(v is not None for v in event_keys) and not all(v is not None for v in event_keys):
+    f_os = given.get("adc", {}).get("f_os_hz", Scenario.adc.f_os_hz)
+    total = given.get("decimator", {}).get("total_decim", Scenario.decimator.total_decim)
+    if total < 1:
+        raise ConfigError(f"total_decim must be >= 1, got {total}")
+    if f_os % total:
+        raise ConfigError("f_os_hz must divide evenly by total_decim")
+    given.setdefault("decimator", {}).update(f_in_hz=f_os, f_out_hz=f_os / total,
+                                             stage_decims=None)
+    given.setdefault("plan", {})["f_s_hz"] = f_os / total
+    if len(given.get("event", ())) not in (0, 3):
         raise ConfigError("event needs all of event_onset_s, event_peak_g, event_duration_s")
-
-    if en["battery"] not in presets.BATTERIES:
-        raise ConfigError(f"unknown battery {en['battery']!r}; one of {sorted(presets.BATTERIES)}")
-    if en["harvester"] not in ("none", "default"):
-        raise ConfigError(f"harvester must be none or default, got {en['harvester']!r}")
-
-    label = sc["label"] or syn["structure"]
+    if "coverage" in top and "rssi_dbm" in top:
+        raise ConfigError("give coverage or rssi_dbm, not both")
+    label = top.get("label") or top.get("structure", Scenario.structure).label
+    top.update(label=label, outputs=top.get("outputs") or f"runs/{label.lower()}")
     try:
-        sensor = SensorSpec(
-            noise_density_ug_sqrthz=syn["noise_density_ug_sqrthz"],
-            sensitivity_v_per_g=syn["sensitivity_v_per_g"],
-            full_scale_g=syn["full_scale_g"],
-            supply_v=syn["supply_v"],
-        )
-        adc = AdcSpec(bits=syn["adc_bits"], vref_v=syn["vref_v"], f_os_hz=syn["f_os_hz"])
-        if syn["f_os_hz"] % dsp["total_decim"]:
-            raise ValueError("f_os_hz must divide evenly by total_decim")
-        decimator = DecimatorSpec(
-            n_stages=dsp["n_stages"],
-            total_decim=dsp["total_decim"],
-            f_in_hz=syn["f_os_hz"],
-            f_out_hz=syn["f_os_hz"] / dsp["total_decim"],
-            cutoff_hz=dsp["cutoff_hz"],
-            passband_ripple_db=dsp["passband_ripple_db"],
-            stopband_atten_db=dsp["stopband_atten_db"],
-            coeff_budget=dsp["coeff_budget"],
-        )
-        battery = replace(presets.BATTERIES[en["battery"]], derating=en["battery_derating"])
-        plan = SessionPlan(
-            n_sessions_per_day=en["n_sessions_per_day"],
-            t_acq_s=en["t_acq_s"],
-            f_s_hz=decimator.f_out_hz,
-            k_acq=en["k_acq"],
-        )
-        event = (EventSpec(onset_s=syn["event_onset_s"], peak_g=syn["event_peak_g"],
-                           duration_s=syn["event_duration_s"])
-                 if syn["event_onset_s"] is not None else None)
+        if "rssi_dbm" in top:
+            top["coverage"] = classify_coverage(top["rssi_dbm"])
+        for owner, values in given.items():
+            top[owner] = (EventSpec(**values) if owner == "event" else
+                          replace(top.get(owner, getattr(Scenario, owner)), **values))
+        return Scenario(**top)
     except ValueError as e:
         raise ConfigError(str(e)) from e
-
-    return Scenario(
-        label=label,
-        seed=sc["seed"],
-        outputs=sc["outputs"] or f"runs/{label.lower()}",
-        structure=structure,
-        baseline=baseline,
-        excitation=syn["excitation"],
-        sensor=sensor,
-        adc=adc,
-        decimator=decimator,
-        modal_window=mod["window"],
-        max_peaks=mod["max_peaks"],
-        min_prominence=mod["min_prominence"],
-        light_shift_pct=mod["light_shift_pct"],
-        moderate_shift_pct=mod["moderate_shift_pct"],
-        rssi_dbm=nb["rssi_dbm"],
-        coverage=coverage,
-        uplink_mode=nb["mode"],
-        loss_prob=nb["loss_prob"],
-        plan=plan,
-        battery=battery,
-        harvester=presets.DEFAULT_HARVESTER if en["harvester"] == "default" else None,
-        event=event,
-        trigger_threshold_g=syn["trigger_threshold_g"],
-    )
 
 
 def load_scenario(path) -> Scenario:
@@ -316,68 +311,20 @@ def load_scenario(path) -> Scenario:
 
 def serialize_scenario(s: Scenario) -> str:
     """Canonical text form; parse(serialize(parse(x))) == parse(x)."""
-    def fmt(v):
-        return "" if v is None else (v.name if isinstance(v, CoverageClass) else repr(v) if isinstance(v, float) else str(v))
-
-    lines = []
-    sections = {
-        "scenario": {
-            "label": s.label, "seed": s.seed, "outputs": s.outputs,
-            "baseline": s.baseline.label,
-        },
-        "signal-synth": {
-            "structure": s.structure.label,
-            "excitation": s.excitation,
-            "noise_density_ug_sqrthz": s.sensor.noise_density_ug_sqrthz,
-            "sensitivity_v_per_g": s.sensor.sensitivity_v_per_g,
-            "full_scale_g": s.sensor.full_scale_g,
-            "supply_v": s.sensor.supply_v,
-            "adc_bits": s.adc.bits,
-            "vref_v": s.adc.vref_v,
-            "f_os_hz": s.adc.f_os_hz,
-            "event_onset_s": s.event.onset_s if s.event else None,
-            "event_peak_g": s.event.peak_g if s.event else None,
-            "event_duration_s": s.event.duration_s if s.event else None,
-            "trigger_threshold_g": s.trigger_threshold_g,
-        },
-        "dsp-chain": {
-            "n_stages": s.decimator.n_stages,
-            "total_decim": s.decimator.total_decim,
-            "cutoff_hz": s.decimator.cutoff_hz,
-            "passband_ripple_db": s.decimator.passband_ripple_db,
-            "stopband_atten_db": s.decimator.stopband_atten_db,
-            "coeff_budget": s.decimator.coeff_budget,
-        },
-        "modal-analysis": {
-            "window": s.modal_window,
-            "max_peaks": s.max_peaks,
-            "min_prominence": s.min_prominence,
-            "light_shift_pct": s.light_shift_pct,
-            "moderate_shift_pct": s.moderate_shift_pct,
-        },
-        "nbiot-sim": {
-            "coverage": None if s.rssi_dbm is not None else s.coverage,
-            "rssi_dbm": s.rssi_dbm,
-            "mode": s.uplink_mode,
-            "loss_prob": s.loss_prob,
-        },
-        "energy-model": {
-            "n_sessions_per_day": s.plan.n_sessions_per_day,
-            "t_acq_s": s.plan.t_acq_s,
-            "k_acq": s.plan.k_acq,
-            "battery": s.battery.name,
-            "battery_derating": s.battery.derating,
-            "harvester": "default" if s.harvester else "none",
-        },
-    }
-    for sec, keys in sections.items():
-        lines.append(f"[{sec}]")
-        for k, v in keys.items():
-            if v is None:
+    sections = []
+    for section, keys in _TABLE.items():
+        lines = [f"[{section}]"]
+        for key, path in keys.items():
+            if key == "coverage" and s.rssi_dbm is not None:
+                continue  # the RSSI sets the class
+            value = _get(s, path)
+            if key in _NAMES:
+                value = _name_of(key, value)
+            elif value is None:
                 continue
-            lines.append(f"{k} = {fmt(v)}")
-        lines.append("")
-    return "\n".join(lines)
+            lines.append(f"{key} = {value!r}" if isinstance(value, float) else f"{key} = {value}")
+        sections.append("\n".join(lines) + "\n")
+    return "\n".join(sections)
 
 
 # ---------------------------------------------------------------------------
@@ -516,6 +463,14 @@ def run_scenario(s: Scenario, write: bool = True) -> RunResult:
     return result
 
 
+def _write_rows(path: Path, name: str, rows) -> None:
+    """A two-column ``name,value`` CSV; floats are written exactly (repr)."""
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        f.write(f"{name},value\n")
+        for k, v in rows:
+            f.write(f"{k},{v!r}\n" if isinstance(v, float) else f"{k},{v}\n")
+
+
 def _write_bundle(r: RunResult, spectrum, n_sat: int) -> None:
     s = r.scenario
     out = r.outputs
@@ -532,14 +487,11 @@ def _write_bundle(r: RunResult, spectrum, n_sat: int) -> None:
         ("battery", s.battery.name),
         ("battery_capacity_j", s.battery.usable_j),
         ("battery_life_days", r.life_days),
-        ("battery_life_years", r.life_days / 365.25),
+        ("battery_life_years", r.life_days / DAYS_PER_YEAR),
     ]
     if r.margin is not None:
         energy_rows.append(("harvest_margin_ratio", r.margin))
-    with open(out / "energy.csv", "w", newline="", encoding="utf-8") as f:
-        f.write("parameter,value\n")
-        for k, v in energy_rows:
-            f.write(f"{k},{v!r}\n" if isinstance(v, float) else f"{k},{v}\n")
+    _write_rows(out / "energy.csv", "parameter", energy_rows)
 
     summary: list[tuple[str, object]] = [
         ("label", s.label),
@@ -576,10 +528,7 @@ def _write_bundle(r: RunResult, spectrum, n_sat: int) -> None:
                         "" if sh.shift_hz is None else sh.shift_hz))
     if r.margin is not None:
         summary.append(("harvest_margin_ratio", r.margin))
-    with open(out / "summary.csv", "w", newline="", encoding="utf-8") as f:
-        f.write("metric,value\n")
-        for k, v in summary:
-            f.write(f"{k},{v!r}\n" if isinstance(v, float) else f"{k},{v}\n")
+    _write_rows(out / "summary.csv", "metric", summary)
 
     with open(out / "verdict.txt", "w", encoding="utf-8") as f:
         f.write(verdict_line(r.report) + "\n")

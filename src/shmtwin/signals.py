@@ -131,7 +131,7 @@ def _resonator_coeffs(freq_hz: float, damping: float, fs_hz: float):
 def record_samples(
     model: StructureModel,
     duration_s: float,
-    f_os_hz: float = 25600.0,
+    f_os_hz: float = AdcSpec.f_os_hz,
     excitation: str = "ambient",
 ) -> int:
     """Length of the record synth_structure_response returns for these inputs.
@@ -155,7 +155,7 @@ def record_samples(
 def synth_structure_response(
     model: StructureModel,
     duration_s: float,
-    f_os_hz: float = 25600.0,
+    f_os_hz: float = AdcSpec.f_os_hz,
     seed: int = 0,
     excitation: str = "ambient",
     start: int = 0,
@@ -227,7 +227,7 @@ def synth_structure_response(
 def inject_transient(
     accel: np.ndarray,
     event: EventSpec,
-    f_os_hz: float = 25600.0,
+    f_os_hz: float = AdcSpec.f_os_hz,
     carrier_freq_hz: float = 2.807,
     start: int = 0,
     record_len: int | None = None,
@@ -274,7 +274,7 @@ def trigger_index(accel: np.ndarray, threshold_g: float) -> int | None:
 def apply_sensor(
     accel: np.ndarray,
     spec: SensorSpec = SensorSpec(),
-    f_os_hz: float = 25600.0,
+    f_os_hz: float = AdcSpec.f_os_hz,
     seed: int | np.random.Generator = 0,
 ) -> np.ndarray:
     """Map acceleration to sensor output voltage, adding broadband noise.

@@ -58,6 +58,14 @@ def test_run_seed_override_changes_outputs(tmp_path):
     assert (a / "uplink.csv").read_bytes() != (b / "uplink.csv").read_bytes()
 
 
+@pytest.mark.parametrize("seed", ["-1", "-5"])
+def test_run_negative_seed_override_is_a_config_error(tmp_path, capsys, seed):
+    path = _write(tmp_path, GOOD)
+    assert main(["run", path, "--outputs", str(tmp_path / "o"), "--seed", seed]) == EXIT_CONFIG
+    assert "config error: seed must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_repro_single_target(tmp_path, capsys):
     assert main(["repro", "table2_check", "--outdir", str(tmp_path)]) == EXIT_OK
     assert (tmp_path / "table2_check.csv").exists()

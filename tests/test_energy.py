@@ -45,11 +45,16 @@ def test_plan_derived_quantities():
         SessionPlan(t_acq_s=0.0)
 
 
+@pytest.mark.parametrize("field", ["t_acq_s", "k_acq"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_plan_rejects_non_finite_times(field, value):
+    with pytest.raises(ValueError, match="positive and finite"):
+        SessionPlan(**{field: value})
+
+
 def test_battery_presets_and_validation():
     assert LS336000.capacity_j == 226440.0
     assert VL34570.capacity_j == 71928.0
-    assert BatterySpec.from_ah("a", 17.0, 3.7).capacity_j == pytest.approx(226440.0, abs=1e-6)
-    assert BatterySpec.from_ah("b", 5.4, 3.7).capacity_j == pytest.approx(71928.0, abs=1e-6)
     derated = BatterySpec("c", 1000.0, derating=0.8)
     assert derated.usable_j == 800.0
     with pytest.raises(ValueError):

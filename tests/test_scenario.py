@@ -1,13 +1,19 @@
 import hashlib
+import inspect
 import sys
 import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from shmtwin import decimator, scenario
-from shmtwin.modal import Verdict
+from shmtwin.decimator import DecimatorSpec
+from shmtwin.energy import LS336000, SessionPlan
+from shmtwin.modal import Verdict, compare_modes, compute_spectrum, detect_peaks
 from shmtwin.radio import CoverageClass
+from shmtwin.signals import AdcSpec, SensorSpec
 from shmtwin.scenario import (
     ConfigError,
     StageError,
@@ -86,6 +92,127 @@ def test_unknown_structure_preset():
 def test_unknown_battery_preset():
     with pytest.raises(ConfigError):
         parse_scenario_text(MINIMAL + "[energy-model]\nbattery = AAA\n")
+
+
+def test_bare_seed_gets_the_owners_defaults():
+    s = parse_scenario_text("[scenario]\nseed = 0\n")
+    assert s.sensor == SensorSpec()
+    assert s.adc == AdcSpec()
+    assert s.decimator == DecimatorSpec()
+    assert s.plan == SessionPlan(t_acq_s=180.0, f_s_hz=DecimatorSpec().f_out_hz)
+    assert s.battery == LS336000
+    assert (s.harvester, s.event, s.rssi_dbm, s.trigger_threshold_g) == (None,) * 4
+
+    def default(fn, name):
+        return inspect.signature(fn).parameters[name].default
+
+    assert s.modal_window == default(compute_spectrum, "window")
+    assert s.max_peaks == default(detect_peaks, "max_peaks")
+    assert s.min_prominence == default(detect_peaks, "min_prominence")
+    assert s.light_shift_pct == default(compare_modes, "light_pct")
+    assert s.moderate_shift_pct == default(compare_modes, "moderate_pct")
+
+
+@pytest.mark.parametrize("text", [
+    "[nbiot-sim]\nrssi_dbm = nan\n",
+    "[nbiot-sim]\nrssi_dbm = -inf\n",
+    "[dsp-chain]\ntotal_decim = 0\n",
+    "[energy-model]\nt_acq_s = inf\n",
+    "[energy-model]\nk_acq = nan\n",
+    "[energy-model]\nk_acq = inf\n",
+], ids=["rssi-nan", "rssi-inf", "decim-0", "tacq-inf", "kacq-nan", "kacq-inf"])
+def test_out_of_domain_values_are_config_errors(text):
+    with pytest.raises(ConfigError):
+        parse_scenario_text(MINIMAL + text)
+
+
+def test_negative_seed_is_a_config_error():
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        parse_scenario_text("[scenario]\nseed = -5\n")
+
+
+def test_percent_sign_is_literal():
+    s = parse_scenario_text(MINIMAL + "label = 50%\n")
+    assert s.label == "50%"
+    assert parse_scenario_text(serialize_scenario(s)) == s
+
+
+_FINITE = {"allow_nan": False, "allow_infinity": False}
+
+# A value for each key, mostly inside its domain; the odd one outside
+# (a negative seed, no decimation) gives a ConfigError.
+_VALUES = {
+    "label": st.text("abcXYZ019_-%", max_size=8),
+    "seed": st.integers(-1, 2**32 - 1),
+    "outputs": st.text("abc019_/", max_size=8),
+    "noise_density_ug_sqrthz": st.floats(0.0, 500.0, **_FINITE),
+    "sensitivity_v_per_g": st.floats(0.01, 5.0, **_FINITE),
+    "full_scale_g": st.floats(0.1, 16.0, **_FINITE),
+    "supply_v": st.floats(0.5, 5.5, **_FINITE),
+    "adc_bits": st.integers(1, 24),
+    "vref_v": st.floats(0.5, 5.5, **_FINITE),
+    "f_os_hz": st.sampled_from([12800.0, 25600.0, 51200.0]),
+    "event_onset_s": st.floats(0.0, 200.0, **_FINITE),
+    "event_peak_g": st.floats(0.0, 3.0, **_FINITE),
+    "event_duration_s": st.floats(0.0, 10.0, **_FINITE),
+    "trigger_threshold_g": st.floats(0.01, 1.0, **_FINITE),
+    "n_stages": st.integers(1, 8),
+    "total_decim": st.sampled_from([0, 64, 128, 256]),
+    "cutoff_hz": st.floats(1.0, 25.0, **_FINITE),
+    "passband_ripple_db": st.floats(0.01, 1.0, **_FINITE),
+    "stopband_atten_db": st.floats(20.0, 100.0, **_FINITE),
+    "coeff_budget": st.integers(10, 5000),
+    "max_peaks": st.integers(1, 16),
+    "min_prominence": st.floats(1.0, 100.0, **_FINITE),
+    "light_shift_pct": st.floats(0.1, 5.0, **_FINITE),
+    "moderate_shift_pct": st.floats(5.0, 20.0, **_FINITE),
+    "rssi_dbm": st.floats(-130.0, -60.0, **_FINITE),
+    "loss_prob": st.floats(0.0, 0.99, **_FINITE),
+    "n_sessions_per_day": st.integers(0, 24),
+    "t_acq_s": st.floats(1.0, 1200.0, **_FINITE),
+    "k_acq": st.floats(0.5, 10.0, **_FINITE),
+    "battery_derating": st.floats(0.5, 1.0, **_FINITE),
+}
+
+
+def test_value_strategies_cover_the_table():
+    table_keys = {k for keys in scenario._TABLE.values() for k in keys}
+    assert set(_VALUES) == table_keys - set(scenario._NAMES)
+
+
+def _value(key):
+    if key in scenario._NAMES:
+        return st.sampled_from(sorted(scenario._NAMES[key]))
+    return _VALUES[key].map(lambda v: repr(v) if isinstance(v, float) else str(v))
+
+
+@st.composite
+def scenario_texts(draw):
+    """INI text with a random subset of the table's keys.  The event keys
+    come all three or none, so that most drawn texts parse."""
+    with_event = draw(st.booleans())
+    sections = []
+    for section, keys in scenario._TABLE.items():
+        lines = [f"[{section}]"]
+        for key, path in keys.items():
+            if path.startswith("event."):
+                use = with_event
+            else:
+                use = key == "seed" or draw(st.booleans())
+            if use:
+                lines.append(f"{key} = {draw(_value(key))}")
+        sections.append("\n".join(lines) + "\n")
+    return "\n".join(sections)
+
+
+@settings(max_examples=100, deadline=None)
+@given(scenario_texts())
+def test_serialize_round_trips_any_parsed_scenario(text):
+    try:
+        s = parse_scenario_text(text)
+    except ConfigError:
+        assume(False)
+    assert parse_scenario_text(serialize_scenario(s)) == s
 
 
 def test_serialize_round_trip_minimal():
