@@ -8,22 +8,16 @@ oversampling gain for white quantization noise.
 """
 
 from shmtwin.decimator import DecimatorSpec, design_decimator, measure_enob
-from shmtwin.signals import AdcSpec
 
 
 def main() -> None:
-    adc = AdcSpec()
     print("decim  f_out_hz   enob_int16  enob_float")
     for total in (64, 128, 256):
-        spec = DecimatorSpec(
-            n_stages=6, total_decim=total,
-            f_in_hz=adc.f_os_hz, f_out_hz=adc.f_os_hz / total,
-            cutoff_hz=50.0,
-        )
+        spec = DecimatorSpec(total_decim=total)
         stages, _ = design_decimator(spec)
-        e_q = measure_enob(stages, adc)
-        e_f = measure_enob(stages, adc, quantize_output=False)
-        print(f"{total:5d}  {adc.f_os_hz / total:8.1f}   {e_q:9.3f}  {e_f:9.3f}")
+        e_q = measure_enob(stages)
+        e_f = measure_enob(stages, quantize_output=False)
+        print(f"{total:5d}  {spec.f_out_hz:8.1f}   {e_q:9.3f}  {e_f:9.3f}")
 
 
 if __name__ == "__main__":

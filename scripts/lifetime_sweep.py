@@ -2,7 +2,8 @@
 """Battery lifetime versus acquisition time and session count.
 
 Prints the curve family for the primary cell (4 to 20 minutes, 1/2/4/6
-sessions per day) and writes it to lifetime_curve.csv.
+sessions per day) as years.  ``shmtwin repro fig5`` writes the same curve
+to fig5_curve.csv.
 """
 
 from shmtwin.energy import DAYS_PER_YEAR, LS336000, lifetime_curve
@@ -11,11 +12,6 @@ from shmtwin.presets import LIFETIME_SESSION_COUNTS, LIFETIME_TACQ_GRID_S
 
 def main() -> None:
     rows = lifetime_curve(LIFETIME_TACQ_GRID_S, LIFETIME_SESSION_COUNTS, LS336000)
-    with open("lifetime_curve.csv", "w", encoding="utf-8") as f:
-        f.write("t_acq_s,n_sessions,lifetime_days\n")
-        for t_acq, n_sess, days in rows:
-            f.write(f"{t_acq!r},{n_sess},{days!r}\n")
-
     by_sessions: dict[int, list[tuple[float, float]]] = {}
     for t_acq, n_sess, days in rows:
         by_sessions.setdefault(n_sess, []).append((t_acq, days))
@@ -24,7 +20,6 @@ def main() -> None:
     for i, t_acq in enumerate(LIFETIME_TACQ_GRID_S):
         cells = [f"{by_sessions[n][i][1] / DAYS_PER_YEAR:7.2f}y" for n in sorted(by_sessions)]
         print(f"{t_acq / 60:9.0f} " + " ".join(cells))
-    print("\nwrote lifetime_curve.csv")
 
 
 if __name__ == "__main__":

@@ -60,10 +60,7 @@ def _cmd_run(args) -> int:
             sc = replace(sc, seed=args.seed)
         if args.outputs is not None:
             sc = replace(sc, outputs=args.outputs)
-    except FileNotFoundError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ConfigError as e:
+    except (FileNotFoundError, ConfigError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     try:

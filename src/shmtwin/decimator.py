@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import signal
@@ -95,38 +95,34 @@ def _default_stage_decims(total_decim: int, n_stages: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class DecimatorSpec:
-    """Target figures for the whole cascade."""
+    """Target figures for the whole cascade; output rate and stage split are derived."""
 
     n_stages: int = 6
     total_decim: int = 256
     f_in_hz: float = AdcSpec.f_os_hz
-    f_out_hz: float = 100.0
     cutoff_hz: float = 50.0
     passband_ripple_db: float = 0.1
     stopband_atten_db: float = 60.0
     coeff_budget: int = 1000
-    stage_decims: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.n_stages < 1 or self.total_decim < 1:
             raise ValueError("need at least one stage and decimation >= 1")
-        if abs(self.f_in_hz / self.total_decim - self.f_out_hz) > 1e-9 * self.f_out_hz:
-            raise ValueError(
-                f"rates inconsistent: {self.f_in_hz}/{self.total_decim} != {self.f_out_hz}"
-            )
+        if self.f_in_hz % self.total_decim:
+            raise ValueError(f"input rate {self.f_in_hz} Hz must divide evenly by "
+                             f"total_decim {self.total_decim}")
         if not 0 < self.cutoff_hz <= self.f_out_hz / 2.0:
             raise ValueError("cutoff must lie in (0, f_out/2]")
         if self.passband_ripple_db <= 0 or self.stopband_atten_db <= 0:
             raise ValueError("ripple and attenuation targets must be positive")
-        decims = self.stage_decims
-        if decims is None:
-            decims = _default_stage_decims(self.total_decim, self.n_stages)
-        decims = tuple(int(d) for d in decims)
-        object.__setattr__(self, "stage_decims", decims)
-        if len(decims) != self.n_stages:
-            raise ValueError(f"{len(decims)} stage factors for {self.n_stages} stages")
-        if math.prod(decims) != self.total_decim:
-            raise ValueError(f"stage factors {decims} do not multiply to {self.total_decim}")
+
+    @property
+    def f_out_hz(self) -> float:
+        return self.f_in_hz / self.total_decim
+
+    @property
+    def stage_decims(self) -> tuple[int, ...]:
+        return _default_stage_decims(self.total_decim, self.n_stages)
 
     @property
     def protected_edge_hz(self) -> float:
@@ -448,35 +444,30 @@ def run_chain(
 def measure_enob(
     stages: Sequence[FilterStage],
     adc: AdcSpec = AdcSpec(),
-    test_freq_hz: float = 10.0,
-    sensor: SensorSpec = SensorSpec(),
-    dither_density_ug_sqrthz: float = 2.0,
-    duration_s: float = 40.0,
-    seed: int = 1,
     quantize_output: bool = True,
 ) -> float:
     """Effective bits of the quantize-and-decimate chain, (SINAD - 1.76)/6.02.
 
-    Drives a full-scale sine (amplitude = sensor full scale) through the
-    sensor model, the quantizer and the chain, then takes SINAD from an FFT
-    of the steady-state output.  Everything that is not the fundamental or
-    DC counts as noise-plus-distortion, spurs included.
+    Drives a 40 s full-scale 10 Hz sine (amplitude = sensor full scale)
+    through the sensor model, the quantizer and the chain, then takes SINAD
+    from an FFT of the steady-state output.  Everything that is not the
+    fundamental or DC counts as noise-plus-distortion, spurs included.
 
-    The dither density models the broadband noise present at the quantizer
-    input.  The default is a fraction of an LSB over the oversampled band:
-    enough to decorrelate quantization error, small enough not to dominate
-    the decimated noise floor.  Pass 0 for a bare quantizer measurement.
+    The sensor noise is set to 2 ug/rtHz, a fraction of an LSB over the
+    oversampled band: enough to decorrelate quantization error, small
+    enough not to dominate the decimated noise floor.
 
     quantize_output=False skips the 16-bit output rounding and measures the
     float cascade instead; useful to observe the oversampling law itself,
     which the fixed output word length otherwise starts to mask.
     """
+    f_tone = 10.0
+    sensor = SensorSpec(noise_density_ug_sqrthz=2.0)
     total_decim = math.prod(st.decim for st in stages)
-    n = int(round(duration_s * adc.f_os_hz))
+    n = int(round(40.0 * adc.f_os_hz))
     t = np.arange(n) / adc.f_os_hz
-    accel = sensor.full_scale_g * np.sin(2.0 * np.pi * test_freq_hz * t)
-    dither_sensor = replace(sensor, noise_density_ug_sqrthz=dither_density_ug_sqrthz)
-    volts = apply_sensor(accel, dither_sensor, adc.f_os_hz, seed=seed)
+    accel = sensor.full_scale_g * np.sin(2.0 * np.pi * f_tone * t)
+    volts = apply_sensor(accel, sensor, adc.f_os_hz, seed=1)
     codes, _ = quantize(volts, adc)
     if quantize_output:
         out = run_chain(codes, stages, adc, sensor).astype(float)
@@ -489,7 +480,7 @@ def measure_enob(
         raise ValueError("record too short for a meaningful SINAD estimate")
 
     fs_out = adc.f_os_hz / total_decim
-    period = fs_out / test_freq_hz
+    period = fs_out / f_tone
     if abs(period - round(period)) < 1e-9:
         # Coherent record: truncate to whole carrier periods so the tone and
         # all its distortion products land exactly on bins.  No window needed
@@ -503,7 +494,7 @@ def measure_enob(
         guard = 8
     spec_mag2 = np.abs(np.fft.rfft(window * x)) ** 2
     f_bin = fs_out / len(x)
-    k0 = int(round(test_freq_hz / f_bin))
+    k0 = int(round(f_tone / f_bin))
     lo, hi = max(k0 - guard, 0), min(k0 + guard + 1, len(spec_mag2))
     p_fund = float(np.sum(spec_mag2[lo:hi]))
     p_dc = float(np.sum(spec_mag2[: guard + 1]))

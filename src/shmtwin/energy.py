@@ -251,18 +251,14 @@ def lifetime_curve(
     t_acq_grid_s,
     sessions_list,
     battery: BatterySpec,
-    coverage: CoverageClass = CoverageClass.GOOD,
-    params: EnergyParams = EnergyParams(),
-    k_acq: float = SessionPlan.k_acq,
 ) -> list[tuple[float, int, float]]:
-    """Rows (t_acq_s, n_sessions, lifetime_days) over a plan grid."""
+    """Rows (t_acq_s, n_sessions, lifetime_days) over a plan grid, in good
+    coverage with the measured constants."""
     rows = []
     for n_sess in sessions_list:
         for t_acq in t_acq_grid_s:
-            plan = SessionPlan(n_sessions_per_day=n_sess, t_acq_s=float(t_acq),
-                               k_acq=k_acq)
-            rows.append((float(t_acq), int(n_sess),
-                         battery_life_days(plan, battery, coverage, params)))
+            plan = SessionPlan(n_sessions_per_day=n_sess, t_acq_s=float(t_acq))
+            rows.append((float(t_acq), int(n_sess), battery_life_days(plan, battery)))
     return rows
 
 
@@ -293,16 +289,16 @@ def simulate_power_trace(
     params: EnergyParams = EnergyParams(),
     window_s: float = 1000.0,
     sessions_in_window: int = 1,
-    session_start_s: float = 20.0,
-    dt_s: float = 0.01,
     coverage: CoverageClass = CoverageClass.GOOD,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Piecewise-constant power trace (t, watts) over one observation window.
 
     Each session is an acquisition plateau followed by a radio plateau, at
     powers that integrate to the deterministic session energies; the rest
-    of the window sits at the sleep floor.
+    of the window sits at the sleep floor.  The first session starts 20 s
+    in, and the trace is sampled every 10 ms.
     """
+    lead_s, dt_s = 20.0, 0.01
     n = plan.n_packets
     t_blocks = n * plan.block_s
     t_radio = params.radio_window_s(n, coverage)
@@ -311,7 +307,7 @@ def simulate_power_trace(
         raise ValueError("session count cannot be negative")
     if sessions_in_window:
         stride = window_s / sessions_in_window
-        if t_sess > stride - session_start_s:
+        if t_sess > stride - lead_s:
             raise ValueError("sessions do not fit in the window")
     p_acq = energy_acquisition_j(plan, params) / t_blocks
     p_radio = energy_transmission_j(plan, coverage, params) / t_radio
@@ -319,7 +315,7 @@ def simulate_power_trace(
     t = np.arange(0.0, window_s + dt_s / 2, dt_s)
     p = np.full_like(t, params.sleep_power_w)
     for k in range(sessions_in_window):
-        t0 = session_start_s + k * (window_s / sessions_in_window)
+        t0 = lead_s + k * (window_s / sessions_in_window)
         p[(t >= t0) & (t < t0 + t_blocks)] = p_acq
         p[(t >= t0 + t_blocks) & (t < t0 + t_sess)] = p_radio
     return t, p
@@ -331,15 +327,14 @@ def validate_window(
     plan: SessionPlan,
     params: EnergyParams = EnergyParams(),
     sessions_in_window: int = 1,
-    model_k_acq: float = 6.0,
     coverage: CoverageClass = CoverageClass.GOOD,
 ) -> WindowValidation:
     """Integrate a measured power trace and compare against the closed-form
     window model.
 
-    The model bills acquisition at model_k_acq seconds of activity per
-    packet (the calibration that matches bench measurements of this
-    window), transmission at the deterministic session energy, and sleep
+    The model bills acquisition at 6 seconds of activity per packet (the
+    calibration that matches bench measurements of this window),
+    transmission at the deterministic session energy, and sleep
     over the remainder of the window after physical active time.
     """
     t = np.asarray(trace_t_s, dtype=float)
@@ -355,7 +350,7 @@ def validate_window(
     window_s = float(t[-1] - t[0])
     e_measured = float(np.trapezoid(p, t))
 
-    model_plan = replace(plan, k_acq=model_k_acq)
+    model_plan = replace(plan, k_acq=6.0)
     e_sess = (energy_acquisition_j(model_plan, params)
               + energy_transmission_j(model_plan, coverage, params))
     t_active = sessions_in_window * session_active_s(plan, coverage, params)

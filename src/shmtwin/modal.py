@@ -207,7 +207,6 @@ def compare_modes(
     current: ModalEstimate,
     light_pct: float = 1.0,
     moderate_pct: float = 10.0,
-    match_window_frac: float = 0.2,
 ) -> DamageReport:
     """Pair modes by nearest frequency and classify the worst relative shift.
 
@@ -223,7 +222,7 @@ def compare_modes(
     shifts: list[ModeShift] = []
     missing: list[float] = []
     for f_b in baseline.freqs():
-        best_j, best_d = -1, match_window_frac * f_b
+        best_j, best_d = -1, 0.2 * f_b
         for j, f_c in enumerate(cur):
             d = abs(f_c - f_b)
             if not used[j] and d <= best_d:

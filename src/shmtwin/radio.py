@@ -221,6 +221,7 @@ DEFAULT_DISPERSION_SIGMA = 1.645 - math.sqrt(1.645**2 - 2.0 * math.log(2.0))
 class PacketTx:
     seq: int
     energy_j: float
+    t_s: float  # airtime start, from the start of the session
 
 
 @dataclass(frozen=True)
@@ -276,7 +277,8 @@ def uplink_session(
     else:
         energies = means_j
 
-    txs = tuple(PacketTx(seq=p.seq, energy_j=e) for p, e in zip(packets, energies))
+    txs = tuple(PacketTx(seq=p.seq, energy_j=e, t_s=params.radio_window_s(i, coverage))
+                for i, (p, e) in enumerate(zip(packets, energies)))
     return UplinkRecord(
         session_id=packets[0].session_id,
         coverage=coverage,
@@ -343,15 +345,13 @@ def event_rows(
     sink: SinkReport | None = None,
     node_id: int = 1,
     t0_s: float = 0.0,
-    params: EnergyParams = EnergyParams(),
 ) -> list[dict]:
-    """One row per packet transmission, timestamped within the session."""
+    """One row per packet transmission, stamped at its airtime start."""
     missing = set(sink.missing_seqs) if sink is not None else set()
     rows = []
-    for i, tx in enumerate(record.packets):
-        t = t0_s + params.radio_window_s(i, record.coverage)
+    for tx in record.packets:
         rows.append({
-            "timestamp_s": round(t, 6),
+            "timestamp_s": round(t0_s + tx.t_s, 6),
             "node_id": node_id,
             "session_id": record.session_id,
             "seq": tx.seq,

@@ -141,6 +141,13 @@ class Scenario:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.loss_prob < 1.0:
             raise ConfigError(f"loss_prob must be in [0, 1), got {self.loss_prob}")
+        # the stages that use these check them only after the front end ran
+        if self.max_peaks < 1:
+            raise ConfigError(f"max_peaks must be >= 1, got {self.max_peaks}")
+        if not 0.0 < self.light_shift_pct < self.moderate_shift_pct:
+            raise ConfigError("need 0 < light_shift_pct < moderate_shift_pct")
+        if self.trigger_threshold_g is not None and not self.trigger_threshold_g > 0:
+            raise ConfigError(f"trigger_threshold_g must be > 0, got {self.trigger_threshold_g}")
 
 
 # The scenario file: section -> key -> the Scenario field the key reads and
@@ -278,15 +285,6 @@ def parse_scenario_text(text: str) -> Scenario:
     if "seed" not in top:
         raise ConfigError("missing required key 'seed' in [scenario]")
 
-    f_os = given.get("adc", {}).get("f_os_hz", Scenario.adc.f_os_hz)
-    total = given.get("decimator", {}).get("total_decim", Scenario.decimator.total_decim)
-    if total < 1:
-        raise ConfigError(f"total_decim must be >= 1, got {total}")
-    if f_os % total:
-        raise ConfigError("f_os_hz must divide evenly by total_decim")
-    given.setdefault("decimator", {}).update(f_in_hz=f_os, f_out_hz=f_os / total,
-                                             stage_decims=None)
-    given.setdefault("plan", {})["f_s_hz"] = f_os / total
     if len(given.get("event", ())) not in (0, 3):
         raise ConfigError("event needs all of event_onset_s, event_peak_g, event_duration_s")
     if "coverage" in top and "rssi_dbm" in top:
@@ -296,6 +294,10 @@ def parse_scenario_text(text: str) -> Scenario:
     try:
         if "rssi_dbm" in top:
             top["coverage"] = classify_coverage(top["rssi_dbm"])
+        f_os = given.get("adc", {}).get("f_os_hz", Scenario.adc.f_os_hz)
+        top["decimator"] = replace(Scenario.decimator, f_in_hz=f_os,
+                                   **given.pop("decimator", {}))
+        given.setdefault("plan", {})["f_s_hz"] = top["decimator"].f_out_hz
         for owner, values in given.items():
             top[owner] = (EventSpec(**values) if owner == "event" else
                           replace(top.get(owner, getattr(Scenario, owner)), **values))

@@ -228,15 +228,15 @@ def inject_transient(
     accel: np.ndarray,
     event: EventSpec,
     f_os_hz: float = AdcSpec.f_os_hz,
-    carrier_freq_hz: float = 2.807,
     start: int = 0,
     record_len: int | None = None,
 ) -> np.ndarray:
     """Add a half-sine-enveloped tone burst; returns a new array.
 
-    The carrier is phased to hit its crest at the envelope center, so the
-    burst peak equals ``event.peak_g`` up to sampling granularity.  Samples
-    outside [onset, onset + duration) are unchanged.
+    The 2.807 Hz carrier, the first mode of the undamaged structure, is
+    phased to hit its crest at the envelope center, so the burst peak
+    equals ``event.peak_g`` up to sampling granularity.  Samples outside
+    [onset, onset + duration) are unchanged.
 
     ``accel`` may be one block of a longer record: it then holds samples
     [start, start + len(accel)) of a record of ``record_len`` samples, and
@@ -254,7 +254,7 @@ def inject_transient(
         return out
     t = (np.arange(i0, i1) / f_os_hz) - event.onset_s
     envelope = np.sin(np.pi * t / event.duration_s)
-    carrier = np.cos(2.0 * np.pi * carrier_freq_hz * (t - event.duration_s / 2.0))
+    carrier = np.cos(2.0 * np.pi * 2.807 * (t - event.duration_s / 2.0))
     out[i0 - start:i1 - start] += event.peak_g * envelope * carrier
     return out
 

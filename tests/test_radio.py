@@ -242,3 +242,11 @@ def test_dispersion_sigma_value():
     # P95 at twice the mean for a mean-preserving lognormal
     s = DEFAULT_DISPERSION_SIGMA
     assert math.exp(1.645 * s - 0.5 * s * s) == pytest.approx(2.0, rel=1e-6)
+
+
+def test_event_log_stamps_come_from_the_session_params():
+    params = EnergyParams(t_connect_s=3.0)
+    rec = uplink_session(packetize(np.arange(1300, dtype=np.int16)), params=params)
+    stamps = [r["timestamp_s"] for r in event_rows(rec)]
+    assert stamps[0] == 3.0                     # the record's own connect time
+    assert all(t < rec.duration_s for t in stamps)

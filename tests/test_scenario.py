@@ -126,6 +126,18 @@ def test_out_of_domain_values_are_config_errors(text):
         parse_scenario_text(MINIMAL + text)
 
 
+@pytest.mark.parametrize("text, field", [
+    ("[modal-analysis]\nmax_peaks = 0\n", "max_peaks"),
+    ("[modal-analysis]\nlight_shift_pct = 20\n", "light_shift_pct"),
+    ("[signal-synth]\ntrigger_threshold_g = 0\n", "trigger_threshold_g"),
+], ids=["no-peaks", "light-above-moderate", "zero-trigger"])
+def test_stage_domains_are_checked_at_parse(text, field):
+    # the modal and trigger stages would reject these only after the
+    # front end had run
+    with pytest.raises(ConfigError, match=field):
+        parse_scenario_text(MINIMAL + text)
+
+
 def test_negative_seed_is_a_config_error():
     with pytest.raises(ConfigError, match="seed must be >= 0"):
         parse_scenario_text("[scenario]\nseed = -5\n")
