@@ -17,6 +17,7 @@ series, sample for sample.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,6 +153,20 @@ def record_samples(
     return int(round(duration_s * f_os_hz))
 
 
+# Spacing of the dwell-tone anchors, in record samples; not a block size.
+_ANCHOR = 4096
+
+
+@functools.lru_cache(maxsize=32)
+def _offset_tables(freq_hz: float, f_os_hz: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only sin and cos of 2*pi*freq*j/f_os for j in [0, _ANCHOR)."""
+    delta = 2.0 * np.pi * freq_hz * (np.arange(_ANCHOR) / f_os_hz)
+    tables = np.sin(delta), np.cos(delta)
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
 def synth_structure_response(
     model: StructureModel,
     duration_s: float,
@@ -164,24 +179,29 @@ def synth_structure_response(
     """Synthesize the acceleration seen at the sensor mount, in g.
 
     excitation="ambient": each mode is an independent white-noise
-    realization filtered by its resonator.  The realized spectral peak of
-    such a record wanders around the mode frequency by a fraction of the
-    resonance width (roughly damping_ratio * freq); that is physics, not
-    estimator error.
+    realization filtered by its resonator, scaled so that its sample RMS
+    over the record equals ``rms_amp_g`` exactly.  The realized spectral
+    peak of such a record wanders around the mode frequency by a fraction
+    of the resonance width (roughly damping_ratio * freq); that is physics,
+    not estimator error.
 
     excitation="dwell": a coherent tone per mode (random phase), the way a
     shaker dwelling on the resonances excites the structure.  Use this for
-    tone-accuracy comparisons where sub-bin truth matters.
+    tone-accuracy comparisons where sub-bin truth matters.  A tone's
+    amplitude is ``rms_amp_g * sqrt(2)``, so its sample RMS equals
+    ``rms_amp_g`` only over whole periods.
 
-    Either way the per-mode sample RMS equals ``rms_amp_g`` exactly, and a
-    model where every mode has rms_amp_g == 0 returns an all-zero series.
+    A model where every mode has rms_amp_g == 0 returns an all-zero series.
 
     Returns samples [start, stop) of the record, all of it by default.  A
-    dwell record can be synthesized block by block: the tones are evaluated
-    on absolute sample indices and every call draws the same phases from
-    ``seed`` in mode order, so the blocks concatenate to the whole record
-    bit for bit.  Ambient synthesis normalizes each mode over the whole
-    record and returns only the whole record.
+    dwell tone is evaluated by angle addition from anchors every 4096
+    samples of the record: sin and cos of the phase at each anchor, times
+    cached sin and cos tables of the phase advance within an anchor span.
+    The anchors sit at the same record samples whatever ``start`` is, and
+    every call draws the same phases from ``seed`` in mode order, so dwell
+    blocks of any bounds concatenate to the whole record bit for bit.
+    Ambient synthesis normalizes each mode over the whole record and
+    returns only the whole record.
     """
     n = record_samples(model, duration_s, f_os_hz, excitation)
     stop = n if stop is None else stop
@@ -190,27 +210,35 @@ def synth_structure_response(
     if excitation == "ambient" and (start, stop) != (0, n):
         raise ValueError("ambient synthesis returns only the whole record")
 
-    # Each mode is evaluated in one reused buffer (``arg``) with the same
-    # operations in the same order as the plain expressions
-    # amp * sin(w * t + phase) and y * (rms_amp / sqrt(mean(y * y))), so the
-    # series is bit-identical to them without a full-length temporary per
-    # operator.
-    if excitation == "dwell":
-        t = np.arange(start, stop) / f_os_hz
     rng = np.random.default_rng(seed)
-    accel = np.zeros(stop - start)
-    arg = np.empty(stop - start)
-    for m in model.modes:
-        if excitation == "dwell":
+    if excitation == "dwell":
+        # amp * sin(theta_k + delta_j)
+        #   = (amp * sin theta_k) * cos delta_j + (amp * cos theta_k) * sin delta_j
+        # over one (anchors, _ANCHOR) buffer, anchor k at record sample
+        # k * _ANCHOR.
+        k0, k1 = start // _ANCHOR, -(-stop // _ANCHOR)
+        t_anchor = np.arange(k0 * _ANCHOR, k1 * _ANCHOR, _ANCHOR) / f_os_hz
+        accel = np.zeros((k1 - k0, _ANCHOR))
+        term = np.empty_like(accel)
+        for m in model.modes:
             phase = rng.uniform(0.0, 2.0 * np.pi)
             if m.rms_amp_g == 0.0:
-                continue
-            np.multiply(2.0 * np.pi * m.freq_hz, t, out=arg)
-            arg += phase
-            np.sin(arg, out=arg)
-            arg *= m.rms_amp_g * np.sqrt(2.0)
-            accel += arg
-            continue
+                continue  # draw consumed anyway so seeds stay comparable across models
+            theta = 2.0 * np.pi * m.freq_hz * t_anchor + phase
+            amp = m.rms_amp_g * np.sqrt(2.0)
+            sin_d, cos_d = _offset_tables(m.freq_hz, f_os_hz)
+            accel += np.multiply.outer(amp * np.sin(theta), cos_d, out=term)
+            accel += np.multiply.outer(amp * np.cos(theta), sin_d, out=term)
+        offset = start - k0 * _ANCHOR
+        return accel.reshape(-1)[offset:offset + stop - start]
+
+    # Each ambient mode is evaluated in one reused buffer (``arg``) with the
+    # same operations in the same order as the plain expression
+    # y * (rms_amp / sqrt(mean(y * y))), so the series is bit-identical to
+    # it without a full-length temporary per operator.
+    accel = np.zeros(n)
+    arg = np.empty(n)
+    for m in model.modes:
         rng.standard_normal(out=arg)
         if m.rms_amp_g == 0.0:
             continue  # draw consumed anyway so seeds stay comparable across models
@@ -304,16 +332,25 @@ def quantize(volts: np.ndarray, adc: AdcSpec = AdcSpec()) -> tuple[np.ndarray, i
     input is rejected rather than cast to an arbitrary code.
     """
     v = np.asarray(volts, dtype=float)
-    n_bad = v.size - int(np.count_nonzero(np.isfinite(v)))
-    if n_bad:
-        raise ValueError(f"{n_bad} of {v.size} input samples are not finite")
-    scaled = v / adc.vref_v
-    scaled *= adc.n_codes
-    codes = np.floor(scaled, out=scaled).astype(np.int64)
-    del scaled
-    n_sat = int(np.count_nonzero((codes < 0) | (codes > adc.n_codes - 1)))
-    np.clip(codes, 0, adc.n_codes - 1, out=codes)
-    return codes, n_sat
+    with np.errstate(over="ignore"):  # a finite input that overflows saturates
+        scaled = v / adc.vref_v
+        scaled *= adc.n_codes
+    np.floor(scaled, out=scaled)
+    # The block's range decides which of the full-block passes below run;
+    # the initial 0 is in range and only lets an empty block through.
+    top = adc.n_codes - 1
+    lo, hi = scaled.min(initial=0.0), scaled.max(initial=0.0)
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        n_bad = v.size - int(np.count_nonzero(np.isfinite(v)))
+        if n_bad:
+            raise ValueError(f"{n_bad} of {v.size} input samples are not finite")
+    n_sat = 0
+    if lo < 0 or hi > top:
+        # Counted and clipped before the cast to int64, which a huge float
+        # would not survive.
+        n_sat = int(np.count_nonzero((scaled < 0) | (scaled > top)))
+        np.clip(scaled, 0, top, out=scaled)
+    return scaled.astype(np.int64), n_sat
 
 
 def dequantize(codes: np.ndarray, adc: AdcSpec = AdcSpec()) -> np.ndarray:

@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 from scipy import signal as sp_signal
 
 from shmtwin.decimator import run_chain
+from shmtwin.presets import STRUCTURES
 from shmtwin.signals import (
+    _offset_tables,
     _resonator_coeffs,
     AdcSpec,
     EventSpec,
@@ -118,6 +120,21 @@ def test_quantize_rejects_non_finite():
         quantize(np.array([1.0, np.nan, np.inf, -np.inf]))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.floats(min_value=-0.1, max_value=3.4),
+                          st.floats(allow_nan=False, allow_infinity=False)), max_size=50),
+       st.sampled_from([AdcSpec(), AdcSpec(bits=1), AdcSpec(bits=24, vref_v=1e-3)]))
+def test_quantize_equals_plain_clip_floor(volts, adc):
+    v = np.array(volts, dtype=float)
+    with np.errstate(over="ignore"):
+        raw = np.floor(v / adc.vref_v * adc.n_codes)
+    top = adc.n_codes - 1
+    codes, n_sat = quantize(v, adc)
+    assert codes.dtype == np.int64
+    assert np.array_equal(codes, np.clip(raw, 0, top).astype(np.int64))
+    assert n_sat == np.count_nonzero((raw < 0) | (raw > top))
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.floats(min_value=0.0, max_value=3.2999), min_size=1, max_size=50))
 def test_quantize_dequantize_round_trip(volts):
@@ -160,15 +177,21 @@ def test_synth_deterministic_per_seed():
 def _naive_front_end(model, duration_s, f_os_hz, seed, excitation, sensor, adc):
     """The front end written as plain whole-array expressions: the oracle."""
     n = int(round(duration_s * f_os_hz))
-    t = np.arange(n) / f_os_hz
     rng = np.random.default_rng(seed)
     accel = np.zeros(n)
+    # dwell: angle addition from anchors every 4096 record samples
+    k_anchor = np.arange(-(-n // 4096)) * 4096
+    j_offset = np.arange(4096)
     for m in model.modes:
         if excitation == "dwell":
             phase = rng.uniform(0.0, 2.0 * np.pi)
             if m.rms_amp_g == 0.0:
                 continue
-            accel += m.rms_amp_g * np.sqrt(2.0) * np.sin(2.0 * np.pi * m.freq_hz * t + phase)
+            amp = m.rms_amp_g * np.sqrt(2.0)
+            theta = 2.0 * np.pi * m.freq_hz * (k_anchor / f_os_hz) + phase
+            delta = 2.0 * np.pi * m.freq_hz * (j_offset / f_os_hz)
+            accel += np.outer(amp * np.sin(theta), np.cos(delta)).ravel()[:n]
+            accel += np.outer(amp * np.cos(theta), np.sin(delta)).ravel()[:n]
             continue
         noise = rng.standard_normal(n)
         if m.rms_amp_g == 0.0:
@@ -199,6 +222,69 @@ def test_front_end_matches_plain_expressions_bit_for_bit(excitation):
     assert np.array_equal(accel, accel_ref)
     assert np.array_equal(volts, volts_ref)
     assert np.array_equal(codes, codes_ref)
+
+
+def _np_sin_tones(model, duration_s, f_os_hz, seed):
+    """Dwell tones as one np.sin per sample, the expression the anchors replace."""
+    t = np.arange(int(round(duration_s * f_os_hz))) / f_os_hz
+    rng = np.random.default_rng(seed)
+    accel = np.zeros(t.size)
+    for m in model.modes:
+        phase = rng.uniform(0.0, 2.0 * np.pi)
+        if m.rms_amp_g == 0.0:
+            continue
+        accel += m.rms_amp_g * np.sqrt(2.0) * np.sin(2.0 * np.pi * m.freq_hz * t + phase)
+    return accel
+
+
+def test_dwell_tones_within_1e_12_g_of_np_sin():
+    accel = synth_structure_response(FOUR_MODES, 180.0, seed=0, excitation="dwell")
+    err = np.max(np.abs(accel - _np_sin_tones(FOUR_MODES, 180.0, 25600.0, 0)))
+    assert err <= 1e-12, f"{err:.3g} g"
+
+
+@pytest.mark.parametrize("block", [1000, 4096 + 7])
+def test_dwell_blocks_with_unaligned_bounds_join_the_whole_record(block):
+    whole = synth_structure_response(FOUR_MODES, 3.0, seed=5, excitation="dwell")
+    blocks = [synth_structure_response(FOUR_MODES, 3.0, seed=5, excitation="dwell",
+                                       start=i0, stop=min(i0 + block, whole.size))
+              for i0 in range(0, whole.size, block)]
+    assert np.concatenate(blocks).tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("structure", ["NO_DAMAGE", "DAMAGE_1", "DAMAGE_2"])
+def test_dwell_codes_equal_the_np_sin_codes(structure):
+    # The anchored tones differ from np.sin by ~1e-13 g, far below the
+    # 1.2e-3 g LSB; no code may move, or the shipped bundles would change.
+    model, adc = STRUCTURES[structure], AdcSpec()
+    codes = []
+    for accel in (synth_structure_response(model, 60.0, seed=0, excitation="dwell"),
+                  _np_sin_tones(model, 60.0, adc.f_os_hz, 0)):
+        codes.append(quantize(apply_sensor(accel, SensorSpec(), adc.f_os_hz, seed=1), adc))
+    assert np.array_equal(codes[0][0], codes[1][0])
+    assert codes[0][1] == codes[1][1]
+
+
+def test_dwell_block_takes_one_sin_and_cos_per_anchor_and_mode(monkeypatch):
+    def block_at(i0):
+        return synth_structure_response(FOUR_MODES, 10.0, seed=2, excitation="dwell",
+                                        start=i0, stop=i0 + 65536)
+
+    def counting(ufunc):
+        def call(x, *args, **kwargs):
+            sizes.append(np.size(x))
+            return ufunc(x, *args, **kwargs)
+        return call
+
+    block_at(0)  # fills the offset-table cache
+    sizes = []
+    for name in ("sin", "cos"):
+        monkeypatch.setattr(np, name, counting(getattr(np, name)))
+    block_at(4096 * 3 + 5)  # straddles 17 anchors
+    assert sizes == [17] * 2 * len(FOUR_MODES.modes)
+    tables = _offset_tables(2.807, 25600.0)
+    assert tables is _offset_tables(2.807, 25600.0)
+    assert not any(t.flags.writeable for t in tables)
 
 
 def test_front_end_stages_leave_their_inputs_unchanged(default_chain):
