@@ -26,6 +26,8 @@ def write_csv_columns(path, columns: dict[str, np.ndarray]) -> None:
         csv.writer(f).writerow(arrays.keys())
         # Python floats are converted one block at a time, so a long
         # spectrum never holds a second full-size copy of its columns.
+        # ``%r`` formats a float or an int as repr does.
+        row = ",".join(["%r"] * len(arrays)) + "\r\n"
         for i in range(0, n, _BLOCK_ROWS):
             rows = zip(*(a[i:i + _BLOCK_ROWS].tolist() for a in arrays.values()))
-            f.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
+            f.writelines(map(row.__mod__, rows))

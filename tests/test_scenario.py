@@ -1,19 +1,31 @@
 import hashlib
 import inspect
 import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from shmtwin import decimator, scenario
-from shmtwin.decimator import DecimatorSpec
+from shmtwin.decimator import ChainState, DecimatorSpec, design_decimator, run_chain
 from shmtwin.energy import LS336000, SessionPlan
 from shmtwin.modal import Verdict, compare_modes, compute_spectrum, detect_peaks
 from shmtwin.radio import CoverageClass
-from shmtwin.signals import AdcSpec, SensorSpec
+from shmtwin.signals import (
+    AdcSpec,
+    SensorSpec,
+    apply_sensor,
+    inject_transient,
+    quantize,
+    record_samples,
+    synth_structure_response,
+    trigger_index,
+)
 from shmtwin.scenario import (
     ConfigError,
     StageError,
@@ -409,3 +421,102 @@ def test_record_shorter_than_the_warm_up_is_a_dsp_error(tmp_path):
         run_scenario(parse_scenario_text(text), write=False)
     assert exc.value.stage == "dsp"
     assert "2560 samples" in str(exc.value)
+
+
+# a dwell record of five default blocks; a 3 g burst in the third block
+# saturates the ADC and fires the trigger
+_DWELL_EVENT = (
+    "[signal-synth]\nevent_onset_s = 6\nevent_peak_g = 3.0\n"
+    "event_duration_s = 1.0\ntrigger_threshold_g = 0.2\n"
+)
+
+
+def _sequential_front_end(s):
+    """The front end as one plain loop over blocks of the public stage functions."""
+    f_os = s.adc.f_os_hz
+    n = record_samples(s.structure, s.plan.t_acq_s, f_os, s.excitation)
+    stages, _ = design_decimator(s.decimator)
+    noise = np.random.default_rng(s.seed + 1)
+    chain = ChainState(stages)
+    out, n_sat, trig = [], 0, None
+    for i0 in range(0, n, scenario._BLOCK):
+        i1 = min(i0 + scenario._BLOCK, n)
+        accel = synth_structure_response(s.structure, s.plan.t_acq_s, f_os_hz=f_os,
+                                         seed=s.seed, excitation=s.excitation,
+                                         start=i0, stop=i1)
+        accel = inject_transient(accel, s.event, f_os_hz=f_os, start=i0, record_len=n)
+        hit = trigger_index(accel, s.trigger_threshold_g)
+        if trig is None and hit is not None:
+            trig = i0 + hit
+        codes, sat = quantize(apply_sensor(accel, s.sensor, f_os_hz=f_os, seed=noise), s.adc)
+        n_sat += sat
+        out.append(run_chain(codes, stages, s.adc, s.sensor, state=chain))
+    return np.concatenate(out), n_sat, trig
+
+
+def test_pipelined_front_end_equals_the_sequential_composition(tmp_path):
+    s = parse_scenario_text(_short_run_text(tmp_path, extra=_DWELL_EVENT).replace(
+        "t_acq_s = 45", "t_acq_s = 12"))
+    assert s.excitation == "dwell"
+    samples, n_sat, trig = _sequential_front_end(s)
+    assert n_sat > 0 and trig > 2 * scenario._BLOCK
+    r = run_scenario(s)
+    summary = (r.outputs / "summary.csv").read_text()
+    assert np.array_equal(r.samples_out, samples)
+    assert f"saturated_codes,{n_sat}\n" in summary
+    assert r.trigger_sample == trig
+
+
+def test_concurrent_runs_under_a_short_switch_interval_equal_the_oracle(tmp_path, monkeypatch):
+    # three runs at once, each with its worker: more threads than cores,
+    # switching as often as the interpreter allows, on short blocks
+    monkeypatch.setattr(scenario, "_BLOCK", 4096 + 7)
+    runs = [parse_scenario_text(_short_run_text(tmp_path, extra=_DWELL_EVENT).replace(
+        "seed = 3", f"seed = {seed}").replace("t_acq_s = 45", "t_acq_s = 12"))
+        for seed in (3, 4, 5)]
+    expected = [_sequential_front_end(s) for s in runs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=len(runs)) as pool:
+            futures = [pool.submit(run_scenario, s, write=False) for s in runs]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for r, (samples, _, trig) in zip(results, expected):
+        assert np.array_equal(r.samples_out, samples)
+        assert r.trigger_sample == trig
+
+
+# an infinite peak times the envelope's zero at onset gives NaN as well as inf
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_non_finite_block_late_in_the_record_is_a_synth_error(tmp_path):
+    text = _short_run_text(tmp_path, extra=("[signal-synth]\nevent_onset_s = 6\n"
+                                            "event_peak_g = inf\nevent_duration_s = 1\n"))
+    assert 6 * 25600 >= 2 * scenario._BLOCK
+    threads = threading.active_count()
+    with pytest.raises(StageError) as exc:
+        run_scenario(parse_scenario_text(text), write=False)
+    assert exc.value.stage == "synth"
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("name, stage", [("apply_sensor", "synth"), ("run_chain", "dsp")])
+def test_stage_failing_on_its_third_block_names_its_stage(tmp_path, monkeypatch, name, stage):
+    real = getattr(scenario, name)
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:
+            raise RuntimeError(f"{name} fails on block 3")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scenario, name, failing)
+    threads = threading.active_count()
+    with pytest.raises(StageError) as exc:
+        run_scenario(parse_scenario_text(_short_run_text(tmp_path)), write=False)
+    assert exc.value.stage == stage
+    assert "fails on block 3" in str(exc.value)
+    assert len(calls) >= 3
+    assert threading.active_count() == threads

@@ -1,5 +1,10 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from shmtwin.seriesio import write_csv_columns
 
@@ -30,3 +35,17 @@ def test_csv_columns_rejects_bad_input(tmp_path):
     with pytest.raises(ValueError):
         write_csv_columns(tmp_path / "x.csv",
                           {"a": np.zeros(3), "b": np.zeros(4)})
+
+
+@given(st.lists(st.tuples(st.floats(), st.integers(-2**62, 2**62)), max_size=5000))
+def test_csv_rows_are_the_repr_of_each_value(rows):
+    cols = {"x": np.array([r[0] for r in rows], dtype=float),
+            "n": np.array([r[1] for r in rows], dtype=np.int64)}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cols.csv"
+        write_csv_columns(path, cols)
+        data = path.read_bytes()
+    expected = "x,n\r\n" + "".join(
+        ",".join(map(repr, row)) + "\r\n"
+        for row in zip(cols["x"].tolist(), cols["n"].tolist()))
+    assert data == expected.encode()
