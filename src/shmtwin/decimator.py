@@ -156,17 +156,33 @@ def _kaiser_taps(atten_db: float, trans_frac: float) -> int:
     return max(n | 1, 3)
 
 
+def _gain(stages: Sequence[FilterStage], fs: float, freqs: np.ndarray) -> np.ndarray:
+    """|H| of a cascade fed at rate fs, at input-rate frequencies, normalized to DC."""
+    h_total = np.ones(len(freqs), dtype=complex)
+    dc = 1.0
+    for st in stages:
+        _, hf = signal.freqz(st.coeffs, worN=freqs, fs=fs)
+        h_total *= hf
+        dc *= np.sum(st.coeffs)
+        fs /= st.decim
+    return np.abs(h_total) / abs(dc)
+
+
+def _ripple_db(gain: np.ndarray) -> float:
+    """Peak-to-peak spread of a gain, dB."""
+    return float(20.0 * (np.log10(gain.max()) - np.log10(gain.min())))
+
+
+def _atten_db(gain: np.ndarray) -> float:
+    """Least attenuation of a gain, dB, counting no gain below 1e-12."""
+    return float(np.min(-20.0 * np.log10(np.maximum(gain, 1e-12))))
+
+
 def _stage_meets(h, fs, f_pass, f_stop, pp_budget_db, atten_target_db) -> bool:
-    wpass = np.linspace(0.0, f_pass, 512)
-    _, hp = signal.freqz(h, worN=wpass, fs=fs)
-    mag = np.abs(hp) / abs(np.sum(h))
-    pp = 20.0 * (np.log10(mag.max()) - np.log10(mag.min()))
-    if pp > pp_budget_db:
+    stage = (FilterStage(h, 1),)
+    if _ripple_db(_gain(stage, fs, np.linspace(0.0, f_pass, 512))) > pp_budget_db:
         return False
-    wstop = np.linspace(f_stop, fs / 2.0, 2048)
-    _, hs = signal.freqz(h, worN=wstop, fs=fs)
-    atten = -20.0 * np.log10(np.maximum(np.abs(hs) / abs(np.sum(h)), 1e-12))
-    return bool(atten.min() >= atten_target_db)
+    return _atten_db(_gain(stage, fs, np.linspace(f_stop, fs / 2.0, 2048))) >= atten_target_db
 
 
 @functools.lru_cache(maxsize=8)
@@ -268,51 +284,22 @@ def _alias_bands(spec: DecimatorSpec) -> list[tuple[float, float]]:
     return bands
 
 
-def _composite_gain(stages: Sequence[FilterStage], spec: DecimatorSpec, freqs: np.ndarray):
-    """|H| of the cascade referred to the input rate, normalized to DC."""
-    h_total = np.ones(len(freqs), dtype=complex)
-    dc = 1.0
-    fs = spec.f_in_hz
-    for st in stages:
-        _, hf = signal.freqz(st.coeffs, worN=freqs, fs=fs)
-        h_total *= hf
-        dc *= np.sum(st.coeffs)
-        fs /= st.decim
-    return np.abs(h_total) / abs(dc)
-
-
 def measure_response(stages: Sequence[FilterStage], spec: DecimatorSpec) -> FilterReport:
     """Sweep the cascade and report ripple, attenuation, size and delay.
 
     Attenuation is the worst case over every alias band; a chain with no
     decimation has no alias bands and honestly reports 0 dB.
     """
-    f_protect = spec.protected_edge_hz
-    wpass = np.linspace(0.0, f_protect, 2001)
-    gpass = _composite_gain(stages, spec, wpass)
-    ripple = 20.0 * (np.log10(gpass.max()) - np.log10(gpass.min()))
-
-    atten = 0.0
-    bands = _alias_bands(spec)
-    if bands:
-        worst = np.inf
-        for lo, hi in bands:
-            n_pts = max(int((hi - lo) / 0.1), 64) + 1
-            w = np.linspace(lo, hi, n_pts)
-            g = np.maximum(_composite_gain(stages, spec, w), 1e-12)
-            worst = min(worst, float(np.min(-20.0 * np.log10(g))))
-        atten = worst
-
-    delay = 0.0
-    remaining = float(spec.total_decim)
-    for st in stages:
-        delay += (st.n_taps - 1) / 2.0 / remaining
-        remaining /= st.decim
+    fs = spec.f_in_hz
+    ripple = _ripple_db(_gain(stages, fs, np.linspace(0.0, spec.protected_edge_hz, 2001)))
+    sweeps = (np.linspace(lo, hi, max(int((hi - lo) / 0.1), 64) + 1)
+              for lo, hi in _alias_bands(spec))
+    atten = min((_atten_db(_gain(stages, fs, w)) for w in sweeps), default=0.0)
     return FilterReport(
-        passband_ripple_db=float(ripple),
-        stopband_atten_db=float(atten),
+        passband_ripple_db=ripple,
+        stopband_atten_db=atten,
         total_coeffs=sum(s.n_taps for s in stages),
-        group_delay_samples_out=delay,
+        group_delay_samples_out=_delay_input_samples(stages) / spec.total_decim,
         stage_taps=tuple(s.n_taps for s in stages),
     )
 
@@ -321,14 +308,19 @@ def measure_response(stages: Sequence[FilterStage], spec: DecimatorSpec) -> Filt
 # running
 
 
-def warmup_input_samples(stages: Sequence[FilterStage]) -> int:
-    """Cascade group delay referred to the input rate, rounded up."""
+def _delay_input_samples(stages: Sequence[FilterStage]) -> float:
+    """Cascade group delay referred to the input rate."""
     delay = 0.0
     rate_factor = 1  # input samples per sample at the current stage's input
     for st in stages:
         delay += (st.n_taps - 1) / 2.0 * rate_factor
         rate_factor *= st.decim
-    return int(math.ceil(delay))
+    return delay
+
+
+def warmup_input_samples(stages: Sequence[FilterStage]) -> int:
+    """Cascade group delay referred to the input rate, rounded up."""
+    return int(math.ceil(_delay_input_samples(stages)))
 
 
 def check_warmup(n_in: int, stages: Sequence[FilterStage]) -> None:
@@ -453,6 +445,10 @@ def measure_enob(
     from an FFT of the steady-state output.  Everything that is not the
     fundamental or DC counts as noise-plus-distortion, spurs included.
 
+    The record is cut to whole tone periods, so the tone lands on a bin
+    with no window; an output rate that is not a multiple of 10 Hz raises
+    ValueError.
+
     The sensor noise is set to 2 ug/rtHz, a fraction of an LSB over the
     oversampled band: enough to decorrelate quantization error, small
     enough not to dominate the decimated noise floor.
@@ -464,6 +460,10 @@ def measure_enob(
     f_tone = 10.0
     sensor = SensorSpec(noise_density_ug_sqrthz=2.0)
     total_decim = math.prod(st.decim for st in stages)
+    fs_out = adc.f_os_hz / total_decim
+    period = fs_out / f_tone
+    if abs(period - round(period)) >= 1e-9:
+        raise ValueError(f"a {f_tone} Hz tone is not coherent at the {fs_out} Hz output rate")
     n = int(round(40.0 * adc.f_os_hz))
     t = np.arange(n) / adc.f_os_hz
     accel = sensor.full_scale_g * np.sin(2.0 * np.pi * f_tone * t)
@@ -479,25 +479,12 @@ def measure_enob(
     if len(x) < 256:
         raise ValueError("record too short for a meaningful SINAD estimate")
 
-    fs_out = adc.f_os_hz / total_decim
-    period = fs_out / f_tone
-    if abs(period - round(period)) < 1e-9:
-        # Coherent record: truncate to whole carrier periods so the tone and
-        # all its distortion products land exactly on bins.  No window needed
-        # and no leakage skirt to bias the noise estimate.
-        p = int(round(period))
-        x = x[: (len(x) // p) * p]
-        window = np.ones(len(x))
-        guard = 1
-    else:
-        window = np.hanning(len(x))
-        guard = 8
-    spec_mag2 = np.abs(np.fft.rfft(window * x)) ** 2
-    f_bin = fs_out / len(x)
-    k0 = int(round(f_tone / f_bin))
-    lo, hi = max(k0 - guard, 0), min(k0 + guard + 1, len(spec_mag2))
-    p_fund = float(np.sum(spec_mag2[lo:hi]))
-    p_dc = float(np.sum(spec_mag2[: guard + 1]))
+    p = int(round(period))
+    x = x[: (len(x) // p) * p]
+    spec_mag2 = np.abs(np.fft.rfft(x)) ** 2
+    k0 = int(round(f_tone / (fs_out / len(x))))
+    p_fund = float(np.sum(spec_mag2[max(k0 - 1, 0):k0 + 2]))
+    p_dc = float(np.sum(spec_mag2[:2]))
     p_total = float(np.sum(spec_mag2))
     p_nd = max(p_total - p_fund - p_dc, 1e-300)
     sinad_db = 10.0 * np.log10(p_fund / p_nd)

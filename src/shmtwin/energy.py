@@ -288,36 +288,30 @@ def simulate_power_trace(
     plan: SessionPlan,
     params: EnergyParams = EnergyParams(),
     window_s: float = 1000.0,
-    sessions_in_window: int = 1,
     coverage: CoverageClass = CoverageClass.GOOD,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Piecewise-constant power trace (t, watts) over one observation window.
 
-    Each session is an acquisition plateau followed by a radio plateau, at
-    powers that integrate to the deterministic session energies; the rest
-    of the window sits at the sleep floor.  The first session starts 20 s
-    in, and the trace is sampled every 10 ms.
+    The window holds one session, 20 s in: an acquisition plateau followed
+    by a radio plateau, at powers that integrate to the deterministic
+    session energies.  The rest of the window sits at the sleep floor, and
+    the trace is sampled every 10 ms.  Raises ValueError if the session
+    does not fit in the window after its lead.
     """
     lead_s, dt_s = 20.0, 0.01
     n = plan.n_packets
     t_blocks = n * plan.block_s
     t_radio = params.radio_window_s(n, coverage)
     t_sess = t_blocks + t_radio
-    if sessions_in_window < 0:
-        raise ValueError("session count cannot be negative")
-    if sessions_in_window:
-        stride = window_s / sessions_in_window
-        if t_sess > stride - lead_s:
-            raise ValueError("sessions do not fit in the window")
+    if t_sess > window_s - lead_s:
+        raise ValueError(f"a {t_sess:.0f} s session does not fit in a {window_s} s window")
     p_acq = energy_acquisition_j(plan, params) / t_blocks
     p_radio = energy_transmission_j(plan, coverage, params) / t_radio
 
     t = np.arange(0.0, window_s + dt_s / 2, dt_s)
     p = np.full_like(t, params.sleep_power_w)
-    for k in range(sessions_in_window):
-        t0 = lead_s + k * (window_s / sessions_in_window)
-        p[(t >= t0) & (t < t0 + t_blocks)] = p_acq
-        p[(t >= t0 + t_blocks) & (t < t0 + t_sess)] = p_radio
+    p[(t >= lead_s) & (t < lead_s + t_blocks)] = p_acq
+    p[(t >= lead_s + t_blocks) & (t < lead_s + t_sess)] = p_radio
     return t, p
 
 
@@ -326,11 +320,10 @@ def validate_window(
     trace_p_w: np.ndarray,
     plan: SessionPlan,
     params: EnergyParams = EnergyParams(),
-    sessions_in_window: int = 1,
     coverage: CoverageClass = CoverageClass.GOOD,
 ) -> WindowValidation:
     """Integrate a measured power trace and compare against the closed-form
-    window model.
+    model of a window holding one session.
 
     The model bills acquisition at 6 seconds of activity per packet (the
     calibration that matches bench measurements of this window),
@@ -353,9 +346,9 @@ def validate_window(
     model_plan = replace(plan, k_acq=6.0)
     e_sess = (energy_acquisition_j(model_plan, params)
               + energy_transmission_j(model_plan, coverage, params))
-    t_active = sessions_in_window * session_active_s(plan, coverage, params)
+    t_active = session_active_s(plan, coverage, params)
     if t_active > window_s:
         raise ValueError("active time exceeds the window")
-    e_model = sessions_in_window * e_sess + (window_s - t_active) * params.sleep_power_w
+    e_model = e_sess + (window_s - t_active) * params.sleep_power_w
     err = (e_model - e_measured) / e_measured * 100.0 if e_measured else math.inf
     return WindowValidation(e_measured_j=e_measured, e_model_j=e_model, error_pct=err)

@@ -11,40 +11,39 @@ from .energy import LS336000, VL34570, BatterySpec, HarvesterSpec, SessionPlan
 from .signals import ModeSpec, StructureModel
 
 # ---------------------------------------------------------------------------
-# structures
-#
-# Ground-truth modes of the lab test structure.  Damage cases shift the
-# first mode down; higher modes are left in place, which is the dominant
-# signature observed on the physical frame.
-
-NO_DAMAGE = StructureModel(
-    modes=(ModeSpec(2.807), ModeSpec(8.379), ModeSpec(13.125), ModeSpec(16.052)),
-    label="NO_DAMAGE",
-)
-DAMAGE_1 = StructureModel(
-    modes=(ModeSpec(2.718), ModeSpec(8.379), ModeSpec(13.125), ModeSpec(16.052)),
-    label="DAMAGE_1",
-)
-DAMAGE_2 = StructureModel(
-    modes=(ModeSpec(2.284), ModeSpec(8.379), ModeSpec(13.125), ModeSpec(16.052)),
-    label="DAMAGE_2",
-)
-
-STRUCTURES = {s.label: s for s in (NO_DAMAGE, DAMAGE_1, DAMAGE_2)}
-
-BATTERIES: dict[str, BatterySpec] = {b.name: b for b in (LS336000, VL34570)}
-
-# ---------------------------------------------------------------------------
 # published reference values
 
 # Tone comparison: (mode name, MEMS pipeline Hz, reference accelerometer Hz,
-# published delta %).  The reference column doubles as synthesis ground truth.
+# published delta %).  The reference column is the structures' ground truth.
 TONE_COMPARISON = (
     ("I", 2.805, 2.807, -0.07),
     ("II", 8.383, 8.379, +0.05),
     ("III", 13.133, 13.125, +0.06),
     ("IV", 16.066, 16.052, +0.08),
 )
+
+# ---------------------------------------------------------------------------
+# structures
+#
+# Ground-truth modes of the lab test structure.  Damage cases shift the
+# first mode down; higher modes are left in place, which is the dominant
+# signature observed on the physical frame.
+
+_REFERENCE_HZ = tuple(ref_hz for _, _, ref_hz, _ in TONE_COMPARISON)
+
+
+def _structure(label: str, mode_1_hz: float) -> StructureModel:
+    return StructureModel(modes=tuple(ModeSpec(f) for f in (mode_1_hz, *_REFERENCE_HZ[1:])),
+                          label=label)
+
+
+NO_DAMAGE = _structure("NO_DAMAGE", _REFERENCE_HZ[0])
+DAMAGE_1 = _structure("DAMAGE_1", 2.718)
+DAMAGE_2 = _structure("DAMAGE_2", 2.284)
+
+STRUCTURES = {s.label: s for s in (NO_DAMAGE, DAMAGE_1, DAMAGE_2)}
+
+BATTERIES: dict[str, BatterySpec] = {b.name: b for b in (LS336000, VL34570)}
 
 # First-mode shifts of the damage cases, Hz.
 DAMAGE_SHIFTS_HZ = {"DAMAGE_1": -0.089, "DAMAGE_2": -0.523}

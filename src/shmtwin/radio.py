@@ -18,12 +18,13 @@ plan wakes at least once a day, so no periodic tracking-area update is due.
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .seriesio import write_csv_columns
 
 
 class RadioState(enum.Enum):
@@ -66,10 +67,10 @@ def step(state: RadioState, event: RadioEvent) -> RadioState:
 
 
 class RadioStateMachine:
-    """Stateful wrapper that additionally logs ignored events."""
+    """Stateful wrapper, powered off at first, that logs ignored events."""
 
-    def __init__(self, state: RadioState = RadioState.OFF):
-        self.state = state
+    def __init__(self):
+        self.state = RadioState.OFF
         self.audit: list[tuple[RadioState, RadioEvent]] = []
 
     def step(self, event: RadioEvent) -> RadioState:
@@ -244,15 +245,14 @@ def uplink_session(
     params: EnergyParams = EnergyParams(),
     mode: str = "deterministic",
     seed: int = 0,
-    dispersion_sigma: float = DEFAULT_DISPERSION_SIGMA,
 ) -> UplinkRecord:
     """Transmit one session's packets and account energy and airtime.
 
     Deterministic mode books class-mean energies: connect plus first
     transmission on the first packet, the session wind-down on the last,
     a flat per-packet cost in between.  Stochastic mode scatters each
-    per-packet cost with a mean-preserving lognormal whose default
-    dispersion puts the 95th percentile at twice the mean.
+    per-packet cost with a mean-preserving lognormal whose dispersion
+    puts the 95th percentile at twice the mean.
 
     Airtime per packet doubles per extended-coverage level (2**ecl
     repetitions); energy scaling is already captured by the class
@@ -272,7 +272,7 @@ def uplink_session(
     if mode == "stochastic":
         rng = np.random.default_rng(seed)
         z = rng.standard_normal(len(means_j))
-        s = dispersion_sigma
+        s = DEFAULT_DISPERSION_SIGMA
         energies = [m * math.exp(s * zi - 0.5 * s * s) for m, zi in zip(means_j, z)]
     else:
         energies = means_j
@@ -340,29 +340,20 @@ def deliver(packets: list[Packet], loss_prob: float = 0.0, seed: int = 0) -> Sin
 EVENT_LOG_FIELDS = ["timestamp_s", "node_id", "session_id", "seq", "energy_j", "delivered"]
 
 
-def event_rows(
-    record: UplinkRecord,
-    sink: SinkReport | None = None,
-    node_id: int = 1,
-    t0_s: float = 0.0,
-) -> list[dict]:
-    """One row per packet transmission, stamped at its airtime start."""
+def event_rows(record: UplinkRecord, sink: SinkReport | None = None) -> list[dict]:
+    """One row per packet transmission of node 1, stamped at its airtime
+    start from the start of the session."""
     missing = set(sink.missing_seqs) if sink is not None else set()
-    rows = []
-    for tx in record.packets:
-        rows.append({
-            "timestamp_s": round(t0_s + tx.t_s, 6),
-            "node_id": node_id,
-            "session_id": record.session_id,
-            "seq": tx.seq,
-            "energy_j": repr(tx.energy_j),
-            "delivered": int(tx.seq not in missing),
-        })
-    return rows
+    return [{
+        "timestamp_s": round(tx.t_s, 6),
+        "node_id": 1,
+        "session_id": record.session_id,
+        "seq": tx.seq,
+        "energy_j": tx.energy_j,
+        "delivered": int(tx.seq not in missing),
+    } for tx in record.packets]
 
 
 def write_event_log(path, rows: list[dict]) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.DictWriter(f, fieldnames=EVENT_LOG_FIELDS)
-        w.writeheader()
-        w.writerows(rows)
+    """The event rows as CSV columns, in EVENT_LOG_FIELDS order."""
+    write_csv_columns(path, {k: [r[k] for r in rows] for k in EVENT_LOG_FIELDS})

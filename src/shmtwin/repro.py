@@ -33,6 +33,7 @@ from .radio import (
     epb_uj_per_bit,
 )
 from .scenario import parse_scenario_text, run_scenario
+from .seriesio import write_csv_rows
 
 
 @dataclass(frozen=True)
@@ -131,11 +132,8 @@ def repro_fig5(outdir=None) -> list[ReproRow]:
     curve = lifetime_curve(presets.LIFETIME_TACQ_GRID_S,
                            presets.LIFETIME_SESSION_COUNTS, LS336000)
     if outdir is not None:
-        path = Path(outdir) / "fig5_curve.csv"
-        with open(path, "w", newline="", encoding="utf-8") as f:
-            f.write("t_acq_s,n_sessions,lifetime_days\n")
-            for t_acq, n_sess, days in curve:
-                f.write(f"{t_acq!r},{n_sess},{days!r}\n")
+        write_csv_rows(Path(outdir) / "fig5_curve.csv",
+                       ("t_acq_s", "n_sessions", "lifetime_days"), curve)
 
     ten_y = battery_life_days(presets.TEN_YEAR_PLAN, LS336000) / DAYS_PER_YEAR
     drain_d = battery_life_days(presets.DRAIN_PLAN, LS336000)
@@ -209,9 +207,8 @@ def run_repro(target: str, outdir=None) -> tuple[list[ReproRow], bool]:
         Path(outdir).mkdir(parents=True, exist_ok=True)
     rows = TARGETS[target](outdir=outdir)
     if outdir is not None:
-        with open(Path(outdir) / f"{target}.csv", "w", newline="", encoding="utf-8") as f:
-            f.write("name,published,computed,tolerance,status\n")
-            for r in rows:
-                f.write(f"{r.name},{r.published!r},{r.computed!r},{r.tolerance},"
-                        f"{'PASS' if r.ok else 'FAIL'}\n")
+        write_csv_rows(Path(outdir) / f"{target}.csv",
+                       ("name", "published", "computed", "tolerance", "status"),
+                       [(r.name, r.published, r.computed, r.tolerance, "PASS" if r.ok else "FAIL")
+                        for r in rows])
     return rows, all(r.ok for r in rows)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import configparser
 import functools
 import inspect
+import math
 import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -80,7 +81,7 @@ from .signals import (
     synth_structure_response,
     trigger_index,
 )
-from .seriesio import write_csv_columns
+from .seriesio import write_csv_columns, write_csv_rows
 
 
 class ConfigError(Exception):
@@ -149,6 +150,12 @@ class Scenario:
             raise ConfigError("need 0 < light_shift_pct < moderate_shift_pct")
         if self.trigger_threshold_g is not None and not self.trigger_threshold_g > 0:
             raise ConfigError(f"trigger_threshold_g must be > 0, got {self.trigger_threshold_g}")
+        if self.event is not None:
+            # inject_transient's sample arithmetic; an infinite event never fits
+            f_os = self.adc.f_os_hz
+            end = (self.event.onset_s + self.event.duration_s) * f_os
+            if not math.isfinite(end) or round(end) > round(self.plan.t_acq_s * f_os):
+                raise ConfigError("event extends past the end of the record")
 
 
 # The scenario file: section -> key -> the Scenario field the key reads and
@@ -400,8 +407,8 @@ def _sense(s: Scenario, n: int,
         else:
             accel = ambient[i0:i1]
         if s.event is not None:
-            accel = inject_transient(accel, s.event, f_os_hz=f_os,
-                                     start=i0, record_len=n)
+            accel = inject_transient(accel, s.event, s.structure.modes[0].freq_hz,
+                                     f_os_hz=f_os, start=i0, record_len=n)
         if trig is None and s.trigger_threshold_g is not None:
             hit = trigger_index(accel, s.trigger_threshold_g)
             trig = None if hit is None else i0 + hit
@@ -489,14 +496,6 @@ def run_scenario(s: Scenario, write: bool = True) -> RunResult:
     return result
 
 
-def _write_rows(path: Path, name: str, rows) -> None:
-    """A two-column ``name,value`` CSV; floats are written exactly (repr)."""
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        f.write(f"{name},value\n")
-        for k, v in rows:
-            f.write(f"{k},{v!r}\n" if isinstance(v, float) else f"{k},{v}\n")
-
-
 def _write_bundle(r: RunResult, spectrum, n_sat: int) -> None:
     s = r.scenario
     out = r.outputs
@@ -505,8 +504,7 @@ def _write_bundle(r: RunResult, spectrum, n_sat: int) -> None:
     write_csv_columns(out / "spectrum.csv",
                       {"freq_hz": spectrum.freqs, "magnitude": spectrum.mags})
 
-    rows = event_rows(r.uplink, sink=r.sink)
-    write_event_log(out / "uplink.csv", rows)
+    write_event_log(out / "uplink.csv", event_rows(r.uplink, sink=r.sink))
 
     energy_rows = r.breakdown.rows()
     energy_rows += [
@@ -517,7 +515,7 @@ def _write_bundle(r: RunResult, spectrum, n_sat: int) -> None:
     ]
     if r.margin is not None:
         energy_rows.append(("harvest_margin_ratio", r.margin))
-    _write_rows(out / "energy.csv", "parameter", energy_rows)
+    write_csv_rows(out / "energy.csv", ("parameter", "value"), energy_rows)
 
     summary: list[tuple[str, object]] = [
         ("label", s.label),
@@ -554,7 +552,7 @@ def _write_bundle(r: RunResult, spectrum, n_sat: int) -> None:
                         "" if sh.shift_hz is None else sh.shift_hz))
     if r.margin is not None:
         summary.append(("harvest_margin_ratio", r.margin))
-    _write_rows(out / "summary.csv", "metric", summary)
+    write_csv_rows(out / "summary.csv", ("metric", "value"), summary)
 
     with open(out / "verdict.txt", "w", encoding="utf-8") as f:
         f.write(verdict_line(r.report) + "\n")

@@ -1,8 +1,10 @@
-"""Timeseries serialization as CSV columns.
+"""CSV files: every file the program writes goes through one of two writers.
 
-CSV files carry a header row and one column per channel, dot-decimal,
-UTF-8, CRLF line endings, each value written with repr so it reads back
-exactly.
+Both write dot-decimal UTF-8 with a header row, each float written with
+repr so it reads back exactly.  ``write_csv_columns`` writes equal-length
+numeric columns with CRLF line endings (the spectrum and the uplink event
+log); ``write_csv_rows`` writes rows of mixed values with LF line endings
+(the energy and summary tables and the reproduction reports).
 """
 
 from __future__ import annotations
@@ -31,3 +33,10 @@ def write_csv_columns(path, columns: dict[str, np.ndarray]) -> None:
         for i in range(0, n, _BLOCK_ROWS):
             rows = zip(*(a[i:i + _BLOCK_ROWS].tolist() for a in arrays.values()))
             f.writelines(map(row.__mod__, rows))
+
+
+def write_csv_rows(path, header, rows) -> None:
+    """A header and rows of any values: floats as repr, the rest as str."""
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        for row in (header, *rows):
+            f.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n")

@@ -213,6 +213,13 @@ def test_enob_default_chain_exceeds_15_bits(default_chain):
     assert measure_enob(stages, AdcSpec()) >= 15.0
 
 
+def test_enob_needs_a_whole_number_of_samples_per_tone_period():
+    # 25.6 kHz / 100 = 256 Hz: 25.6 output samples per 10 Hz period
+    stages, _ = design_decimator(DecimatorSpec(total_decim=100))
+    with pytest.raises(ValueError, match="256.0 Hz"):
+        measure_enob(stages, AdcSpec())
+
+
 def test_oversampling_law_half_bit_per_octave():
     # On the float path (before 16-bit output rounding), doubling the
     # decimation factor should buy about half an effective bit.

@@ -156,21 +156,13 @@ def test_window_model_value():
     assert abs(v.error_pct) < 0.05      # synthetic trace edges land on the grid
 
 
-def test_window_all_sleep():
-    t, p = simulate_power_trace(VALIDATION_PLAN, sessions_in_window=0)
-    assert np.all(p == pytest.approx(SLEEP_W))
-    v = validate_window(t, p, VALIDATION_PLAN, sessions_in_window=0)
-    assert v.e_model_j == pytest.approx(1000.0 * SLEEP_W, rel=1e-9)
-    assert abs(v.error_pct) < 0.01
-
-
-def test_window_two_sessions():
-    t, p = simulate_power_trace(VALIDATION_PLAN, sessions_in_window=2)
-    v = validate_window(t, p, VALIDATION_PLAN, sessions_in_window=2)
-    assert abs(v.error_pct) < 0.05
-    single = validate_window(*simulate_power_trace(VALIDATION_PLAN),
-                             plan=VALIDATION_PLAN).e_model_j
-    assert v.e_model_j > 1.9 * single - 1000.0 * SLEEP_W
+def test_window_must_hold_the_session_after_its_lead():
+    # 91 s active (65 s of blocks, 26 s of radio) after a 20 s lead
+    t, p = simulate_power_trace(VALIDATION_PLAN, window_s=111.0)
+    assert p[-1] == SLEEP_W and p[int(21.0 / 0.01)] > SLEEP_W
+    assert abs(validate_window(t, p, VALIDATION_PLAN).error_pct) < 0.1
+    with pytest.raises(ValueError, match="does not fit"):
+        simulate_power_trace(VALIDATION_PLAN, window_s=110.0)
 
 
 def test_window_rejects_malformed_traces():

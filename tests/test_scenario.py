@@ -4,6 +4,7 @@ import sys
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from shmtwin import decimator, scenario
+from shmtwin import decimator, presets, scenario
 from shmtwin.decimator import ChainState, DecimatorSpec, design_decimator, run_chain
 from shmtwin.energy import LS336000, SessionPlan
 from shmtwin.modal import Verdict, compare_modes, compute_spectrum, detect_peaks
@@ -406,13 +407,33 @@ def test_block_size_does_not_change_the_run(tmp_path, monkeypatch, extra, block)
     assert digest == ref_digest
 
 
-def test_event_past_the_end_is_a_synth_error(tmp_path):
-    text = _short_run_text(tmp_path, extra=("[signal-synth]\nevent_onset_s = 179\n"
-                                            "event_peak_g = 0.5\nevent_duration_s = 5\n"))
-    text = text.replace("t_acq_s = 45", "t_acq_s = 180")
-    with pytest.raises(StageError) as exc:
-        run_scenario(parse_scenario_text(text), write=False)
-    assert exc.value.stage == "synth"
+@pytest.mark.parametrize("excitation", ["ambient", "dwell"])
+@pytest.mark.parametrize("onset, duration", [(179, 5), (11, 1.0001), ("inf", 1)])
+def test_event_past_the_end_is_a_config_error(tmp_path, excitation, onset, duration):
+    text = _short_run_text(tmp_path, extra=(
+        f"[signal-synth]\nexcitation = {excitation}\nevent_onset_s = {onset}\n"
+        f"event_peak_g = 0.5\nevent_duration_s = {duration}\n"))
+    with pytest.raises(ConfigError, match="past the end"):
+        parse_scenario_text(text.replace("t_acq_s = 45", "t_acq_s = 12"))
+
+
+def test_event_ending_at_the_last_sample_runs(tmp_path):
+    text = _short_run_text(tmp_path, extra=("[signal-synth]\nevent_onset_s = 11\n"
+                                            "event_peak_g = 0.5\nevent_duration_s = 1\n"))
+    s = parse_scenario_text(text.replace("t_acq_s = 45", "t_acq_s = 12"))
+    assert run_scenario(s, write=False).samples_out.size == 12 * 100
+
+
+def test_event_does_not_hide_damage_2():
+    # The burst is 50 times the modes' amplitude; ringing at the first mode
+    # of the structure under test, it leaves that mode's shift in place.
+    shipped = [load_scenario(p) for p in sorted(SCENARIO_DIR.glob("*.ini"))]
+    with_event = [s for s in shipped if s.event is not None]
+    assert with_event
+    for s in with_event:
+        for seed in (2000, 2001, 2002):
+            r = run_scenario(replace(s, structure=presets.DAMAGE_2, seed=seed), write=False)
+            assert r.report.verdict is not Verdict.NO_DAMAGE, (s.label, seed)
 
 
 def test_record_shorter_than_the_warm_up_is_a_dsp_error(tmp_path):
@@ -444,7 +465,8 @@ def _sequential_front_end(s):
         accel = synth_structure_response(s.structure, s.plan.t_acq_s, f_os_hz=f_os,
                                          seed=s.seed, excitation=s.excitation,
                                          start=i0, stop=i1)
-        accel = inject_transient(accel, s.event, f_os_hz=f_os, start=i0, record_len=n)
+        accel = inject_transient(accel, s.event, s.structure.modes[0].freq_hz,
+                                 f_os_hz=f_os, start=i0, record_len=n)
         hit = trigger_index(accel, s.trigger_threshold_g)
         if trig is None and hit is not None:
             trig = i0 + hit

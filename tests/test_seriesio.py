@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from shmtwin.seriesio import write_csv_columns
+from shmtwin.seriesio import write_csv_columns, write_csv_rows
 
 
 def test_csv_columns_exact_round_trip(tmp_path):
@@ -37,7 +37,8 @@ def test_csv_columns_rejects_bad_input(tmp_path):
                           {"a": np.zeros(3), "b": np.zeros(4)})
 
 
-@given(st.lists(st.tuples(st.floats(), st.integers(-2**62, 2**62)), max_size=5000))
+@given(st.lists(st.tuples(st.floats(), st.integers(-2**62, 2**62),
+                          st.text("abcXYZ_ .-0123456789")), max_size=5000))
 def test_csv_rows_are_the_repr_of_each_value(rows):
     cols = {"x": np.array([r[0] for r in rows], dtype=float),
             "n": np.array([r[1] for r in rows], dtype=np.int64)}
@@ -45,7 +46,11 @@ def test_csv_rows_are_the_repr_of_each_value(rows):
         path = Path(tmp) / "cols.csv"
         write_csv_columns(path, cols)
         data = path.read_bytes()
+        write_csv_rows(path, ("x", "n", "s"), rows)
+        mixed = path.read_bytes()
     expected = "x,n\r\n" + "".join(
         ",".join(map(repr, row)) + "\r\n"
         for row in zip(cols["x"].tolist(), cols["n"].tolist()))
     assert data == expected.encode()
+    # floats as repr, ints and text as str, LF line endings
+    assert mixed == ("x,n,s\n" + "".join(f"{x!r},{n},{s}\n" for x, n, s in rows)).encode()

@@ -147,18 +147,28 @@ def test_quantize_dequantize_round_trip(volts):
 
 def test_event_injection_peak_and_bounds():
     ev = EventSpec(onset_s=0.5, peak_g=0.8, duration_s=0.2)
-    x = inject_transient(np.zeros(25600), ev)
+    x = inject_transient(np.zeros(25600), ev, 2.807)
     k = int(np.argmax(np.abs(x)))
     assert abs(x[k]) == pytest.approx(0.8, rel=1e-6)
     assert abs(k / 25600.0 - 0.6) < 0.01          # crest at envelope center
     assert np.all(x[: int(0.5 * 25600) - 1] == 0)
     with pytest.raises(ValueError):
-        inject_transient(np.zeros(1000), EventSpec(0.0, 0.5, 1.0))  # too long
+        inject_transient(np.zeros(1000), EventSpec(0.0, 0.5, 1.0), 2.807)  # too long
+
+
+@pytest.mark.parametrize("carrier_hz", [2.284, 2.807, 8.379])
+def test_event_burst_rings_at_its_carrier(carrier_hz):
+    ev = EventSpec(onset_s=0.5, peak_g=0.8, duration_s=2.0)
+    x = inject_transient(np.zeros(3 * 25600), ev, carrier_hz)
+    burst = x[int(0.5 * 25600) + 1:int(2.5 * 25600)]
+    crossings = np.count_nonzero(np.diff(np.signbit(burst)))
+    assert abs(crossings - 2 * carrier_hz * ev.duration_s) <= 1
+    assert np.max(np.abs(x)) == pytest.approx(0.8, rel=1e-6)  # crest at the center
 
 
 def test_trigger_index():
     ev = EventSpec(onset_s=0.5, peak_g=0.8, duration_s=0.2)
-    x = inject_transient(np.zeros(25600), ev)
+    x = inject_transient(np.zeros(25600), ev, 2.807)
     idx = trigger_index(x, 0.4)
     assert idx is not None and 0.5 <= idx / 25600.0 <= 0.7
     assert trigger_index(x, 0.9) is None
@@ -291,7 +301,7 @@ def test_front_end_stages_leave_their_inputs_unchanged(default_chain):
     _, stages, _ = default_chain
     accel = synth_structure_response(FOUR_MODES, 2.0, seed=4, excitation="dwell")
     accel_before = accel.copy()
-    inject_transient(accel, EventSpec(onset_s=0.5, peak_g=0.3, duration_s=0.5))
+    inject_transient(accel, EventSpec(onset_s=0.5, peak_g=0.3, duration_s=0.5), 2.807)
     volts = apply_sensor(accel, seed=5)
     assert np.array_equal(accel, accel_before)
     volts_before = volts.copy()
