@@ -1,50 +1,3 @@
 """Digital twin of a battery-powered vibration sensor node with an NB-IoT uplink."""
 
-from .decimator import (
-    DecimatorSpec,
-    FilterStage,
-    design_decimator,
-    measure_enob,
-    measure_response,
-    run_chain,
-)
-from .energy import (
-    LS336000,
-    VL34570,
-    BatterySpec,
-    HarvesterSpec,
-    SessionPlan,
-    battery_life_days,
-    battery_life_years,
-    energy_day,
-    energy_neutral,
-    harvest_day_wh,
-    validate_window,
-)
-from .modal import compare_modes, compute_spectrum, detect_peaks
-from .radio import (
-    CoverageClass,
-    EnergyParams,
-    RadioEvent,
-    RadioState,
-    RadioStateMachine,
-    classify_coverage,
-    deliver,
-    epb_uj_per_bit,
-    packetize,
-    reassemble,
-    uplink_session,
-)
-from .scenario import Scenario, load_scenario, run_scenario
-from .signals import (
-    AdcSpec,
-    EventSpec,
-    ModeSpec,
-    SensorSpec,
-    StructureModel,
-    apply_sensor,
-    quantize,
-    synth_structure_response,
-)
-
 __version__ = "0.1.0"

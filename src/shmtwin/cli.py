@@ -17,7 +17,7 @@ from .decimator import DecimatorSpec, design_decimator, save_stages
 from .energy import DAYS_PER_YEAR, SessionPlan, battery_life_days, energy_day
 from .radio import CoverageClass
 from .repro import TARGETS, run_repro
-from .scenario import ConfigError, StageError, load_scenario, run_scenario
+from .scenario import ConfigError, StageError, load_scenario, run_scenario, stage
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -54,20 +54,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    try:
-        sc = load_scenario(args.scenario_file)
-        if args.seed is not None:
-            sc = replace(sc, seed=args.seed)
-        if args.outputs is not None:
-            sc = replace(sc, outputs=args.outputs)
-    except (FileNotFoundError, ConfigError) as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        r = run_scenario(sc)
-    except StageError as e:
-        print(f"stage failure: {e}", file=sys.stderr)
-        return EXIT_STAGE
+    sc = load_scenario(args.scenario_file)
+    if args.seed is not None:
+        sc = replace(sc, seed=args.seed)
+    if args.outputs is not None:
+        sc = replace(sc, outputs=args.outputs)
+    r = run_scenario(sc)
     print(f"scenario {sc.label}: wrote {r.outputs}")
     print(f"  peaks_hz = {[round(p.freq_hz, 4) for p in r.estimate.peaks]}")
     print(f"  verdict = {r.report.verdict.name}")
@@ -79,7 +71,8 @@ def _cmd_repro(args) -> int:
     targets = sorted(TARGETS) if args.target == "all" else [args.target]
     all_ok = True
     for t in targets:
-        rows, ok = run_repro(t, outdir=args.outdir)
+        with stage("repro"):
+            rows, ok = run_repro(t, outdir=args.outdir)
         all_ok &= ok
         print(f"{t}: {'PASS' if ok else 'FAIL'}")
         for r in rows:
@@ -90,15 +83,9 @@ def _cmd_repro(args) -> int:
 
 
 def _cmd_design_filter(args) -> int:
-    try:
-        spec = DecimatorSpec(coeff_budget=args.budget)
+    spec = DecimatorSpec(coeff_budget=args.budget)
+    with stage("design"):
         stages, rep = design_decimator(spec)
-    except ValueError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except Exception as e:  # design failure carries its own message
-        print(f"stage failure: design: {e}", file=sys.stderr)
-        return EXIT_STAGE
     print(f"stages = {len(stages)}  decims = {tuple(st.decim for st in stages)}")
     print(f"taps per stage = {rep.stage_taps}  total = {rep.total_coeffs}")
     print(f"passband ripple = {rep.passband_ripple_db:.4f} dB "
@@ -107,22 +94,19 @@ def _cmd_design_filter(args) -> int:
           f"(target {spec.stopband_atten_db} dB)")
     print(f"group delay = {rep.group_delay_samples_out:.2f} output samples")
     if args.save:
-        save_stages(args.save, stages)
+        with stage("write"):
+            save_stages(args.save, stages)
         print(f"coefficients written to {args.save}")
     return EXIT_OK
 
 
 def _cmd_lifetime(args) -> int:
-    try:
-        plan = SessionPlan(n_sessions_per_day=args.sessions, t_acq_s=args.tacq,
-                           k_acq=args.k_acq)
-        battery = presets.BATTERIES[args.battery]
-        coverage = CoverageClass[args.coverage]
-        bd = energy_day(plan, coverage)
-        days = battery_life_days(plan, battery, coverage)
-    except ValueError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+    plan = SessionPlan(n_sessions_per_day=args.sessions, t_acq_s=args.tacq,
+                       k_acq=args.k_acq)
+    battery = presets.BATTERIES[args.battery]
+    coverage = CoverageClass[args.coverage]
+    bd = energy_day(plan, coverage)
+    days = battery_life_days(plan, battery, coverage)
     print(f"plan: {args.sessions} x {args.tacq:g} s/day, {plan.n_packets} packets/session, "
           f"coverage {coverage.name}")
     print(f"e_day = {bd.e_day_j:.4f} J  data = {plan.daily_data_bytes()} B/day")
@@ -138,7 +122,15 @@ def main(argv=None) -> int:
         "design-filter": _cmd_design_filter,
         "lifetime": _cmd_lifetime,
     }
-    return handlers[args.command](args)
+    # a ValueError no stage wrapped comes from a bad argument
+    try:
+        return handlers[args.command](args)
+    except (ConfigError, ValueError) as e:
+        print(f"config error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
+    except StageError as e:
+        print(f"stage failure: {e}", file=sys.stderr)
+        return EXIT_STAGE
 
 
 if __name__ == "__main__":

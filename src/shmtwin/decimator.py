@@ -113,8 +113,8 @@ class DecimatorSpec:
                              f"total_decim {self.total_decim}")
         if not 0 < self.cutoff_hz <= self.f_out_hz / 2.0:
             raise ValueError("cutoff must lie in (0, f_out/2]")
-        if self.passband_ripple_db <= 0 or self.stopband_atten_db <= 0:
-            raise ValueError("ripple and attenuation targets must be positive")
+        if not all(0 < v < math.inf for v in (self.passband_ripple_db, self.stopband_atten_db)):
+            raise ValueError("ripple and attenuation targets must be positive and finite")
 
     @property
     def f_out_hz(self) -> float:

@@ -225,20 +225,20 @@ def battery_life_days_sim(
     coverage: CoverageClass = CoverageClass.GOOD,
     params: EnergyParams = EnergyParams(),
 ) -> float:
-    """Day-by-day battery decrement, session energies re-billed from the
-    radio model each day.  Cross-check for the closed form, deliberately
+    """Day-by-day battery decrement, the day's sessions billed one by one
+    from the radio model.  Cross-check for the closed form, deliberately
     not routed through energy_day."""
     n = plan.n_packets
     t_active = plan.n_sessions_per_day * session_active_s(plan, coverage, params)
     if t_active > SECONDS_PER_DAY:
         raise ValueError("plan exceeds one day of activity")
+    spent = (SECONDS_PER_DAY - t_active) * params.sleep_power_w
+    for _ in range(plan.n_sessions_per_day):
+        spent += session_energy_j(n, coverage, params)
+        spent += n * (plan.k_acq * params.e_acq_1s_mj + params.e_sd_write_mj) * 1e-3
     remaining = battery.usable_j
     days = 0
     while True:
-        spent = (SECONDS_PER_DAY - t_active) * params.sleep_power_w
-        for _ in range(plan.n_sessions_per_day):
-            spent += session_energy_j(n, coverage, params)
-            spent += n * (plan.k_acq * params.e_acq_1s_mj + params.e_sd_write_mj) * 1e-3
         if remaining < spent:
             return days + remaining / spent
         remaining -= spent

@@ -18,6 +18,7 @@ carried between them, so its memory does not grow with the record.
 from __future__ import annotations
 
 import configparser
+import contextlib
 import functools
 import inspect
 import math
@@ -97,6 +98,15 @@ class StageError(Exception):
         self.cause = cause
 
 
+@contextlib.contextmanager
+def stage(name: str):
+    """Re-raise a failure of the stage run inside as a ``StageError``."""
+    try:
+        yield
+    except (ValueError, RuntimeError, OSError) as e:
+        raise StageError(name, e) from e
+
+
 def _default(fn, name: str):
     """The default that function ``fn`` gives its parameter ``name``."""
     return inspect.signature(fn).parameters[name].default
@@ -146,10 +156,16 @@ class Scenario:
         # the stages that use these check them only after the front end ran
         if self.max_peaks < 1:
             raise ConfigError(f"max_peaks must be >= 1, got {self.max_peaks}")
+        if not 0.0 <= self.min_prominence < math.inf:
+            raise ConfigError(f"min_prominence must be in [0, inf), got {self.min_prominence}")
         if not 0.0 < self.light_shift_pct < self.moderate_shift_pct:
             raise ConfigError("need 0 < light_shift_pct < moderate_shift_pct")
         if self.trigger_threshold_g is not None and not self.trigger_threshold_g > 0:
             raise ConfigError(f"trigger_threshold_g must be > 0, got {self.trigger_threshold_g}")
+        try:
+            energy_day(self.plan, self.coverage)
+        except ValueError as e:
+            raise ConfigError(str(e)) from e
         if self.event is not None:
             # inject_transient's sample arithmetic; an infinite event never fits
             f_os = self.adc.f_os_hz
@@ -315,7 +331,10 @@ def parse_scenario_text(text: str) -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(f"cannot read scenario: {e}") from e
     return parse_scenario_text(text)
 
 
@@ -416,52 +435,43 @@ def _sense(s: Scenario, n: int,
 
     out = []
     n_sat = 0
-    stage = "synth"
-    try:
+    with stage("synth"):
         ambient = (synth_structure_response(s.structure, s.plan.t_acq_s, f_os_hz=f_os,
                                             seed=s.seed, excitation=s.excitation)
                    if s.excitation == "ambient" else None)
-        with ThreadPoolExecutor(max_workers=1) as worker:
-            ahead = worker.submit(analog, 0)
-            for i0 in range(0, n, _BLOCK):
-                stage = "synth"
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        ahead = worker.submit(analog, 0)
+        for i0 in range(0, n, _BLOCK):
+            with stage("synth"):
                 volts = ahead.result()
                 if i0 + _BLOCK < n:
                     ahead = worker.submit(analog, i0 + _BLOCK)
                 codes, sat = quantize(volts, s.adc)
-                n_sat += sat
-                stage = "dsp"
+            n_sat += sat
+            with stage("dsp"):
                 out.append(run_chain(codes, stages, s.adc, s.sensor, state=chain))
-    except (ValueError, RuntimeError) as e:
-        raise StageError(stage, e) from e
     return np.concatenate(out), n_sat, trig
 
 
 def run_scenario(s: Scenario, write: bool = True) -> RunResult:
     params = EnergyParams()
 
-    try:
+    with stage("synth"):
         n = record_samples(s.structure, s.plan.t_acq_s, s.adc.f_os_hz, s.excitation)
-    except ValueError as e:
-        raise StageError("synth", e) from e
 
-    try:
+    with stage("dsp"):
         stages, filt_report = design_decimator(s.decimator)
         check_warmup(n, stages)
-    except (ValueError, RuntimeError) as e:
-        raise StageError("dsp", e) from e
 
     samples, n_sat, trig = _sense(s, n, stages)
 
-    try:
+    with stage("uplink"):
         packets = packetize(samples, session_id=0)
         uplink = uplink_session(packets, s.coverage, params,
                                 mode=s.uplink_mode, seed=s.seed + 2)
         sink = deliver(packets, s.loss_prob, seed=s.seed + 3)
-    except (ValueError, RuntimeError) as e:
-        raise StageError("uplink", e) from e
 
-    try:
+    with stage("modal"):
         spectrum = compute_spectrum(sink.samples, f_s_hz=s.decimator.f_out_hz,
                                     window=s.modal_window)
         estimate = detect_peaks(spectrum, max_peaks=s.max_peaks,
@@ -469,17 +479,13 @@ def run_scenario(s: Scenario, write: bool = True) -> RunResult:
         report = compare_modes(_truth_estimate(s.baseline), estimate,
                                light_pct=s.light_shift_pct,
                                moderate_pct=s.moderate_shift_pct)
-    except (ValueError, RuntimeError) as e:
-        raise StageError("modal", e) from e
 
-    try:
+    with stage("energy"):
         breakdown = energy_day(s.plan, s.coverage, params)
         life = battery_life_days(s.plan, s.battery, s.coverage, params)
         margin = None
         if s.harvester is not None:
             _, margin = energy_neutral(s.plan, s.harvester, s.coverage, params)
-    except (ValueError, RuntimeError) as e:
-        raise StageError("energy", e) from e
 
     outputs = Path(s.outputs)
     result = RunResult(
@@ -489,10 +495,8 @@ def run_scenario(s: Scenario, write: bool = True) -> RunResult:
         trigger_sample=trig, outputs=outputs,
     )
     if write:
-        try:
+        with stage("write"):
             _write_bundle(result, spectrum, n_sat)
-        except OSError as e:
-            raise StageError("write", e) from e
     return result
 
 

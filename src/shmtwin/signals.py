@@ -18,6 +18,7 @@ series, sample for sample.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,10 +71,11 @@ class SensorSpec:
     supply_v: float = 3.3
 
     def __post_init__(self):
-        if self.noise_density_ug_sqrthz < 0:
-            raise ValueError("noise density must be >= 0")
-        if self.sensitivity_v_per_g <= 0 or self.full_scale_g <= 0 or self.supply_v <= 0:
-            raise ValueError("sensitivity, full scale and supply must be positive")
+        if not 0 <= self.noise_density_ug_sqrthz < math.inf:
+            raise ValueError("noise density must be >= 0 and finite")
+        if not all(0 < v < math.inf
+                   for v in (self.sensitivity_v_per_g, self.full_scale_g, self.supply_v)):
+            raise ValueError("sensitivity, full scale and supply must be positive and finite")
 
     def noise_rms_g(self, f_os_hz: float) -> float:
         """Broadband noise RMS over the oversampled bandwidth [0, f_os/2]."""
@@ -91,8 +93,8 @@ class AdcSpec:
     def __post_init__(self):
         if not 1 <= self.bits <= 24:
             raise ValueError(f"ADC bits out of range: {self.bits}")
-        if self.vref_v <= 0 or self.f_os_hz <= 0:
-            raise ValueError("vref and sample rate must be positive")
+        if not all(0 < v < math.inf for v in (self.vref_v, self.f_os_hz)):
+            raise ValueError("vref and sample rate must be positive and finite")
 
     @property
     def n_codes(self) -> int:

@@ -97,3 +97,27 @@ def test_lifetime_command(capsys):
                  "--battery", "VL34570"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "3.16" in out or "1154" in out
+
+
+def test_run_directory_is_a_config_error(tmp_path, capsys):
+    assert main(["run", str(tmp_path)]) == EXIT_CONFIG
+    assert "config error: cannot read scenario" in capsys.readouterr().err
+
+
+def test_run_binary_file_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "s.ini"
+    path.write_bytes(b"\x00\xff\xfe\x80")
+    assert main(["run", str(path)]) == EXIT_CONFIG
+    assert "config error: cannot read scenario" in capsys.readouterr().err
+
+
+def test_repro_outdir_that_is_a_file_is_a_stage_error(tmp_path, capsys):
+    outdir = tmp_path / "taken"
+    outdir.write_text("")
+    assert main(["repro", "table1", "--outdir", str(outdir)]) == EXIT_STAGE
+    assert "stage failure: stage repro" in capsys.readouterr().err
+
+
+def test_design_filter_save_to_a_directory_is_a_stage_error(tmp_path, capsys):
+    assert main(["design-filter", "--save", str(tmp_path)]) == EXIT_STAGE
+    assert "stage failure: stage write" in capsys.readouterr().err

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from shmtwin import energy
 from shmtwin.energy import (
     DAYS_PER_YEAR,
     LS336000,
@@ -132,6 +138,29 @@ def test_sim_agrees_with_closed_form():
         closed = battery_life_days(plan, VL34570)
         sim = battery_life_days_sim(plan, VL34570)
         assert abs(sim - closed) / closed < 0.01, plan
+
+
+def test_sim_bills_the_day_once(monkeypatch):
+    real = energy.session_energy_j
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(energy, "session_energy_j", counting)
+    days = battery_life_days_sim(TABLE3_PLAN, VL34570)
+    assert days > 1
+    assert len(calls) <= TABLE3_PLAN.n_sessions_per_day
+
+
+def test_importing_energy_leaves_the_signal_chain_unloaded():
+    # a package that imported its submodules would pull in scipy.signal here
+    code = "import sys, shmtwin.energy; print('scipy.signal' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 def test_sim_bad_coverage_shortens_life():

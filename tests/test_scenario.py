@@ -133,7 +133,18 @@ def test_bare_seed_gets_the_owners_defaults():
     "[energy-model]\nt_acq_s = inf\n",
     "[energy-model]\nk_acq = nan\n",
     "[energy-model]\nk_acq = inf\n",
-], ids=["rssi-nan", "rssi-inf", "decim-0", "tacq-inf", "kacq-nan", "kacq-inf"])
+    "[signal-synth]\nvref_v = nan\n",
+    "[signal-synth]\nfull_scale_g = inf\n",
+    "[signal-synth]\nnoise_density_ug_sqrthz = nan\n",
+    "[signal-synth]\nnoise_density_ug_sqrthz = inf\n",
+    "[signal-synth]\nsensitivity_v_per_g = inf\n",
+    "[signal-synth]\nsupply_v = nan\n",
+    "[dsp-chain]\npassband_ripple_db = nan\n",
+    "[dsp-chain]\nstopband_atten_db = inf\n",
+    "[modal-analysis]\nmin_prominence = nan\n",
+], ids=["rssi-nan", "rssi-inf", "decim-0", "tacq-inf", "kacq-nan", "kacq-inf",
+        "vref-nan", "full-scale-inf", "noise-nan", "noise-inf", "sensitivity-inf",
+        "supply-nan", "ripple-nan", "atten-inf", "prominence-nan"])
 def test_out_of_domain_values_are_config_errors(text):
     with pytest.raises(ConfigError):
         parse_scenario_text(MINIMAL + text)
@@ -149,6 +160,29 @@ def test_stage_domains_are_checked_at_parse(text, field):
     # front end had run
     with pytest.raises(ConfigError, match=field):
         parse_scenario_text(MINIMAL + text)
+
+
+def test_plan_longer_than_a_day_is_a_config_error():
+    # the energy stage would reject it only after the front end had run
+    with pytest.raises(ConfigError, match="more than one day"):
+        parse_scenario_text(MINIMAL + "[energy-model]\nt_acq_s = 15000\n")
+
+
+@pytest.mark.parametrize("error", [ValueError, RuntimeError, OSError])
+def test_stage_names_the_failing_stage(error):
+    cause = error("boom")
+    with pytest.raises(StageError) as exc:
+        with scenario.stage("modal"):
+            raise cause
+    assert exc.value.stage == "modal"
+    assert exc.value.__cause__ is cause
+    assert str(exc.value) == "stage modal: boom"
+
+
+def test_stage_lets_other_errors_through():
+    with pytest.raises(KeyError):
+        with scenario.stage("modal"):
+            raise KeyError("x")
 
 
 def test_negative_seed_is_a_config_error():
