@@ -13,7 +13,6 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal
 
 
 class Verdict(enum.Enum):
@@ -124,6 +123,37 @@ def compute_spectrum(
     return Spectrum(mags=mags, nfft=nfft, f_s_hz=f_s_hz, res_hz=f_s_hz / n)
 
 
+def _local_maxima(x: np.ndarray) -> np.ndarray:
+    """Indices of the samples higher than both neighbours, in order.
+
+    A run of equal samples higher than the samples on either side of it is
+    one maximum, at its midpoint rounded down; the first and last samples
+    never are.
+    """
+    starts = np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))
+    ends = np.append(starts[1:], len(x)) - 1
+    v = x[starts]
+    top = np.flatnonzero((v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])) + 1
+    return (starts[top] + ends[top]) // 2
+
+
+def _prominences(x: np.ndarray, peaks: np.ndarray) -> np.ndarray:
+    """Height of each peak above the higher of its two bases.
+
+    A peak's base on each side is the lowest sample between it and the
+    nearest higher sample on that side, or the end of the record.
+    """
+    out = np.empty(len(peaks))
+    for j, k in enumerate(peaks):
+        v = x[k]
+        left = np.flatnonzero(x[:k] > v)
+        right = np.flatnonzero(x[k + 1:] > v)
+        lo = left[-1] + 1 if left.size else 0
+        hi = k + 1 + right[0] if right.size else len(x)
+        out[j] = v - max(x[lo:k + 1].min(), x[k:hi].min())
+    return out
+
+
 def _parabolic_refine(mags: np.ndarray, k: int) -> tuple[float, float]:
     """Vertex of the parabola through the log-magnitudes at (k-1, k, k+1).
 
@@ -173,7 +203,8 @@ def detect_peaks(
     # second gate: 100 dB below the strongest bin; keeps FFT arithmetic
     # noise out of otherwise noiseless records
     height = max(min_prominence * floor, float(np.max(mags)) * 1e-5)
-    idx, _ = signal.find_peaks(mags, height=height)
+    idx = _local_maxima(mags)
+    idx = idx[mags[idx] >= height]
     # below ~3 resolution widths a record holds too few cycles to estimate,
     # and mean removal leaves a notch skirt there
     k_min = int(np.ceil(3.0 * spectrum.res_hz / spectrum.df_hz))
@@ -188,7 +219,7 @@ def detect_peaks(
         if len(accepted) == max_peaks:
             break
     idx = np.array(sorted(accepted))
-    proms = signal.peak_prominences(mags, idx)[0]
+    proms = _prominences(mags, idx)
 
     f_top = spectrum.freqs[-1]
     peaks = []

@@ -395,11 +395,11 @@ def _sense(s: Scenario, n: int,
     worker thread runs the analog half of each block in record order:
     synthesis, the event, the trigger search and the sensor noise, drawn
     from one Generator.  The calling thread runs the digital half of the
-    block before it: the quantizer and the chain, whose stage tails it
-    carries.  Each half has one thread and sees its blocks in order, so
+    block before it: the quantizer and the chain, whose held stage inputs
+    it carries.  Each half has one thread and sees its blocks in order, so
     the output is the same, bit for bit, as running the blocks one after
-    the other.  Both halves spend most of their time in numpy and scipy
-    calls that release the GIL, so they overlap.  The worker is joined
+    the other.  Both halves spend most of their time in numpy calls that
+    release the GIL, so they overlap.  The worker is joined
     before this returns or raises.
 
     Dwell tones are synthesized per block.  Ambient modes are normalized
@@ -410,7 +410,7 @@ def _sense(s: Scenario, n: int,
     """
     f_os = s.adc.f_os_hz
     noise = np.random.default_rng(s.seed + 1)
-    chain = ChainState(stages)
+    chain = ChainState(stages, n)
     trig = None
 
     def analog(i0: int) -> np.ndarray:

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal
 
 
 @dataclass(frozen=True)
@@ -234,6 +233,11 @@ def synth_structure_response(
         offset = start - k0 * _ANCHOR
         return accel.reshape(-1)[offset:offset + stop - start]
 
+    # scipy.signal is imported here, not with the module: importing it
+    # loads most of scipy, which costs a one-shot dwell run more than the
+    # run itself.
+    from scipy.signal import lfilter
+
     # Each ambient mode is evaluated in one reused buffer (``arg``) with the
     # same operations in the same order as the plain expression
     # y * (rms_amp / sqrt(mean(y * y))), so the series is bit-identical to
@@ -245,7 +249,7 @@ def synth_structure_response(
         if m.rms_amp_g == 0.0:
             continue  # draw consumed anyway so seeds stay comparable across models
         b, a = _resonator_coeffs(m.freq_hz, m.damping_ratio, f_os_hz)
-        y = signal.lfilter(b, a, arg)
+        y = lfilter(b, a, arg)
         np.multiply(y, y, out=arg)
         rms = np.sqrt(np.mean(arg))
         if rms > 0:

@@ -43,6 +43,15 @@ def test_run_stage_failure(tmp_path, capsys):
     assert "stage failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [("stopband_atten_db", "1e6"),
+                                        ("passband_ripple_db", "1e-300")])
+def test_run_tolerance_that_underflows_is_a_config_error(tmp_path, capsys, key, value):
+    path = _write(tmp_path, GOOD + f"[dsp-chain]\n{key} = {value}\n")
+    assert main(["run", path, "--outputs", str(tmp_path / "o")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and key in err
+
+
 def test_run_filter_design_failure_is_a_stage_error(tmp_path, capsys):
     path = _write(tmp_path, GOOD + "[dsp-chain]\ncoeff_budget = 50\n")
     assert main(["run", path, "--outputs", str(tmp_path / "o")]) == EXIT_STAGE

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import signal as sp_signal
 
+from shmtwin import decimator
 from shmtwin.decimator import (
     DecimatorSpec,
     FilterDesignError,
@@ -101,28 +102,74 @@ def test_cascade_equals_naive_filter_then_decimate(default_chain):
     assert np.max(np.abs(y - ref)) < 1e-12
 
 
+# (record length, block sizes in turn): no length is a multiple of any
+# stage's decimation
+_BLOCKINGS = [
+    (9_001, [1]),
+    (1_048_583, [4103]),
+    (1_048_583, [65536]),
+    (1_048_583, [1, 2, 255, 1000, 4103, 12345, 7, 65536]),
+]
+
+
 @pytest.mark.parametrize("chain", ["designed", "edge"])
-def test_chain_state_blocks_equal_whole_cascade(default_chain, chain):
+def test_chain_state_blocks_equal_whole_cascade(default_chain, monkeypatch, chain):
     stages = default_chain[1]
     if chain == "edge":  # a one-tap decimator carries no history; decim 1 passes through
         stages = (FilterStage([0.5], 3), FilterStage([0.25, 0.5, 0.25], 1), *stages[:2])
+    runs = {id(st.coeffs): [] for st in stages}  # outputs of each filtering run
+    real = decimator._fir_decimate
+
+    def counting(taps, z, first, d, k):
+        runs[id(taps)].append(k)
+        return real(taps, z, first, d, k)
+
     rng = np.random.default_rng(8)
-    x = rng.standard_normal(100_003)  # not a multiple of any stage's decimation
-    whole = cascade(x, stages)
-    sizes = [1, 2, 255, 1000, 4103, 12345, 7, 65536]
-    state = ChainState(stages)
-    parts, i = [], 0
-    while i < len(x):
-        n = sizes[len(parts) % len(sizes)]
-        parts.append(state.push(x[i:i + n]))
-        i += n
-    assert np.concatenate(parts).tobytes() == whole.tobytes()
+    for n, sizes in _BLOCKINGS:
+        x = rng.standard_normal(n)
+        whole = cascade(x, stages)
+        monkeypatch.setattr(decimator, "_fir_decimate", counting)
+        for r in runs.values():
+            r.clear()
+        state = ChainState(stages, n)
+        parts, i = [], 0
+        while i < len(x):
+            size = sizes[len(parts) % len(sizes)]
+            parts.append(state.push(x[i:i + size]))
+            i += size
+        monkeypatch.undo()
+        assert np.concatenate(parts).tobytes() == whole.tobytes(), (n, sizes)
+        # each stage waits for a run of outputs; only its last run, which
+        # the end of the record flushes, may be shorter
+        for st in stages:
+            assert all(k >= decimator._MIN_RUN for k in runs[id(st.coeffs)][:-1])
+        assert len(runs[id(stages[-1].coeffs)]) < len(parts)
+
+
+def test_chain_state_rejects_a_block_past_the_record(default_chain):
+    _, stages, _ = default_chain
+    state = ChainState(stages, 10_000)
+    state.push(np.zeros(9_000))
+    with pytest.raises(ValueError, match="past the end"):
+        state.push(np.zeros(1_001))
+
+
+def test_chain_state_keeps_no_view_of_a_held_block(default_chain):
+    _, stages, _ = default_chain
+    x = np.random.default_rng(4).standard_normal(20_000)
+    state = ChainState(stages, len(x))
+    parts = []
+    block = np.empty(1_000)
+    for i in range(0, len(x), len(block)):  # one buffer, refilled per block
+        block[:] = x[i:i + len(block)]
+        parts.append(state.push(block))
+    assert np.concatenate(parts).tobytes() == cascade(x, stages).tobytes()
 
 
 def test_run_chain_state_must_match_its_stages(default_chain):
     _, stages, _ = default_chain
     with pytest.raises(ValueError):
-        run_chain(np.zeros(10, dtype=int), stages[:3], state=ChainState(stages))
+        run_chain(np.zeros(10, dtype=int), stages[:3], state=ChainState(stages, 10))
 
 
 def test_filter_stage_value_equality_and_hash():

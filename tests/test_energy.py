@@ -154,13 +154,30 @@ def test_sim_bills_the_day_once(monkeypatch):
     assert len(calls) <= TABLE3_PLAN.n_sessions_per_day
 
 
-def test_importing_energy_leaves_the_signal_chain_unloaded():
-    # a package that imported its submodules would pull in scipy.signal here
-    code = "import sys, shmtwin.energy; print('scipy.signal' in sys.modules)"
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _scipy_signal_loaded_after(code: str) -> bool:
+    """Whether a fresh interpreter holds scipy.signal after running code."""
+    code += "\nimport sys; print('scipy.signal' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.strip() == "False"
+    return out.splitlines()[-1] == "True"
+
+
+def test_importing_energy_leaves_the_signal_chain_unloaded():
+    # a package that imported its submodules would pull in scipy.signal here
+    assert not _scipy_signal_loaded_after("import shmtwin.energy")
+
+
+def test_a_dwell_run_leaves_scipy_signal_unloaded(tmp_path):
+    # importing scipy.signal costs a one-shot dwell run more than the run
+    # itself; only ambient synthesis needs it
+    ini = ROOT / "scripts" / "scenarios" / "no_damage.ini"
+    run = (f"from shmtwin.cli import main\n"
+           f"assert main(['run', {str(ini)!r}, '--outputs', {str(tmp_path)!r}]) == 0")
+    assert not _scipy_signal_loaded_after(run)
 
 
 def test_sim_bad_coverage_shortens_life():

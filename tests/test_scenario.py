@@ -154,10 +154,16 @@ def test_out_of_domain_values_are_config_errors(text):
     ("[modal-analysis]\nmax_peaks = 0\n", "max_peaks"),
     ("[modal-analysis]\nlight_shift_pct = 20\n", "light_shift_pct"),
     ("[signal-synth]\ntrigger_threshold_g = 0\n", "trigger_threshold_g"),
-], ids=["no-peaks", "light-above-moderate", "zero-trigger"])
+    ("[dsp-chain]\nstopband_atten_db = 1e6\n", "stopband_atten_db"),
+    ("[dsp-chain]\npassband_ripple_db = 1e-300\n", "passband_ripple_db"),
+    ("[dsp-chain]\npassband_ripple_db = 1e6\n", "passband_ripple_db"),
+], ids=["no-peaks", "light-above-moderate", "zero-trigger", "atten-underflow",
+        "ripple-underflow", "ripple-overflow"])
 def test_stage_domains_are_checked_at_parse(text, field):
     # the modal and trigger stages would reject these only after the
-    # front end had run
+    # front end had run; a design tolerance that underflows to 0, or a
+    # ripple beyond a float, would fail the filter design with a bare
+    # math error
     with pytest.raises(ConfigError, match=field):
         parse_scenario_text(MINIMAL + text)
 
@@ -422,10 +428,26 @@ _STRADDLE = (
 @pytest.mark.parametrize("extra", ["", _STRADDLE], ids=["dwell", "ambient-event"])
 @pytest.mark.parametrize("block", [1000, 4096 + 7, 10**9])
 def test_block_size_does_not_change_the_run(tmp_path, monkeypatch, extra, block):
+    real = scenario.run_chain
+    sizes = []  # outputs of each block's run_chain call
+
+    def counting(*args, **kwargs):
+        out = real(*args, **kwargs)
+        sizes.append(len(out))
+        return out
+
+    monkeypatch.setattr(scenario, "run_chain", counting)
+
     def run(name):
+        # 307,201 input samples: no multiple of any stage's decimation
         text = (f"[scenario]\nseed = 11\noutputs = {tmp_path}/{name}\n"
-                f"[energy-model]\nt_acq_s = 12\n" + extra)
+                f"[energy-model]\nt_acq_s = 12.00002\n" + extra)
+        sizes.clear()
         r = run_scenario(parse_scenario_text(text))
+        # the last stage holds its 1,201 outputs, fewer than a run, until
+        # the record's last block flushes them
+        assert sizes[-1] == r.samples_out.size == 1201 < decimator._MIN_RUN
+        assert not any(sizes[:-1])
         return r, (r.outputs / "summary.csv").read_text(), _dir_digest(r.outputs)
 
     ref, ref_summary, ref_digest = run("default")
@@ -492,7 +514,7 @@ def _sequential_front_end(s):
     n = record_samples(s.structure, s.plan.t_acq_s, f_os, s.excitation)
     stages, _ = design_decimator(s.decimator)
     noise = np.random.default_rng(s.seed + 1)
-    chain = ChainState(stages)
+    chain = ChainState(stages, n)
     out, n_sat, trig = [], 0, None
     for i0 in range(0, n, scenario._BLOCK):
         i1 = min(i0 + scenario._BLOCK, n)
