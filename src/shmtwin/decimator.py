@@ -573,8 +573,8 @@ def measure_enob(
     enough not to dominate the decimated noise floor.
 
     quantize_output=False skips the 16-bit output rounding and measures the
-    float cascade instead; useful to observe the oversampling law itself,
-    which the fixed output word length otherwise starts to mask.
+    float cascade instead, as the ``enob`` repro target does to observe the
+    oversampling law, which the fixed output word length otherwise masks.
     """
     f_tone = 10.0
     sensor = SensorSpec(noise_density_ug_sqrthz=2.0)

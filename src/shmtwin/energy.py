@@ -210,15 +210,6 @@ def battery_life_days(
     return battery.usable_j / e_day
 
 
-def battery_life_years(
-    plan: SessionPlan,
-    battery: BatterySpec,
-    coverage: CoverageClass = CoverageClass.GOOD,
-    params: EnergyParams = EnergyParams(),
-) -> float:
-    return battery_life_days(plan, battery, coverage, params) / DAYS_PER_YEAR
-
-
 def battery_life_days_sim(
     plan: SessionPlan,
     battery: BatterySpec,

@@ -8,12 +8,14 @@ tolerances and are flagged in the row name rather than silently absorbed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import presets
+from .decimator import DecimatorSpec, cascade, design_decimator, measure_enob, warmup_input_samples
 from .energy import (
     DAYS_PER_YEAR,
     LS336000,
@@ -21,7 +23,9 @@ from .energy import (
     battery_life_days,
     energy_acquisition_j,
     energy_day,
+    energy_neutral,
     energy_transmission_j,
+    harvest_day_wh,
     lifetime_curve,
     simulate_power_trace,
     validate_window,
@@ -57,6 +61,10 @@ def _abs_row(name: str, published: float, computed: float, tol_abs: float) -> Re
 
 def _floor_row(name: str, floor: float, computed: float) -> ReproRow:
     return ReproRow(name, floor, computed, f">= {floor}", computed >= floor)
+
+
+def _ceiling_row(name: str, ceiling: float, computed: float) -> ReproRow:
+    return ReproRow(name, ceiling, computed, f"<= {ceiling}", computed <= ceiling)
 
 
 def repro_table1(outdir=None) -> list[ReproRow]:
@@ -168,8 +176,7 @@ def repro_fig3_classes(outdir=None) -> list[ReproRow]:
         _abs_row("bad_over_good", 3.8, mult_bad, 1e-12),
         _abs_row("bad_over_medium", 2.8, mult_bad / mult_med, 1e-12),
         _pct_row("bad_mean_1300B_j", presets.BAD_MEAN_1300B_J, good_1300 * mult_bad, 5.0),
-        ReproRow("good_mean_1300B_j", presets.GOOD_MEAN_CAP_J, good_1300,
-                 f"<= {presets.GOOD_MEAN_CAP_J}", good_1300 <= presets.GOOD_MEAN_CAP_J),
+        _ceiling_row("good_mean_1300B_j", presets.GOOD_MEAN_CAP_J, good_1300),
         _pct_row("p95_over_mean_good", 2.0, p95_over_mean, 10.0),
         _pct_row("frac_good_below_2j", 0.95, frac_below_2j, 3.0),
     ]
@@ -188,6 +195,69 @@ def repro_validation_window(outdir=None) -> list[ReproRow]:
     ]
 
 
+def repro_filter(outdir=None) -> list[ReproRow]:
+    """The default decimation chain against its published figures."""
+    spec = DecimatorSpec()
+    stages, report = design_decimator(spec)
+    pub = presets.FILTER_PUBLISHED
+    t = np.arange(int(20 * spec.f_in_hz)) / spec.f_in_hz
+    y = cascade(np.sin(2 * np.pi * pub["tone_hz"] * t), stages)
+    settle = 4 * warmup_input_samples(stages) // spec.total_decim
+    return [
+        _abs_row("n_stages", pub["n_stages"], len(stages), 0.0),
+        _abs_row("total_decim", pub["total_decim"], math.prod(st.decim for st in stages), 0.0),
+        _ceiling_row("total_coeffs", pub["max_coeffs"], report.total_coeffs),
+        _floor_row("stopband_atten_db", pub["min_atten_db"], report.stopband_atten_db),
+        _ceiling_row("passband_ripple_db", pub["max_ripple_db"], report.passband_ripple_db),
+        _ceiling_row(f"residual_{pub['tone_hz']:g}hz_tone_dbfs", pub["max_tone_dbfs"],
+                     float(20 * np.log10(np.max(np.abs(y[settle:]))))),
+    ]
+
+
+def repro_enob(outdir=None) -> list[ReproRow]:
+    """Effective bits at int16 output, and the float-path gain per doubling."""
+    sweep = []
+    for decim in presets.ENOB_DECIMS:
+        spec = DecimatorSpec(total_decim=decim)
+        stages, _ = design_decimator(spec)
+        sweep.append((decim, spec.f_out_hz, float(measure_enob(stages)),
+                      float(measure_enob(stages, quantize_output=False))))
+    if outdir is not None:
+        write_csv_rows(Path(outdir) / "enob_vs_rate.csv",
+                       ("decim", "f_out_hz", "enob_int16", "enob_float"), sweep)
+    decim, _, enob, _ = sweep[-1]
+    floor, (lo, hi) = presets.ENOB_FLOOR_BITS, presets.OCTAVE_GAIN_RANGE_BITS
+    return [ReproRow(f"enob_{decim}x_int16_bits_widened", presets.CLAIMED_ENOB_BITS, enob,
+                     f">= {floor}", enob >= floor)] + [
+        ReproRow(f"float_gain_{d0}x_to_{d1}x_bits", presets.OCTAVE_GAIN_BITS, e1 - e0,
+                 f"in ({lo}, {hi})", lo < e1 - e0 < hi)
+        for (d0, _, _, e0), (d1, _, _, e1) in zip(sweep, sweep[1:])
+    ]
+
+
+def repro_damage(outdir=None) -> list[ReproRow]:
+    """Per damage case, the table-5 run at seed 42: first-mode shift and verdict."""
+    rows = []
+    for label, shift_hz in presets.DAMAGE_SHIFTS_HZ.items():
+        text = _TABLE5_SCENARIO.format(seed=42).replace("NO_DAMAGE", label)
+        report = run_scenario(parse_scenario_text(text), write=False).report
+        got_hz = report.shifts[0].shift_hz     # None: the first mode went unmatched
+        tol_hz, verdict = presets.DAMAGE_CHECKS[label]
+        rows += [_abs_row(f"{label}_mode_I_shift_hz", shift_hz,
+                          math.nan if got_hz is None else float(got_hz), tol_hz),
+                 _abs_row(f"{label}_verdict_{verdict}", 1.0,
+                          float(report.verdict.name == verdict), 0.0)]
+    return rows
+
+
+def repro_harvest(outdir=None) -> list[ReproRow]:
+    """Daily panel harvest, and its margin (neutral at 1) over the 6 x 60 s plan."""
+    panel = presets.DEFAULT_HARVESTER
+    _, margin = energy_neutral(presets.TABLE3_PLAN, panel)
+    return [_abs_row("harvest_day_wh", presets.HARVEST_DAY_WH, harvest_day_wh(panel), 0.0),
+            _floor_row("neutral_margin", presets.HARVEST_MIN_MARGIN, margin)]
+
+
 TARGETS = {
     "table1": repro_table1,
     "table2_check": repro_table2_check,
@@ -196,6 +266,10 @@ TARGETS = {
     "fig5": repro_fig5,
     "fig3_classes": repro_fig3_classes,
     "validation_window": repro_validation_window,
+    "filter": repro_filter,
+    "enob": repro_enob,
+    "damage": repro_damage,
+    "harvest": repro_harvest,
 }
 
 

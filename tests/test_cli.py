@@ -1,6 +1,7 @@
 import pytest
 
-from shmtwin.cli import EXIT_CONFIG, EXIT_OK, EXIT_STAGE, main
+from shmtwin.cli import EXIT_ACCEPT, EXIT_CONFIG, EXIT_OK, EXIT_STAGE, main
+from shmtwin.repro import TARGETS, ReproRow
 
 GOOD = """\
 [scenario]
@@ -80,6 +81,20 @@ def test_repro_single_target(tmp_path, capsys):
     assert (tmp_path / "table2_check.csv").exists()
     out = capsys.readouterr().out
     assert "table2_check: PASS" in out and "[PASS]" in out
+
+
+def test_repro_failing_row_is_exit_4_and_every_target_still_reports(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(TARGETS, "enob",
+                        lambda outdir=None: [ReproRow("off", 1.0, 2.0, "abs 0.0", False)])
+    assert main(["repro", "all", "--outdir", str(tmp_path)]) == EXIT_ACCEPT
+    out = capsys.readouterr().out
+    assert "enob: FAIL\n  [FAIL] off: published=1.0 computed=2 tol=abs 0.0\n" in out
+    assert out.count("[FAIL]") == 1
+    for t in sorted(TARGETS):
+        assert t == "enob" or f"{t}: PASS" in out
+        assert (tmp_path / f"{t}.csv").exists()
+    assert (tmp_path / "enob.csv").read_text().endswith(",FAIL\n")
 
 
 def test_repro_rejects_unknown_target(tmp_path):

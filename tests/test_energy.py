@@ -8,7 +8,6 @@ import pytest
 
 from shmtwin import energy
 from shmtwin.energy import (
-    DAYS_PER_YEAR,
     LS336000,
     SECONDS_PER_DAY,
     VL34570,
@@ -17,7 +16,6 @@ from shmtwin.energy import (
     SessionPlan,
     battery_life_days,
     battery_life_days_sim,
-    battery_life_years,
     energy_acquisition_j,
     energy_day,
     energy_neutral,
@@ -114,11 +112,6 @@ def test_sleep_only_floor():
 def test_overcommitted_day_rejected():
     with pytest.raises(ValueError):
         energy_day(SessionPlan(n_sessions_per_day=6, t_acq_s=14400.0))
-
-
-def test_reference_lifetime():
-    assert battery_life_years(TABLE3_PLAN, VL34570) == pytest.approx(3.18, rel=0.02)
-    assert battery_life_years(TEN_YEAR_PLAN, LS336000) >= 10.0
 
 
 def test_lifetime_monotone_in_load():
@@ -224,8 +217,3 @@ def test_window_rejects_malformed_traces():
     short_p = np.full_like(short_t, SLEEP_W)
     with pytest.raises(ValueError):
         validate_window(short_t, short_p, VALIDATION_PLAN)      # 91 s active > 50 s
-
-
-def test_years_days_consistency():
-    assert battery_life_years(TABLE3_PLAN, VL34570) * DAYS_PER_YEAR == pytest.approx(
-        battery_life_days(TABLE3_PLAN, VL34570))
