@@ -1,8 +1,10 @@
 import threading
+import time
 
 import pytest
 
 from shmtwin.decimator import DecimatorSpec, design_decimator
+from shmtwin.repro import TARGETS, run_repro
 
 
 @pytest.fixture(scope="session")
@@ -11,6 +13,35 @@ def default_chain():
     spec = DecimatorSpec()
     stages, report = design_decimator(spec)
     return spec, stages, report
+
+
+@pytest.fixture(scope="session")
+def repro_run(tmp_path_factory):
+    """Run each repro target once per test session, into an outdir of its own.
+
+    ``repro_run(target)`` returns ``(rows, compute_s, outdir)``, where
+    ``compute_s`` times the target's computation and not the report it writes.
+    """
+    runs = {}
+
+    def run(target):
+        if target not in runs:
+            elapsed = []
+
+            def timed(outdir, compute=TARGETS[target]):
+                t0 = time.perf_counter()
+                rows = compute(outdir=outdir)
+                elapsed.append(time.perf_counter() - t0)
+                return rows
+
+            outdir = tmp_path_factory.mktemp(target)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setitem(TARGETS, target, timed)
+                rows, _ = run_repro(target, outdir=outdir)
+            runs[target] = (rows, elapsed[0], outdir)
+        return runs[target]
+
+    return run
 
 
 @pytest.fixture(autouse=True)

@@ -183,6 +183,17 @@ def test_filter_stage_value_equality_and_hash():
     assert a != "stage"
 
 
+def test_90hz_tone_rejected_below_minus_60_dbfs(default_chain):
+    spec, stages, _ = default_chain
+    fs = spec.f_in_hz
+    t = np.arange(int(20 * fs)) / fs
+    x = np.sin(2 * np.pi * 90.0 * t)
+    y = cascade(x, stages)
+    settle = 4 * warmup_input_samples(stages) // spec.total_decim
+    resid = np.max(np.abs(y[settle:]))
+    assert 20 * np.log10(resid) <= -60.0
+
+
 def test_passband_tone_amplitude_preserved(default_chain):
     spec, stages, _ = default_chain
     fs = spec.f_in_hz
@@ -244,8 +255,27 @@ def test_stage_file_round_trip(tmp_path, default_chain):
         assert np.array_equal(a.coeffs, np.array(taps))
 
 
+def test_enob_default_chain_exceeds_15_bits(default_chain):
+    _, stages, _ = default_chain
+    assert measure_enob(stages, AdcSpec()) >= 15.0
+
+
 def test_enob_needs_a_whole_number_of_samples_per_tone_period():
     # 25.6 kHz / 100 = 256 Hz: 25.6 output samples per 10 Hz period
     stages, _ = design_decimator(DecimatorSpec(total_decim=100))
     with pytest.raises(ValueError, match="256.0 Hz"):
         measure_enob(stages, AdcSpec())
+
+
+def test_oversampling_law_half_bit_per_octave():
+    # On the float path (before 16-bit output rounding), doubling the
+    # decimation factor should buy about half an effective bit.
+    adc = AdcSpec()
+    enobs = []
+    for total in (64, 128, 256):
+        spec = DecimatorSpec(n_stages=6, total_decim=total, f_in_hz=adc.f_os_hz,
+                             cutoff_hz=50.0)
+        stages, _ = design_decimator(spec)
+        enobs.append(measure_enob(stages, adc, quantize_output=False))
+    deltas = np.diff(enobs)
+    assert np.all(deltas > 0.35) and np.all(deltas < 0.65)

@@ -8,6 +8,7 @@ import pytest
 
 from shmtwin import energy
 from shmtwin.energy import (
+    DAYS_PER_YEAR,
     LS336000,
     SECONDS_PER_DAY,
     VL34570,
@@ -112,6 +113,11 @@ def test_sleep_only_floor():
 def test_overcommitted_day_rejected():
     with pytest.raises(ValueError):
         energy_day(SessionPlan(n_sessions_per_day=6, t_acq_s=14400.0))
+
+
+def test_reference_lifetime():
+    assert battery_life_days(TABLE3_PLAN, VL34570) / DAYS_PER_YEAR == pytest.approx(3.18, rel=0.02)
+    assert battery_life_days(TEN_YEAR_PLAN, LS336000) / DAYS_PER_YEAR >= 10.0
 
 
 def test_lifetime_monotone_in_load():
