@@ -61,7 +61,7 @@ def _cmd_run(args) -> int:
         sc = replace(sc, outputs=args.outputs)
     r = run_scenario(sc)
     print(f"scenario {sc.label}: wrote {r.outputs}")
-    print(f"  peaks_hz = {[round(p.freq_hz, 4) for p in r.estimate.peaks]}")
+    print(f"  peaks_hz = {[round(f, 4) for f in r.estimate.peaks]}")
     print(f"  verdict = {r.report.verdict.name}")
     print(f"  e_day_j = {r.breakdown.e_day_j:.4f}  battery_life_days = {r.life_days:.1f}")
     return EXIT_OK

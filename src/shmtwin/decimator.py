@@ -548,21 +548,29 @@ def run_chain(
     inputs between calls, and the blocks' outputs concatenate to the whole
     record's.
     """
-    counts = np.rint(_output_counts(codes, stages, adc, sensor, state))
-    return np.clip(counts, -32768, 32767).astype(np.int16)
+    return _int16(_output_counts(codes, stages, adc, sensor, state))
+
+
+def _int16(counts: np.ndarray) -> np.ndarray:
+    """Output counts rounded to the signed 16-bit output word, saturating."""
+    return np.clip(np.rint(counts), -32768, 32767).astype(np.int16)
 
 
 def measure_enob(
     stages: Sequence[FilterStage],
     adc: AdcSpec = AdcSpec(),
-    quantize_output: bool = True,
-) -> float:
+) -> tuple[float, float]:
     """Effective bits of the quantize-and-decimate chain, (SINAD - 1.76)/6.02.
 
     Drives a 40 s full-scale 10 Hz sine (amplitude = sensor full scale)
     through the sensor model, the quantizer and the chain, then takes SINAD
     from an FFT of the steady-state output.  Everything that is not the
     fundamental or DC counts as noise-plus-distortion, spurs included.
+
+    Returns two figures from the one pass: the effective bits of the int16
+    series ``run_chain`` emits, and those of the float counts before that
+    rounding.  The float figure shows the oversampling law, which the fixed
+    output word length otherwise masks.
 
     The record is cut to whole tone periods, so the tone lands on a bin
     with no window; an output rate that is not a multiple of 10 Hz raises
@@ -571,10 +579,6 @@ def measure_enob(
     The sensor noise is set to 2 ug/rtHz, a fraction of an LSB over the
     oversampled band: enough to decorrelate quantization error, small
     enough not to dominate the decimated noise floor.
-
-    quantize_output=False skips the 16-bit output rounding and measures the
-    float cascade instead, as the ``enob`` repro target does to observe the
-    oversampling law, which the fixed output word length otherwise masks.
     """
     f_tone = 10.0
     sensor = SensorSpec(noise_density_ug_sqrthz=2.0)
@@ -588,26 +592,25 @@ def measure_enob(
     accel = sensor.full_scale_g * np.sin(2.0 * np.pi * f_tone * t)
     volts = apply_sensor(accel, sensor, adc.f_os_hz, seed=1)
     codes, _ = quantize(volts, adc)
-    if quantize_output:
-        out = run_chain(codes, stages, adc, sensor).astype(float)
-    else:
-        out = _output_counts(codes, stages, adc, sensor)
+    counts = _output_counts(codes, stages, adc, sensor)
 
     skip = int(math.ceil(warmup_input_samples(stages) / total_decim)) * 2 + 8
-    x = out[skip:]
-    if len(x) < 256:
+    if len(counts) - skip < 256:
         raise ValueError("record too short for a meaningful SINAD estimate")
-
     p = int(round(period))
-    x = x[: (len(x) // p) * p]
-    spec_mag2 = np.abs(np.fft.rfft(x)) ** 2
-    k0 = int(round(f_tone / (fs_out / len(x))))
-    p_fund = float(np.sum(spec_mag2[max(k0 - 1, 0):k0 + 2]))
-    p_dc = float(np.sum(spec_mag2[:2]))
-    p_total = float(np.sum(spec_mag2))
-    p_nd = max(p_total - p_fund - p_dc, 1e-300)
-    sinad_db = 10.0 * np.log10(p_fund / p_nd)
-    return (sinad_db - 1.76) / 6.02
+
+    def enob(out: np.ndarray) -> float:
+        x = out[skip:]
+        x = x[: (len(x) // p) * p]
+        spec_mag2 = np.abs(np.fft.rfft(x)) ** 2
+        k0 = int(round(f_tone / (fs_out / len(x))))
+        p_fund = float(np.sum(spec_mag2[max(k0 - 1, 0):k0 + 2]))
+        p_dc = float(np.sum(spec_mag2[:2]))
+        p_total = float(np.sum(spec_mag2))
+        p_nd = max(p_total - p_fund - p_dc, 1e-300)
+        return float((10.0 * np.log10(p_fund / p_nd) - 1.76) / 6.02)
+
+    return enob(_int16(counts).astype(float)), enob(counts)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ damage verdict.
 from __future__ import annotations
 
 import enum
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,18 +46,8 @@ class Spectrum:
 
 
 @dataclass(frozen=True)
-class Peak:
-    freq_hz: float
-    magnitude: float
-    prominence: float
-
-
-@dataclass(frozen=True)
 class ModalEstimate:
-    peaks: tuple[Peak, ...]
-
-    def freqs(self) -> list[float]:
-        return [p.freq_hz for p in self.peaks]
+    peaks: tuple[float, ...]  # refined peak frequencies in Hz, ascending
 
 
 @dataclass(frozen=True)
@@ -85,12 +76,9 @@ def _next_pow2(n: int) -> int:
     return p
 
 
-def compute_spectrum(
-    samples: np.ndarray,
-    f_s_hz: float = 100.0,
-    window: str = "hann",
-) -> Spectrum:
-    """Amplitude spectrum of a record, mean-removed and zero-padded 4x.
+def compute_spectrum(samples: np.ndarray, f_s_hz: float = 100.0) -> Spectrum:
+    """Amplitude spectrum of a record, mean-removed, Hann-windowed and
+    zero-padded 4x.  The window is the one ``_under_skirt`` models.
 
     FFT length is the next power of two at or above the record length,
     times four; the padding refines the grid the parabolic interpolation
@@ -100,12 +88,7 @@ def compute_spectrum(
     x = np.array(samples, dtype=float)
     if len(x) < 1024:
         raise ValueError(f"record of {len(x)} samples is too short (need >= 1024)")
-    if window == "hann":
-        w = np.hanning(len(x))
-    elif window == "rect":
-        w = np.ones(len(x))
-    else:
-        raise ValueError(f"unknown window {window!r}")
+    w = np.hanning(len(x))
     # Mean removal and windowing run in place and each padded-length array
     # is dropped once the next one exists, so the magnitudes, not the
     # temporaries, set this stage's peak memory.
@@ -137,36 +120,17 @@ def _local_maxima(x: np.ndarray) -> np.ndarray:
     return (starts[top] + ends[top]) // 2
 
 
-def _prominences(x: np.ndarray, peaks: np.ndarray) -> np.ndarray:
-    """Height of each peak above the higher of its two bases.
-
-    A peak's base on each side is the lowest sample between it and the
-    nearest higher sample on that side, or the end of the record.
-    """
-    out = np.empty(len(peaks))
-    for j, k in enumerate(peaks):
-        v = x[k]
-        left = np.flatnonzero(x[:k] > v)
-        right = np.flatnonzero(x[k + 1:] > v)
-        lo = left[-1] + 1 if left.size else 0
-        hi = k + 1 + right[0] if right.size else len(x)
-        out[j] = v - max(x[lo:k + 1].min(), x[k:hi].min())
-    return out
-
-
-def _parabolic_refine(mags: np.ndarray, k: int) -> tuple[float, float]:
-    """Vertex of the parabola through the log-magnitudes at (k-1, k, k+1).
-
-    Returns (bin, log-mag).
-    """
+def _parabolic_refine(mags: np.ndarray, k: int) -> float:
+    """Bin of the vertex of the parabola through the log-magnitudes at
+    (k-1, k, k+1)."""
     a, b, c = np.log10(np.maximum(mags[k - 1:k + 2], 1e-300))
     denom = a - 2.0 * b + c
     if denom == 0.0:
-        return float(k), b
+        return float(k)
     delta = 0.5 * (a - c) / denom
     if not -1.0 < delta < 1.0:
-        return float(k), b
-    return k + delta, b - 0.25 * (a - c) * delta
+        return float(k)
+    return k + delta
 
 
 def _under_skirt(mags: np.ndarray, spectrum: Spectrum, k: int, k_stronger: int) -> bool:
@@ -218,28 +182,21 @@ def detect_peaks(
             accepted.append(int(k))
         if len(accepted) == max_peaks:
             break
-    idx = np.array(sorted(accepted))
-    proms = _prominences(mags, idx)
 
+    # local maxima lie at least two bins apart and refinement moves each by
+    # less than one, so bin order is frequency order
     f_top = spectrum.freqs[-1]
-    peaks = []
-    for k, prom in zip(idx, proms):
-        kref, logmag = _parabolic_refine(mags, int(k))
-        f = kref * spectrum.df_hz
-        if 0.0 < f < f_top:
-            peaks.append(Peak(freq_hz=float(f), magnitude=float(10.0 ** logmag),
-                              prominence=float(prom)))
-    peaks.sort(key=lambda p: p.freq_hz)
-    return ModalEstimate(peaks=tuple(peaks))
+    freqs = (float(_parabolic_refine(mags, k) * spectrum.df_hz) for k in sorted(accepted))
+    return ModalEstimate(peaks=tuple(f for f in freqs if 0.0 < f < f_top))
 
 
 def compare_modes(
-    baseline: ModalEstimate,
-    current: ModalEstimate,
+    baseline_hz: Sequence[float],
+    current_hz: Sequence[float],
     light_pct: float = 1.0,
     moderate_pct: float = 10.0,
 ) -> DamageReport:
-    """Pair modes by nearest frequency and classify the worst relative shift.
+    """Pair modes by nearest frequency (Hz) and classify the worst relative shift.
 
     Each baseline mode matches the nearest current peak within +/-20 % of the
     baseline frequency; a current peak is consumed by at most one baseline
@@ -248,11 +205,11 @@ def compare_modes(
     """
     if not 0.0 < light_pct < moderate_pct:
         raise ValueError("need 0 < light_pct < moderate_pct")
-    cur = list(current.freqs())
+    cur = list(current_hz)
     used = [False] * len(cur)
     shifts: list[ModeShift] = []
     missing: list[float] = []
-    for f_b in baseline.freqs():
+    for f_b in baseline_hz:
         best_j, best_d = -1, 0.2 * f_b
         for j, f_c in enumerate(cur):
             d = abs(f_c - f_b)

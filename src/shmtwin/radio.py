@@ -228,11 +228,9 @@ class PacketTx:
 @dataclass(frozen=True)
 class UplinkRecord:
     session_id: int
-    coverage: CoverageClass
     packets: tuple[PacketTx, ...]
     energy_j: float
     duration_s: float
-    mode: str
 
     def __post_init__(self):
         if abs(self.energy_j - sum(p.energy_j for p in self.packets)) > 1e-9 * max(self.energy_j, 1.0):
@@ -281,11 +279,9 @@ def uplink_session(
                 for i, (p, e) in enumerate(zip(packets, energies)))
     return UplinkRecord(
         session_id=packets[0].session_id,
-        coverage=coverage,
         packets=txs,
         energy_j=float(sum(energies)),
         duration_s=params.radio_window_s(len(packets), coverage),
-        mode=mode,
     )
 
 

@@ -126,7 +126,7 @@ def repro_table5(outdir=None, seed: int = 0) -> list[ReproRow]:
     """Tone comparison: run the scenario pipeline on the reference modes
     and compare each estimated frequency to the reference column."""
     sc = parse_scenario_text(_TABLE5_SCENARIO.format(seed=seed))
-    freqs = run_scenario(sc, write=False).estimate.freqs()
+    freqs = run_scenario(sc, write=False).estimate.peaks
     rows = []
     for (label, _mems_hz, ref_hz, _delta), got in zip(presets.TONE_COMPARISON, freqs):
         rows.append(_pct_row(f"mode_{label}_hz", ref_hz, got, 0.1))
@@ -220,8 +220,7 @@ def repro_enob(outdir=None) -> list[ReproRow]:
     for decim in presets.ENOB_DECIMS:
         spec = DecimatorSpec(total_decim=decim)
         stages, _ = design_decimator(spec)
-        sweep.append((decim, spec.f_out_hz, float(measure_enob(stages)),
-                      float(measure_enob(stages, quantize_output=False))))
+        sweep.append((decim, spec.f_out_hz, *measure_enob(stages)))
     if outdir is not None:
         write_csv_rows(Path(outdir) / "enob_vs_rate.csv",
                        ("decim", "f_out_hz", "enob_int16", "enob_float"), sweep)

@@ -52,13 +52,13 @@ from .energy import (
 from .modal import (
     DamageReport,
     ModalEstimate,
-    Peak,
     compare_modes,
     compute_spectrum,
     detect_peaks,
     verdict_line,
 )
 from .radio import (
+    SAMPLES_PER_PACKET,
     CoverageClass,
     EnergyParams,
     SinkReport,
@@ -131,7 +131,6 @@ class Scenario:
     sensor: SensorSpec = SensorSpec()
     adc: AdcSpec = AdcSpec()
     decimator: DecimatorSpec = DecimatorSpec()
-    modal_window: str = _default(compute_spectrum, "window")
     max_peaks: int = _default(detect_peaks, "max_peaks")
     min_prominence: float = _default(detect_peaks, "min_prominence")
     light_shift_pct: float = _default(compare_modes, "light_pct")
@@ -166,11 +165,20 @@ class Scenario:
             energy_day(self.plan, self.coverage)
         except ValueError as e:
             raise ConfigError(str(e)) from e
+        f_os = self.adc.f_os_hz
+        n_in = round(self.plan.t_acq_s * f_os)
+        # the plan bills round(t_acq_s * f_s) samples, the chain emits
+        # ceil(n_in / total_decim), and the two may fall either side of a
+        # packet boundary
+        n_out = -(-n_in // self.decimator.total_decim)
+        n_pkt = -(-n_out // SAMPLES_PER_PACKET)
+        if n_pkt != self.plan.n_packets:
+            raise ConfigError(f"t_acq_s = {self.plan.t_acq_s!r} bills {self.plan.n_packets} "
+                              f"packets but its {n_out}-sample record sends {n_pkt}")
         if self.event is not None:
             # inject_transient's sample arithmetic; an infinite event never fits
-            f_os = self.adc.f_os_hz
             end = (self.event.onset_s + self.event.duration_s) * f_os
-            if not math.isfinite(end) or round(end) > round(self.plan.t_acq_s * f_os):
+            if not math.isfinite(end) or round(end) > n_in:
                 raise ConfigError("event extends past the end of the record")
 
 
@@ -208,7 +216,6 @@ _TABLE: dict[str, dict[str, str]] = {
         "coeff_budget": "decimator.coeff_budget",
     },
     "modal-analysis": {
-        "window": "modal_window",
         "max_peaks": "max_peaks",
         "min_prominence": "min_prominence",
         "light_shift_pct": "light_shift_pct",
@@ -235,7 +242,6 @@ _NAMES = {
     "baseline": presets.STRUCTURES,
     "structure": presets.STRUCTURES,
     "excitation": {n: n for n in ("ambient", "dwell")},
-    "window": {n: n for n in ("rect", "hann")},
     "coverage": CoverageClass.__members__,
     "mode": {n: n for n in ("deterministic", "stochastic")},
     "battery": presets.BATTERIES,
@@ -375,11 +381,6 @@ class RunResult:
     outputs: Path
 
 
-def _truth_estimate(model: StructureModel) -> ModalEstimate:
-    peaks = tuple(Peak(freq_hz=f, magnitude=1.0, prominence=1.0) for f in model.mode_freqs())
-    return ModalEstimate(peaks=peaks)
-
-
 # Input samples per block of the streamed front end.  Each block pays a
 # hand-off between the pipeline's two threads: on two cores a 180 s dwell
 # run is fastest at 64 Ki, ~5-15 % slower at 128-256 Ki and 1.3-2x slower
@@ -472,11 +473,10 @@ def run_scenario(s: Scenario, write: bool = True) -> RunResult:
         sink = deliver(packets, s.loss_prob, seed=s.seed + 3)
 
     with stage("modal"):
-        spectrum = compute_spectrum(sink.samples, f_s_hz=s.decimator.f_out_hz,
-                                    window=s.modal_window)
+        spectrum = compute_spectrum(sink.samples, f_s_hz=s.decimator.f_out_hz)
         estimate = detect_peaks(spectrum, max_peaks=s.max_peaks,
                                 min_prominence=s.min_prominence)
-        report = compare_modes(_truth_estimate(s.baseline), estimate,
+        report = compare_modes(s.baseline.mode_freqs(), estimate.peaks,
                                light_pct=s.light_shift_pct,
                                moderate_pct=s.moderate_shift_pct)
 
@@ -546,8 +546,8 @@ def _write_bundle(r: RunResult, spectrum, n_sat: int) -> None:
         ("worst_shift_pct", r.report.worst_shift_pct()),
         ("missing_modes", len(r.report.missing)),
     ]
-    for i, p in enumerate(r.estimate.peaks, 1):
-        summary.append((f"peak{i}_hz", p.freq_hz))
+    for i, f in enumerate(r.estimate.peaks, 1):
+        summary.append((f"peak{i}_hz", f))
     for i, sh in enumerate(r.report.shifts, 1):
         summary.append((f"mode{i}_baseline_hz", sh.baseline_hz))
         summary.append((f"mode{i}_current_hz",

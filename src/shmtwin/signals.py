@@ -357,8 +357,3 @@ def quantize(volts: np.ndarray, adc: AdcSpec = AdcSpec()) -> tuple[np.ndarray, i
         n_sat = int(np.count_nonzero((scaled < 0) | (scaled > top)))
         np.clip(scaled, 0, top, out=scaled)
     return scaled.astype(np.int64), n_sat
-
-
-def dequantize(codes: np.ndarray, adc: AdcSpec = AdcSpec()) -> np.ndarray:
-    """Code-center reconstruction; quantize(dequantize(c)) == c for valid c."""
-    return (np.asarray(codes, dtype=float) + 0.5) * (adc.vref_v / adc.n_codes)

@@ -257,7 +257,8 @@ def test_stage_file_round_trip(tmp_path, default_chain):
 
 def test_enob_default_chain_exceeds_15_bits(default_chain):
     _, stages, _ = default_chain
-    assert measure_enob(stages, AdcSpec()) >= 15.0
+    enob_int16, _ = measure_enob(stages, AdcSpec())
+    assert enob_int16 >= 15.0
 
 
 def test_enob_needs_a_whole_number_of_samples_per_tone_period():
@@ -276,6 +277,6 @@ def test_oversampling_law_half_bit_per_octave():
         spec = DecimatorSpec(n_stages=6, total_decim=total, f_in_hz=adc.f_os_hz,
                              cutoff_hz=50.0)
         stages, _ = design_decimator(spec)
-        enobs.append(measure_enob(stages, adc, quantize_output=False))
+        enobs.append(measure_enob(stages, adc)[1])
     deltas = np.diff(enobs)
     assert np.all(deltas > 0.35) and np.all(deltas < 0.65)

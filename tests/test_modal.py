@@ -2,8 +2,6 @@ import numpy as np
 import pytest
 
 from shmtwin.modal import (
-    ModalEstimate,
-    Peak,
     Verdict,
     compare_modes,
     compute_spectrum,
@@ -43,14 +41,14 @@ def test_peak_refinement_subbin_accuracy():
         spec = compute_spectrum(_tone([f0]), f_s_hz=FS)
         est = detect_peaks(spec, max_peaks=1)
         assert len(est.peaks) == 1
-        err_pct = abs(est.peaks[0].freq_hz - f0) / f0 * 100.0
+        err_pct = abs(est.peaks[0] - f0) / f0 * 100.0
         assert err_pct < 0.02, f"{f0:.4f} Hz off by {err_pct:.4f}%"
 
 
 def test_two_equal_tones_both_found():
     spec = compute_spectrum(_tone([8.0, 21.0]), f_s_hz=FS)
     est = detect_peaks(spec, max_peaks=2)
-    got = sorted(p.freq_hz for p in est.peaks)
+    got = sorted(est.peaks)
     assert abs(got[0] - 8.0) < 0.05 and abs(got[1] - 21.0) < 0.05
 
 
@@ -58,15 +56,15 @@ def test_close_pair_resolved():
     # 0.3 Hz apart, 180 s record: separation is ~54 half-bins of resolution
     spec = compute_spectrum(_tone([8.0, 8.3]), f_s_hz=FS)
     est = detect_peaks(spec, max_peaks=2)
-    got = sorted(p.freq_hz for p in est.peaks)
+    got = sorted(est.peaks)
     assert len(got) == 2
     assert abs(got[0] - 8.0) < 0.05 and abs(got[1] - 8.3) < 0.05
 
 
 def test_scale_invariant_frequencies():
     x = _tone([5.0, 17.0])
-    f1 = detect_peaks(compute_spectrum(x, f_s_hz=FS), max_peaks=2).freqs()
-    f2 = detect_peaks(compute_spectrum(250.0 * x, f_s_hz=FS), max_peaks=2).freqs()
+    f1 = detect_peaks(compute_spectrum(x, f_s_hz=FS), max_peaks=2).peaks
+    f2 = detect_peaks(compute_spectrum(250.0 * x, f_s_hz=FS), max_peaks=2).peaks
     assert np.allclose(f1, f2, atol=1e-12)
 
 
@@ -78,7 +76,7 @@ def test_flat_noise_yields_no_confident_peaks():
 
 
 def test_self_comparison_reports_no_damage():
-    base = ModalEstimate(tuple(Peak(f, 1.0, 1.0) for f in (2.807, 8.379, 13.125, 16.052)))
+    base = (2.807, 8.379, 13.125, 16.052)
     report = compare_modes(base, base)
     assert report.verdict is Verdict.NO_DAMAGE
     assert report.missing == ()
@@ -86,8 +84,8 @@ def test_self_comparison_reports_no_damage():
 
 
 def test_missing_mode_counted():
-    base = ModalEstimate(tuple(Peak(f, 1.0, 1.0) for f in (2.807, 8.379, 13.125, 16.052)))
-    cur = ModalEstimate(tuple(Peak(f, 1.0, 1.0) for f in (2.807, 13.125, 16.052)))
+    base = (2.807, 8.379, 13.125, 16.052)
+    cur = (2.807, 13.125, 16.052)
     report = compare_modes(base, cur)
     assert report.missing == (8.379,)
     # one row per baseline mode, the missing one carried as a placeholder
@@ -98,11 +96,8 @@ def test_missing_mode_counted():
 
 
 def test_verdict_thresholds():
-    base = ModalEstimate((Peak(10.0, 1.0, 1.0),))
-
     def verdict_for(shift_pct):
-        cur = ModalEstimate((Peak(10.0 * (1 + shift_pct / 100.0), 1.0, 1.0),))
-        return compare_modes(base, cur).verdict
+        return compare_modes((10.0,), (10.0 * (1 + shift_pct / 100.0),)).verdict
 
     assert verdict_for(-0.5) is Verdict.NO_DAMAGE
     assert verdict_for(-1.5) is Verdict.LIGHT
@@ -110,19 +105,15 @@ def test_verdict_thresholds():
 
 
 def test_verdict_monotone_in_shift():
-    base = ModalEstimate((Peak(10.0, 1.0, 1.0),))
     order = [Verdict.NO_DAMAGE, Verdict.LIGHT, Verdict.MODERATE]
     last = 0
     for shift in np.linspace(0.0, 15.0, 40):
-        cur = ModalEstimate((Peak(10.0 * (1 - shift / 100.0), 1.0, 1.0),))
-        rank = order.index(compare_modes(base, cur).verdict)
+        rank = order.index(compare_modes((10.0,), (10.0 * (1 - shift / 100.0),)).verdict)
         assert rank >= last
         last = rank
 
 
 def test_verdict_line_format():
-    base = ModalEstimate((Peak(10.0, 1.0, 1.0),))
-    cur = ModalEstimate((Peak(9.9, 1.0, 1.0),))
-    line = verdict_line(compare_modes(base, cur))
+    line = verdict_line(compare_modes((10.0,), (9.9,)))
     assert line.startswith("verdict=")
     assert "worst_shift_pct=" in line and "matched=1" in line

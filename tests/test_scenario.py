@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 from shmtwin import decimator, presets, scenario
 from shmtwin.decimator import ChainState, DecimatorSpec, design_decimator, run_chain
 from shmtwin.energy import LS336000, SessionPlan
-from shmtwin.modal import Verdict, compare_modes, compute_spectrum, detect_peaks
-from shmtwin.radio import CoverageClass
+from shmtwin.modal import Verdict, compare_modes, detect_peaks
+from shmtwin.radio import CoverageClass, session_energy_j
 from shmtwin.signals import (
     AdcSpec,
     SensorSpec,
@@ -81,6 +81,13 @@ def test_nbiot_timer_keys_rejected(key):
         parse_scenario_text(MINIMAL + f"[nbiot-sim]\n{key} = 60\n")
 
 
+@pytest.mark.parametrize("window", ["hann", "rect"])
+def test_window_key_rejected(window):
+    # the spectrum is always Hann-windowed, the window the sidelobe gate models
+    with pytest.raises(ConfigError, match="unknown key 'window' in \\[modal-analysis\\]"):
+        parse_scenario_text(MINIMAL + f"[modal-analysis]\nwindow = {window}\n")
+
+
 def test_unknown_section_rejected():
     with pytest.raises(ConfigError):
         parse_scenario_text(MINIMAL + "[mystery]\nx = 1\n")
@@ -119,7 +126,6 @@ def test_bare_seed_gets_the_owners_defaults():
     def default(fn, name):
         return inspect.signature(fn).parameters[name].default
 
-    assert s.modal_window == default(compute_spectrum, "window")
     assert s.max_peaks == default(detect_peaks, "max_peaks")
     assert s.min_prominence == default(detect_peaks, "min_prominence")
     assert s.light_shift_pct == default(compare_modes, "light_pct")
@@ -172,6 +178,13 @@ def test_plan_longer_than_a_day_is_a_config_error():
     # the energy stage would reject it only after the front end had run
     with pytest.raises(ConfigError, match="more than one day"):
         parse_scenario_text(MINIMAL + "[energy-model]\nt_acq_s = 15000\n")
+
+
+def test_plan_that_bills_other_packets_than_it_sends_is_a_config_error():
+    # round(13.0001 * 100) = 1300 samples bill 2 packets; the chain emits
+    # ceil(round(13.0001 * 25600) / 256) = 1301 samples, which fill 3
+    with pytest.raises(ConfigError, match="t_acq_s = 13.0001 bills 2 packets"):
+        parse_scenario_text(MINIMAL + "[energy-model]\nt_acq_s = 13.0001\n")
 
 
 @pytest.mark.parametrize("error", [ValueError, RuntimeError, OSError])
@@ -398,8 +411,11 @@ def test_event_trigger_location(tmp_path):
 
 def test_stochastic_uplink_scenario_runs(tmp_path):
     text = _short_run_text(tmp_path, extra="[nbiot-sim]\nmode = stochastic\nloss_prob = 0.2\n")
-    r = run_scenario(parse_scenario_text(text), write=False)
-    assert r.uplink.mode == "stochastic"
+    s = parse_scenario_text(text)
+    r = run_scenario(s, write=False)
+    # the lognormal draw reached the record: not the class-mean session bill
+    assert r.uplink.energy_j != pytest.approx(session_energy_j(len(r.uplink.packets),
+                                                               s.coverage))
 
 
 def test_dwell_peak_memory_flat_in_record_length(tmp_path):

@@ -15,7 +15,6 @@ from shmtwin.signals import (
     SensorSpec,
     StructureModel,
     apply_sensor,
-    dequantize,
     inject_transient,
     quantize,
     synth_structure_response,
@@ -133,16 +132,6 @@ def test_quantize_equals_plain_clip_floor(volts, adc):
     assert codes.dtype == np.int64
     assert np.array_equal(codes, np.clip(raw, 0, top).astype(np.int64))
     assert n_sat == np.count_nonzero((raw < 0) | (raw > top))
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.floats(min_value=0.0, max_value=3.2999), min_size=1, max_size=50))
-def test_quantize_dequantize_round_trip(volts):
-    adc = AdcSpec()
-    codes, n_sat = quantize(np.array(volts), adc)
-    assert n_sat == 0
-    again, _ = quantize(dequantize(codes, adc), adc)
-    assert np.array_equal(codes, again)
 
 
 def test_event_injection_peak_and_bounds():
