@@ -107,6 +107,8 @@ class DecimatorSpec:
     def __post_init__(self):
         if self.n_stages < 1 or self.total_decim < 1:
             raise ValueError("need at least one stage and decimation >= 1")
+        if self.coeff_budget < 1:
+            raise ValueError(f"coeff_budget must be >= 1, got {self.coeff_budget}")
         if self.f_in_hz % self.total_decim:
             raise ValueError(f"input rate {self.f_in_hz} Hz must divide evenly by "
                              f"total_decim {self.total_decim}")
@@ -515,15 +517,12 @@ def _output_counts(
     state: ChainState | None = None,
 ) -> np.ndarray:
     """Decimate ADC codes to float output counts, before rounding."""
-    codes = np.asarray(codes)
     if state is None:
         check_warmup(len(codes), stages)
         state = ChainState(stages, len(codes))
     elif state.stages != tuple(stages):
         raise ValueError("the chain state was built for other stages")
-    x = codes.astype(float)
-    x -= adc.midscale
-    y = state.push(x)
+    y = state.push(np.subtract(codes, adc.midscale, dtype=float))
     lsb_to_g = adc.vref_v / adc.n_codes / sensor.sensitivity_v_per_g
     return y * lsb_to_g * (32768.0 / sensor.full_scale_g)
 

@@ -103,10 +103,6 @@ def harvest_day_wh(h: HarvesterSpec) -> float:
     return h.area_cm2 * h.power_density_mw_cm2 * h.sun_hours * (1.0 - h.loss_frac) / 1000.0
 
 
-def harvest_day_j(h: HarvesterSpec) -> float:
-    return harvest_day_wh(h) * 3600.0
-
-
 # ---------------------------------------------------------------------------
 # per-session and per-day energies
 
@@ -115,14 +111,6 @@ def energy_acquisition_j(plan: SessionPlan, params: EnergyParams = EnergyParams(
     activity billed at k_acq seconds plus one flash write."""
     n = plan.n_packets
     return n * (plan.k_acq * params.e_acq_1s_mj + params.e_sd_write_mj) * 1e-3
-
-
-def energy_transmission_j(
-    plan: SessionPlan,
-    coverage: CoverageClass = CoverageClass.GOOD,
-    params: EnergyParams = EnergyParams(),
-) -> float:
-    return session_energy_j(plan.n_packets, coverage, params)
 
 
 def session_active_s(
@@ -178,7 +166,7 @@ def energy_day(
         return EnergyBreakdown(0, plan.t_acq_s, plan.n_packets, 0.0, 0.0,
                                0.0, SECONDS_PER_DAY, sleep_j, sleep_j)
     e_acq = energy_acquisition_j(plan, params)
-    e_tx = energy_transmission_j(plan, coverage, params)
+    e_tx = session_energy_j(plan.n_packets, coverage, params)
     t_active = plan.n_sessions_per_day * session_active_s(plan, coverage, params)
     if t_active > SECONDS_PER_DAY:
         raise ValueError(
@@ -261,7 +249,7 @@ def energy_neutral(
 ) -> tuple[bool, float]:
     """(neutral flag, harvest/consumption ratio) for one day."""
     e_day = energy_day(plan, coverage, params).e_day_j
-    margin = harvest_day_j(h) / e_day
+    margin = harvest_day_wh(h) * 3600.0 / e_day
     return margin >= 1.0, margin
 
 
@@ -297,7 +285,7 @@ def simulate_power_trace(
     if t_sess > window_s - lead_s:
         raise ValueError(f"a {t_sess:.0f} s session does not fit in a {window_s} s window")
     p_acq = energy_acquisition_j(plan, params) / t_blocks
-    p_radio = energy_transmission_j(plan, coverage, params) / t_radio
+    p_radio = session_energy_j(n, coverage, params) / t_radio
 
     t = np.arange(0.0, window_s + dt_s / 2, dt_s)
     p = np.full_like(t, params.sleep_power_w)
@@ -336,7 +324,7 @@ def validate_window(
 
     model_plan = replace(plan, k_acq=6.0)
     e_sess = (energy_acquisition_j(model_plan, params)
-              + energy_transmission_j(model_plan, coverage, params))
+              + session_energy_j(model_plan.n_packets, coverage, params))
     t_active = session_active_s(plan, coverage, params)
     if t_active > window_s:
         raise ValueError("active time exceeds the window")

@@ -1,4 +1,4 @@
-"""NB-IoT uplink model: power states, coverage classes, packets, energy.
+"""NB-IoT uplink model: coverage classes, packets, energy.
 
 The protocol surface is deliberately small.  Connection establishment and
 release dominate the energy bill, so the model is calibrated around three
@@ -8,12 +8,8 @@ plus a deep-sleep floor current.  Radio conditions enter as a coverage
 class derived from RSSI; worse coverage scales session energy by a measured
 multiplier and doubles modeled airtime per extended-coverage level.
 
-The power-state machine names the usual lifecycle: attach, transmit
-bursts in RRC connected, linger in connected then idle discontinuous
-reception, and fall into power saving mode until the next wake.  Its
-T3324/T3412 expiry events are transitions only; no timer is simulated.
-The measured session wind-down already covers the idle window, and every
-plan wakes at least once a day, so no periodic tracking-area update is due.
+The measured session tail covers connected-mode eDRX, idle-mode eDRX and
+the fall into power saving mode (PSM).  No radio timer is simulated.
 """
 
 from __future__ import annotations
@@ -25,60 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .seriesio import write_csv_columns
-
-
-class RadioState(enum.Enum):
-    OFF = "OFF"
-    ATTACHING = "ATTACHING"
-    CONNECTED_TX = "CONNECTED_TX"
-    CONNECTED_EDRX = "CONNECTED_EDRX"
-    IDLE_EDRX = "IDLE_EDRX"
-    PSM = "PSM"
-
-
-class RadioEvent(enum.Enum):
-    POWER_ON = "power_on"
-    ATTACH_DONE = "attach_done"
-    TX_REQUEST = "tx_request"
-    TX_DONE = "tx_done"
-    INACTIVITY = "inactivity"
-    T3324_EXPIRY = "t3324_expiry"
-    T3412_EXPIRY = "t3412_expiry"
-    PAGING = "paging"
-    DOWNLINK = "downlink"
-    WAKE = "wake"
-
-
-_TRANSITIONS: dict[tuple[RadioState, RadioEvent], RadioState] = {
-    (RadioState.OFF, RadioEvent.POWER_ON): RadioState.ATTACHING,
-    (RadioState.ATTACHING, RadioEvent.ATTACH_DONE): RadioState.CONNECTED_TX,
-    (RadioState.CONNECTED_TX, RadioEvent.TX_DONE): RadioState.CONNECTED_EDRX,
-    (RadioState.CONNECTED_EDRX, RadioEvent.TX_REQUEST): RadioState.CONNECTED_TX,
-    (RadioState.CONNECTED_EDRX, RadioEvent.INACTIVITY): RadioState.IDLE_EDRX,
-    (RadioState.IDLE_EDRX, RadioEvent.T3324_EXPIRY): RadioState.PSM,
-    (RadioState.PSM, RadioEvent.WAKE): RadioState.CONNECTED_TX,
-    (RadioState.PSM, RadioEvent.T3412_EXPIRY): RadioState.ATTACHING,
-}
-
-
-def step(state: RadioState, event: RadioEvent) -> RadioState:
-    """Next state for an event; anything not in the legal set is a no-op."""
-    return _TRANSITIONS.get((state, event), state)
-
-
-class RadioStateMachine:
-    """Stateful wrapper, powered off at first, that logs ignored events."""
-
-    def __init__(self):
-        self.state = RadioState.OFF
-        self.audit: list[tuple[RadioState, RadioEvent]] = []
-
-    def step(self, event: RadioEvent) -> RadioState:
-        nxt = step(self.state, event)
-        if nxt is self.state and (self.state, event) not in _TRANSITIONS:
-            self.audit.append((self.state, event))
-        self.state = nxt
-        return nxt
 
 
 class CoverageClass(enum.Enum):

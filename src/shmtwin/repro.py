@@ -24,7 +24,6 @@ from .energy import (
     energy_acquisition_j,
     energy_day,
     energy_neutral,
-    energy_transmission_j,
     harvest_day_wh,
     lifetime_curve,
     simulate_power_trace,
@@ -35,6 +34,7 @@ from .radio import (
     CoverageClass,
     EnergyParams,
     epb_uj_per_bit,
+    session_energy_j,
 )
 from .scenario import parse_scenario_text, run_scenario
 from .seriesio import write_csv_rows
@@ -83,7 +83,7 @@ def repro_table2_check(outdir=None) -> list[ReproRow]:
         for name, pub in presets.ENERGY_CONTRIBUTIONS_MJ.items()
     ]
     plan = presets.TABLE3_PLAN
-    e_tx = energy_transmission_j(plan)
+    e_tx = session_energy_j(plan.n_packets)
     e_acq = energy_acquisition_j(plan)
     rows.append(_pct_row("e_tx_10pkt_j", presets.TABLE3_PUBLISHED["e_tx_j"], e_tx, 0.1))
     rows.append(_pct_row("e_acq_10pkt_j", presets.TABLE3_PUBLISHED["e_acq_j"], e_acq, 0.1))

@@ -159,8 +159,9 @@ class Scenario:
             raise ConfigError(f"min_prominence must be in [0, inf), got {self.min_prominence}")
         if not 0.0 < self.light_shift_pct < self.moderate_shift_pct:
             raise ConfigError("need 0 < light_shift_pct < moderate_shift_pct")
-        if self.trigger_threshold_g is not None and not self.trigger_threshold_g > 0:
-            raise ConfigError(f"trigger_threshold_g must be > 0, got {self.trigger_threshold_g}")
+        if self.trigger_threshold_g is not None and not 0 < self.trigger_threshold_g < math.inf:
+            raise ConfigError("trigger_threshold_g must be in (0, inf), "
+                              f"got {self.trigger_threshold_g}")
         try:
             energy_day(self.plan, self.coverage)
         except ValueError as e:

@@ -115,8 +115,8 @@ class EventSpec:
     def __post_init__(self):
         if self.onset_s < 0 or self.duration_s < 0:
             raise ValueError("event onset and duration must be >= 0")
-        if self.peak_g < 0:
-            raise ValueError("event peak must be >= 0")
+        if not 0 <= self.peak_g < math.inf:
+            raise ValueError(f"event peak_g must be >= 0 and finite, got {self.peak_g}")
 
 
 def _resonator_coeffs(freq_hz: float, damping: float, fs_hz: float):
@@ -333,9 +333,10 @@ def apply_sensor(
 def quantize(volts: np.ndarray, adc: AdcSpec = AdcSpec()) -> tuple[np.ndarray, int]:
     """Quantize voltage to ADC codes; returns (codes, saturated sample count).
 
-    code = floor(v / vref * 2^bits), clipped to [0, 2^bits - 1].  Mid-supply
-    lands exactly on the midscale code (2048 for 12 bits).  Non-finite
-    input is rejected rather than cast to an arbitrary code.
+    code = floor(v / vref * 2^bits), clipped to [0, 2^bits - 1], as
+    integral float64 values, which the chain takes without a cast.
+    Mid-supply lands exactly on the midscale code (2048 for 12 bits).
+    Non-finite input is rejected rather than clipped to an arbitrary code.
     """
     v = np.asarray(volts, dtype=float)
     with np.errstate(over="ignore"):  # a finite input that overflows saturates
@@ -352,8 +353,6 @@ def quantize(volts: np.ndarray, adc: AdcSpec = AdcSpec()) -> tuple[np.ndarray, i
             raise ValueError(f"{n_bad} of {v.size} input samples are not finite")
     n_sat = 0
     if lo < 0 or hi > top:
-        # Counted and clipped before the cast to int64, which a huge float
-        # would not survive.
         n_sat = int(np.count_nonzero((scaled < 0) | (scaled > top)))
         np.clip(scaled, 0, top, out=scaled)
-    return scaled.astype(np.int64), n_sat
+    return scaled, n_sat

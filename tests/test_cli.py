@@ -116,6 +116,12 @@ def test_design_filter_infeasible_budget(capsys):
     assert "stage failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_design_filter_budget_below_one_is_a_config_error(capsys, budget):
+    assert main(["design-filter", "--budget", budget]) == EXIT_CONFIG
+    assert "config error: coeff_budget must be >= 1" in capsys.readouterr().err
+
+
 def test_lifetime_command(capsys):
     assert main(["lifetime", "--tacq", "60", "--sessions", "6",
                  "--battery", "VL34570"]) == EXIT_OK

@@ -20,8 +20,6 @@ from shmtwin.energy import (
     energy_acquisition_j,
     energy_day,
     energy_neutral,
-    energy_transmission_j,
-    harvest_day_j,
     harvest_day_wh,
     session_active_s,
     simulate_power_trace,
@@ -33,7 +31,7 @@ from shmtwin.presets import (
     TEN_YEAR_PLAN,
     VALIDATION_PLAN,
 )
-from shmtwin.radio import CoverageClass
+from shmtwin.radio import CoverageClass, session_energy_j
 
 SLEEP_W = 34e-6 * 3.3
 
@@ -70,7 +68,7 @@ def test_battery_presets_and_validation():
 
 def test_harvester_daily_energy():
     assert harvest_day_wh(DEFAULT_HARVESTER) == 3.24    # 72 * 15 * 4 * 0.75 / 1000
-    assert harvest_day_j(DEFAULT_HARVESTER) == 3.24 * 3600.0
+    assert harvest_day_wh(DEFAULT_HARVESTER) * 3600.0 == 3.24 * 3600.0
     with pytest.raises(ValueError):
         HarvesterSpec(area_cm2=-1.0)
     with pytest.raises(ValueError):
@@ -80,7 +78,7 @@ def test_harvester_daily_energy():
 def test_session_energies_match_hand_arithmetic():
     assert energy_acquisition_j(TABLE3_PLAN) == pytest.approx(3.440556, abs=1e-9)
     assert energy_acquisition_j(VALIDATION_PLAN) == pytest.approx(3.177576, abs=1e-9)
-    assert energy_transmission_j(TABLE3_PLAN) == pytest.approx(5.33416, abs=1e-9)
+    assert session_energy_j(TABLE3_PLAN.n_packets) == pytest.approx(5.33416, abs=1e-9)
 
 
 def test_active_time_is_physical_not_billing():

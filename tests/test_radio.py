@@ -14,9 +14,6 @@ from shmtwin.radio import (
     CoverageClass,
     EnergyParams,
     Packet,
-    RadioEvent,
-    RadioState,
-    RadioStateMachine,
     classify_coverage,
     deliver,
     epb_uj_per_bit,
@@ -24,68 +21,9 @@ from shmtwin.radio import (
     packetize,
     reassemble,
     session_energy_j,
-    step,
     uplink_session,
     write_event_log,
 )
-
-LEGAL = {
-    (RadioState.OFF, RadioEvent.POWER_ON): RadioState.ATTACHING,
-    (RadioState.ATTACHING, RadioEvent.ATTACH_DONE): RadioState.CONNECTED_TX,
-    (RadioState.CONNECTED_TX, RadioEvent.TX_DONE): RadioState.CONNECTED_EDRX,
-    (RadioState.CONNECTED_EDRX, RadioEvent.TX_REQUEST): RadioState.CONNECTED_TX,
-    (RadioState.CONNECTED_EDRX, RadioEvent.INACTIVITY): RadioState.IDLE_EDRX,
-    (RadioState.IDLE_EDRX, RadioEvent.T3324_EXPIRY): RadioState.PSM,
-    (RadioState.PSM, RadioEvent.WAKE): RadioState.CONNECTED_TX,
-    (RadioState.PSM, RadioEvent.T3412_EXPIRY): RadioState.ATTACHING,
-}
-
-
-def test_every_state_event_pair():
-    # the eight legal transitions fire; all other pairs are strict no-ops
-    for s in RadioState:
-        for e in RadioEvent:
-            expected = LEGAL.get((s, e), s)
-            assert step(s, e) is expected
-
-
-def test_psm_reachable_and_full_cycle():
-    m = RadioStateMachine()
-    for e in (RadioEvent.POWER_ON, RadioEvent.ATTACH_DONE, RadioEvent.TX_DONE,
-              RadioEvent.INACTIVITY, RadioEvent.T3324_EXPIRY):
-        m.step(e)
-    assert m.state is RadioState.PSM
-    assert m.audit == []
-    assert m.step(RadioEvent.WAKE) is RadioState.CONNECTED_TX
-    # periodic TAU from deep sleep forces a fresh attach
-    assert step(RadioState.PSM, RadioEvent.T3412_EXPIRY) is RadioState.ATTACHING
-
-
-def test_machine_audits_only_ignored_events():
-    m = RadioStateMachine()
-    m.step(RadioEvent.TX_DONE)           # illegal in OFF
-    m.step(RadioEvent.POWER_ON)          # legal
-    m.step(RadioEvent.PAGING)            # illegal in ATTACHING
-    assert m.state is RadioState.ATTACHING
-    assert m.audit == [(RadioState.OFF, RadioEvent.TX_DONE),
-                       (RadioState.ATTACHING, RadioEvent.PAGING)]
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.sampled_from(list(RadioEvent)), min_size=0, max_size=60))
-def test_machine_closed_under_arbitrary_events(events):
-    m = RadioStateMachine()
-    for e in events:
-        before = m.state
-        audits = len(m.audit)
-        after = m.step(e)
-        assert isinstance(after, RadioState)
-        if (before, e) in LEGAL:
-            assert after is LEGAL[(before, e)]
-            assert len(m.audit) == audits
-        else:
-            assert after is before
-            assert len(m.audit) == audits + 1
 
 
 def test_coverage_classification():

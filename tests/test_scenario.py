@@ -1,6 +1,7 @@
 import hashlib
 import inspect
 import sys
+import tempfile
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -163,13 +164,21 @@ def test_out_of_domain_values_are_config_errors(text):
     ("[dsp-chain]\nstopband_atten_db = 1e6\n", "stopband_atten_db"),
     ("[dsp-chain]\npassband_ripple_db = 1e-300\n", "passband_ripple_db"),
     ("[dsp-chain]\npassband_ripple_db = 1e6\n", "passband_ripple_db"),
+    ("[signal-synth]\nevent_onset_s = 1\nevent_peak_g = nan\nevent_duration_s = 1\n",
+     "peak_g"),
+    ("[signal-synth]\nevent_onset_s = 1\nevent_peak_g = inf\nevent_duration_s = 1\n",
+     "peak_g"),
+    ("[signal-synth]\ntrigger_threshold_g = inf\n", "trigger_threshold_g"),
+    ("[dsp-chain]\ncoeff_budget = 0\n", "coeff_budget"),
 ], ids=["no-peaks", "light-above-moderate", "zero-trigger", "atten-underflow",
-        "ripple-underflow", "ripple-overflow"])
+        "ripple-underflow", "ripple-overflow", "event-peak-nan", "event-peak-inf",
+        "infinite-trigger", "zero-budget"])
 def test_stage_domains_are_checked_at_parse(text, field):
     # the modal and trigger stages would reject these only after the
     # front end had run; a design tolerance that underflows to 0, or a
     # ripple beyond a float, would fail the filter design with a bare
-    # math error
+    # math error; a non-finite event peak would fail only after the whole
+    # record's synthesis, and an infinite trigger threshold never fires
     with pytest.raises(ConfigError, match=field):
         parse_scenario_text(MINIMAL + text)
 
@@ -265,14 +274,19 @@ def _value(key):
 
 
 @st.composite
-def scenario_texts(draw):
+def scenario_texts(draw, fixed=None):
     """INI text with a random subset of the table's keys.  The event keys
-    come all three or none, so that most drawn texts parse."""
+    come all three or none, so that most drawn texts parse.  Each key of
+    ``fixed`` is always written, its value drawn from the strategy given."""
+    fixed = fixed or {}
     with_event = draw(st.booleans())
     sections = []
     for section, keys in scenario._TABLE.items():
         lines = [f"[{section}]"]
         for key, path in keys.items():
+            if key in fixed:
+                lines.append(f"{key} = {draw(fixed[key])!r}")
+                continue
             if path.startswith("event."):
                 use = with_event
             else:
@@ -291,6 +305,21 @@ def test_serialize_round_trips_any_parsed_scenario(text):
     except ConfigError:
         assume(False)
     assert parse_scenario_text(serialize_scenario(s)) == s
+
+
+@settings(max_examples=25, deadline=None)
+@given(scenario_texts(fixed={"t_acq_s": st.sampled_from([13.0, 19.5, 26.0])}))
+def test_any_scenario_runs_or_fails_as_config_or_stage_error(text):
+    # the whole pipeline, bundle included, on short records
+    try:
+        s = parse_scenario_text(text)
+    except ConfigError:
+        return
+    with tempfile.TemporaryDirectory() as out:
+        try:
+            run_scenario(replace(s, outputs=out))
+        except StageError:
+            pass
 
 
 def test_serialize_round_trip_minimal():
@@ -354,11 +383,17 @@ def test_too_short_record_is_a_stage_error(tmp_path):
     assert exc.value.stage == "modal"
 
 
-# an infinite peak times the envelope's zero at onset gives NaN as well as inf
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+# A non-finite event peak is rejected at parse, so these runs reach the
+# front end's finite-sample guard through an overflow instead: a finite peak
+# and a finite sensitivity whose product, the burst's crests as sensed
+# acceleration in volts, is infinite.
+_OVERFLOWING_EVENT = ("[signal-synth]\nsensitivity_v_per_g = 2\nevent_onset_s = {}\n"
+                      "event_peak_g = 1e308\nevent_duration_s = 1\n")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_non_finite_acceleration_is_a_synth_error(tmp_path):
-    text = _short_run_text(tmp_path, extra=("[signal-synth]\nevent_onset_s = 1\n"
-                                            "event_peak_g = inf\nevent_duration_s = 1\n"))
+    text = _short_run_text(tmp_path, extra=_OVERFLOWING_EVENT.format(1))
     with pytest.raises(StageError) as exc:
         run_scenario(parse_scenario_text(text), write=False)
     assert exc.value.stage == "synth"
@@ -582,11 +617,9 @@ def test_concurrent_runs_under_a_short_switch_interval_equal_the_oracle(tmp_path
         assert r.trigger_sample == trig
 
 
-# an infinite peak times the envelope's zero at onset gives NaN as well as inf
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_non_finite_block_late_in_the_record_is_a_synth_error(tmp_path):
-    text = _short_run_text(tmp_path, extra=("[signal-synth]\nevent_onset_s = 6\n"
-                                            "event_peak_g = inf\nevent_duration_s = 1\n"))
+    text = _short_run_text(tmp_path, extra=_OVERFLOWING_EVENT.format(6))
     assert 6 * 25600 >= 2 * scenario._BLOCK
     threads = threading.active_count()
     with pytest.raises(StageError) as exc:
