@@ -39,8 +39,7 @@ class FilterStage:
     """One FIR lowpass plus the decimation that follows it.
 
     The coefficients are a private read-only copy, so a stage can be shared
-    between callers without any of them changing it for the others.  Two
-    stages are equal when their decimation and their taps, bit for bit, are.
+    between callers without any of them changing it for the others.
     """
 
     coeffs: np.ndarray
@@ -54,14 +53,6 @@ class FilterStage:
             raise ValueError("stage needs a non-empty 1-D coefficient vector")
         if self.decim < 1:
             raise ValueError(f"decimation factor must be >= 1, got {self.decim}")
-
-    def __eq__(self, other):
-        if not isinstance(other, FilterStage):
-            return NotImplemented
-        return self.decim == other.decim and self.coeffs.tobytes() == other.coeffs.tobytes()
-
-    def __hash__(self):
-        return hash((self.decim, self.coeffs.tobytes()))
 
     @property
     def n_taps(self) -> int:
@@ -145,9 +136,12 @@ class FilterReport:
 
     passband_ripple_db: float
     stopband_atten_db: float
-    total_coeffs: int
     group_delay_samples_out: float
-    stage_taps: tuple[int, ...] = ()
+    stage_taps: tuple[int, ...]
+
+    @property
+    def total_coeffs(self) -> int:
+        return sum(self.stage_taps)
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +376,6 @@ def measure_response(stages: Sequence[FilterStage], spec: DecimatorSpec) -> Filt
     return FilterReport(
         passband_ripple_db=ripple,
         stopband_atten_db=atten,
-        total_coeffs=sum(s.n_taps for s in stages),
         group_delay_samples_out=_delay_input_samples(stages) / spec.total_decim,
         stage_taps=tuple(s.n_taps for s in stages),
     )
@@ -405,15 +398,6 @@ def _delay_input_samples(stages: Sequence[FilterStage]) -> float:
 def warmup_input_samples(stages: Sequence[FilterStage]) -> int:
     """Cascade group delay referred to the input rate, rounded up."""
     return int(math.ceil(_delay_input_samples(stages)))
-
-
-def check_warmup(n_in: int, stages: Sequence[FilterStage]) -> None:
-    """Raise ValueError if a record of n_in input samples cannot fill the chain."""
-    need = warmup_input_samples(stages)
-    if n_in < max(need, 1):
-        raise ValueError(
-            f"input of {n_in} samples is shorter than the chain warm-up ({need})"
-        )
 
 
 # Outputs a stage gathers before it filters them, unless the record ends
@@ -456,10 +440,14 @@ class ChainState:
     pushed in blocks of any sizes gives, concatenated, the same samples bit
     for bit as the record pushed whole (multistage polyphase decimation
     with state, Crochiere & Rabiner 1983); each push returns the outputs
-    the last stage completes, which may be none.
+    the last stage completes, which may be none.  A record shorter than
+    the chain warm-up raises ValueError.
     """
 
     def __init__(self, stages: Sequence[FilterStage], n_in: int):
+        need = warmup_input_samples(stages)
+        if n_in < max(need, 1):
+            raise ValueError(f"input of {n_in} samples is shorter than the chain warm-up ({need})")
         self.stages = tuple(stages)
         self._total = []  # inputs each stage sees over the record
         for st in self.stages:
@@ -514,13 +502,10 @@ def _output_counts(
     stages: Sequence[FilterStage],
     adc: AdcSpec,
     sensor: SensorSpec,
-    state: ChainState | None = None,
+    state: ChainState,
 ) -> np.ndarray:
-    """Decimate ADC codes to float output counts, before rounding."""
-    if state is None:
-        check_warmup(len(codes), stages)
-        state = ChainState(stages, len(codes))
-    elif state.stages != tuple(stages):
+    """Decimate the next block of ADC codes to float output counts, unrounded."""
+    if state.stages != tuple(stages):
         raise ValueError("the chain state was built for other stages")
     y = state.push(np.subtract(codes, adc.midscale, dtype=float))
     lsb_to_g = adc.vref_v / adc.n_codes / sensor.sensitivity_v_per_g
@@ -530,9 +515,9 @@ def _output_counts(
 def run_chain(
     codes: np.ndarray,
     stages: Sequence[FilterStage],
-    adc: AdcSpec = AdcSpec(),
-    sensor: SensorSpec = SensorSpec(),
-    state: ChainState | None = None,
+    adc: AdcSpec,
+    sensor: SensorSpec,
+    state: ChainState,
 ) -> np.ndarray:
     """Decimate raw ADC codes to a signed 16-bit series at the output rate.
 
@@ -540,12 +525,10 @@ def run_chain(
     zero and the output is signed acceleration: full scale +/-32768 counts
     corresponds to +/-sensor.full_scale_g.
 
-    Without ``state`` the codes are a whole record, checked against the
-    chain warm-up.  With a ``ChainState`` over the same stages they are the
-    next block of the record it was built for, whose length the caller has
-    checked with ``check_warmup``; the state carries each stage's held
-    inputs between calls, and the blocks' outputs concatenate to the whole
-    record's.
+    The codes are the next block of the record ``state`` was built for, over
+    these same stage objects; the state carries each stage's held inputs
+    between calls, and the blocks' outputs concatenate to the whole
+    record's.  A whole record is one block.
     """
     return _int16(_output_counts(codes, stages, adc, sensor, state))
 
@@ -591,7 +574,7 @@ def measure_enob(
     accel = sensor.full_scale_g * np.sin(2.0 * np.pi * f_tone * t)
     volts = apply_sensor(accel, sensor, adc.f_os_hz, seed=1)
     codes, _ = quantize(volts, adc)
-    counts = _output_counts(codes, stages, adc, sensor)
+    counts = _output_counts(codes, stages, adc, sensor, ChainState(stages, len(codes)))
 
     skip = int(math.ceil(warmup_input_samples(stages) / total_decim)) * 2 + 8
     if len(counts) - skip < 256:

@@ -12,7 +12,7 @@ as independent cross-checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -126,13 +126,10 @@ def session_active_s(
 
 @dataclass(frozen=True)
 class EnergyBreakdown:
-    n_sessions: int
-    t_acq_s: float
-    n_packets: int
+    plan: SessionPlan
     e_acq_session_j: float
     e_tx_session_j: float
     t_active_s: float        # total over the day
-    t_sleep_s: float
     e_sleep_j: float
     e_day_j: float
 
@@ -140,11 +137,15 @@ class EnergyBreakdown:
     def e_session_j(self) -> float:
         return self.e_acq_session_j + self.e_tx_session_j
 
+    @property
+    def t_sleep_s(self) -> float:
+        return SECONDS_PER_DAY - self.t_active_s
+
     def rows(self) -> list[tuple[str, float]]:
         return [
-            ("n_sessions", self.n_sessions),
-            ("t_acq_s", self.t_acq_s),
-            ("n_packets", self.n_packets),
+            ("n_sessions", self.plan.n_sessions_per_day),
+            ("t_acq_s", self.plan.t_acq_s),
+            ("n_packets", self.plan.n_packets),
             ("e_acq_j", self.e_acq_session_j),
             ("e_tx_j", self.e_tx_session_j),
             ("e_tot_j", self.e_session_j),
@@ -163,8 +164,7 @@ def energy_day(
     """Daily energy: session costs times session count plus sleep floor."""
     if plan.n_sessions_per_day == 0:
         sleep_j = SECONDS_PER_DAY * params.sleep_power_w
-        return EnergyBreakdown(0, plan.t_acq_s, plan.n_packets, 0.0, 0.0,
-                               0.0, SECONDS_PER_DAY, sleep_j, sleep_j)
+        return EnergyBreakdown(plan, 0.0, 0.0, 0.0, sleep_j, sleep_j)
     e_acq = energy_acquisition_j(plan, params)
     e_tx = session_energy_j(plan.n_packets, coverage, params)
     t_active = plan.n_sessions_per_day * session_active_s(plan, coverage, params)
@@ -172,20 +172,10 @@ def energy_day(
         raise ValueError(
             f"plan needs {t_active:.0f} s of activity, more than one day"
         )
-    t_sleep = SECONDS_PER_DAY - t_active
-    e_sleep = t_sleep * params.sleep_power_w
+    e_sleep = (SECONDS_PER_DAY - t_active) * params.sleep_power_w
     e_day = plan.n_sessions_per_day * (e_acq + e_tx) + e_sleep
-    return EnergyBreakdown(
-        n_sessions=plan.n_sessions_per_day,
-        t_acq_s=plan.t_acq_s,
-        n_packets=plan.n_packets,
-        e_acq_session_j=e_acq,
-        e_tx_session_j=e_tx,
-        t_active_s=t_active,
-        t_sleep_s=t_sleep,
-        e_sleep_j=e_sleep,
-        e_day_j=e_day,
-    )
+    return EnergyBreakdown(plan=plan, e_acq_session_j=e_acq, e_tx_session_j=e_tx,
+                           t_active_s=t_active, e_sleep_j=e_sleep, e_day_j=e_day)
 
 
 def battery_life_days(
@@ -260,7 +250,6 @@ def energy_neutral(
 class WindowValidation:
     e_measured_j: float
     e_model_j: float
-    error_pct: float         # signed, model relative to measured
 
 
 def simulate_power_trace(
@@ -304,10 +293,11 @@ def validate_window(
     """Integrate a measured power trace and compare against the closed-form
     model of a window holding one session.
 
-    The model bills acquisition at 6 seconds of activity per packet (the
-    calibration that matches bench measurements of this window),
-    transmission at the deterministic session energy, and sleep
-    over the remainder of the window after physical active time.
+    The model bills acquisition at the plan's k_acq seconds of activity
+    per packet (6 in ``presets.VALIDATION_PLAN``, the calibration that
+    matches bench measurements of this window), transmission at the
+    deterministic session energy, and sleep over the remainder of the
+    window after physical active time.
     """
     t = np.asarray(trace_t_s, dtype=float)
     p = np.asarray(trace_p_w, dtype=float)
@@ -322,12 +312,10 @@ def validate_window(
     window_s = float(t[-1] - t[0])
     e_measured = float(np.trapezoid(p, t))
 
-    model_plan = replace(plan, k_acq=6.0)
-    e_sess = (energy_acquisition_j(model_plan, params)
-              + session_energy_j(model_plan.n_packets, coverage, params))
+    e_sess = (energy_acquisition_j(plan, params)
+              + session_energy_j(plan.n_packets, coverage, params))
     t_active = session_active_s(plan, coverage, params)
     if t_active > window_s:
         raise ValueError("active time exceeds the window")
     e_model = e_sess + (window_s - t_active) * params.sleep_power_w
-    err = (e_model - e_measured) / e_measured * 100.0 if e_measured else math.inf
-    return WindowValidation(e_measured_j=e_measured, e_model_j=e_model, error_pct=err)
+    return WindowValidation(e_measured_j=e_measured, e_model_j=e_model)

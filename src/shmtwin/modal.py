@@ -25,13 +25,12 @@ class Verdict(enum.Enum):
 @dataclass(frozen=True)
 class Spectrum:
     mags: np.ndarray
-    nfft: int
     f_s_hz: float
     res_hz: float         # true resolution, f_s / record length
 
-    def __post_init__(self):
-        if len(self.mags) != self.nfft // 2 + 1:
-            raise ValueError("mags length does not match the FFT length")
+    @property
+    def nfft(self) -> int:
+        return 2 * (len(self.mags) - 1)  # the FFT length is even
 
     @property
     def df_hz(self) -> float:
@@ -53,16 +52,26 @@ class ModalEstimate:
 @dataclass(frozen=True)
 class ModeShift:
     baseline_hz: float
-    current_hz: float | None
-    shift_hz: float | None
-    shift_pct: float | None
+    current_hz: float | None  # None: no peak matched the mode
+
+    @property
+    def shift_hz(self) -> float | None:
+        return None if self.current_hz is None else self.current_hz - self.baseline_hz
+
+    @property
+    def shift_pct(self) -> float | None:
+        return None if self.current_hz is None else self.shift_hz / self.baseline_hz * 100.0
 
 
 @dataclass(frozen=True)
 class DamageReport:
     shifts: tuple[ModeShift, ...]
-    missing: tuple[float, ...]
     verdict: Verdict
+
+    @property
+    def missing(self) -> tuple[float, ...]:
+        """Baseline modes no peak matched."""
+        return tuple(s.baseline_hz for s in self.shifts if s.current_hz is None)
 
     def worst_shift_pct(self) -> float:
         vals = [s.shift_pct for s in self.shifts if s.shift_pct is not None]
@@ -103,7 +112,7 @@ def compute_spectrum(samples: np.ndarray, f_s_hz: float = 100.0) -> Spectrum:
     mags = np.abs(bins)
     del bins
     mags *= scale
-    return Spectrum(mags=mags, nfft=nfft, f_s_hz=f_s_hz, res_hz=f_s_hz / n)
+    return Spectrum(mags=mags, f_s_hz=f_s_hz, res_hz=f_s_hz / n)
 
 
 def _local_maxima(x: np.ndarray) -> np.ndarray:
@@ -208,7 +217,6 @@ def compare_modes(
     cur = list(current_hz)
     used = [False] * len(cur)
     shifts: list[ModeShift] = []
-    missing: list[float] = []
     for f_b in baseline_hz:
         best_j, best_d = -1, 0.2 * f_b
         for j, f_c in enumerate(cur):
@@ -216,17 +224,10 @@ def compare_modes(
             if not used[j] and d <= best_d:
                 best_j, best_d = j, d
         if best_j < 0:
-            missing.append(f_b)
-            shifts.append(ModeShift(f_b, None, None, None))
+            shifts.append(ModeShift(f_b, None))
             continue
         used[best_j] = True
-        f_c = cur[best_j]
-        shifts.append(ModeShift(
-            baseline_hz=f_b,
-            current_hz=f_c,
-            shift_hz=f_c - f_b,
-            shift_pct=(f_c - f_b) / f_b * 100.0,
-        ))
+        shifts.append(ModeShift(f_b, cur[best_j]))
 
     worst = max((abs(s.shift_pct) for s in shifts if s.shift_pct is not None),
                 default=0.0)
@@ -236,7 +237,7 @@ def compare_modes(
         verdict = Verdict.LIGHT
     else:
         verdict = Verdict.NO_DAMAGE
-    return DamageReport(shifts=tuple(shifts), missing=tuple(missing), verdict=verdict)
+    return DamageReport(shifts=tuple(shifts), verdict=verdict)
 
 
 def verdict_line(report: DamageReport) -> str:

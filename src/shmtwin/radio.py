@@ -103,53 +103,32 @@ def epb_uj_per_bit(payload_bytes: int, energy_j: float) -> float:
 # packets
 
 SAMPLES_PER_PACKET = 650
-PACKET_BYTES = SAMPLES_PER_PACKET * 2  # 16-bit little-endian samples
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Packet:
     session_id: int
     seq: int
-    payload: bytes
-    pad_samples: int = 0
-
-    def __post_init__(self):
-        if len(self.payload) != PACKET_BYTES:
-            raise ValueError(
-                f"payload must be exactly {PACKET_BYTES} bytes, got {len(self.payload)}"
-            )
-        if not 0 <= self.pad_samples < SAMPLES_PER_PACKET:
-            raise ValueError(f"pad_samples out of range: {self.pad_samples}")
-
-    def samples(self) -> np.ndarray:
-        """Payload decoded to int16, padding stripped."""
-        arr = np.frombuffer(self.payload, dtype="<i2")
-        return arr[: SAMPLES_PER_PACKET - self.pad_samples].copy()
+    samples: np.ndarray  # read-only int16 view of the packetized series
 
 
 def packetize(samples: np.ndarray, session_id: int = 0) -> list[Packet]:
-    """Split a 16-bit series into fixed-size packets, zero-padding the last."""
-    x = np.ascontiguousarray(np.asarray(samples), dtype="<i2")
+    """Split a 16-bit series into packets of SAMPLES_PER_PACKET samples; the
+    last is shorter when the series does not fill it.  The packets are
+    read-only views of one private copy of the series."""
+    x = np.array(samples, dtype=np.int16)
     if x.ndim != 1 or x.size == 0:
         raise ValueError("need a non-empty 1-D sample array")
-    n_pkt = -(-x.size // SAMPLES_PER_PACKET)
-    packets = []
-    for k in range(n_pkt):
-        chunk = x[k * SAMPLES_PER_PACKET : (k + 1) * SAMPLES_PER_PACKET]
-        pad = SAMPLES_PER_PACKET - chunk.size
-        if pad:
-            chunk = np.concatenate([chunk, np.zeros(pad, dtype="<i2")])
-        packets.append(Packet(session_id=session_id, seq=k,
-                              payload=chunk.tobytes(), pad_samples=pad))
-    return packets
+    x.setflags(write=False)
+    return [Packet(session_id, k, x[i:i + SAMPLES_PER_PACKET])
+            for k, i in enumerate(range(0, x.size, SAMPLES_PER_PACKET))]
 
 
 def reassemble(packets: list[Packet]) -> np.ndarray:
-    """Concatenate payloads in sequence order, stripping trailing padding."""
+    """Concatenate the packets' samples in sequence order."""
     if not packets:
         return np.zeros(0, dtype=np.int16)
-    ordered = sorted(packets, key=lambda p: p.seq)
-    return np.concatenate([p.samples() for p in ordered])
+    return np.concatenate([p.samples for p in sorted(packets, key=lambda p: p.seq)])
 
 
 # ---------------------------------------------------------------------------
@@ -171,12 +150,12 @@ class PacketTx:
 class UplinkRecord:
     session_id: int
     packets: tuple[PacketTx, ...]
-    energy_j: float
     duration_s: float
 
-    def __post_init__(self):
-        if abs(self.energy_j - sum(p.energy_j for p in self.packets)) > 1e-9 * max(self.energy_j, 1.0):
-            raise ValueError("session energy must equal the sum of per-packet energies")
+    @property
+    def energy_j(self) -> float:
+        """Session energy: the per-packet energies summed in order."""
+        return sum(p.energy_j for p in self.packets)
 
 
 def uplink_session(
@@ -219,12 +198,8 @@ def uplink_session(
 
     txs = tuple(PacketTx(seq=p.seq, energy_j=e, t_s=params.radio_window_s(i, coverage))
                 for i, (p, e) in enumerate(zip(packets, energies)))
-    return UplinkRecord(
-        session_id=packets[0].session_id,
-        packets=txs,
-        energy_j=float(sum(energies)),
-        duration_s=params.radio_window_s(len(packets), coverage),
-    )
+    return UplinkRecord(session_id=packets[0].session_id, packets=txs,
+                        duration_s=params.radio_window_s(len(packets), coverage))
 
 
 def session_energy_j(
@@ -248,13 +223,9 @@ def session_energy_j(
 
 @dataclass(frozen=True)
 class SinkReport:
-    delivered: tuple[Packet, ...]
+    delivered_count: int
     missing_seqs: tuple[int, ...]
     samples: np.ndarray
-
-    @property
-    def delivered_count(self) -> int:
-        return len(self.delivered)
 
 
 def deliver(packets: list[Packet], loss_prob: float = 0.0, seed: int = 0) -> SinkReport:
@@ -265,11 +236,7 @@ def deliver(packets: list[Packet], loss_prob: float = 0.0, seed: int = 0) -> Sin
     keep = rng.random(len(packets)) >= loss_prob
     got = [p for p, k in zip(packets, keep) if k]
     lost = tuple(p.seq for p, k in zip(packets, keep) if not k)
-    return SinkReport(
-        delivered=tuple(got),
-        missing_seqs=lost,
-        samples=reassemble(got),
-    )
+    return SinkReport(delivered_count=len(got), missing_seqs=lost, samples=reassemble(got))
 
 
 # ---------------------------------------------------------------------------

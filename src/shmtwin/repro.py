@@ -99,8 +99,8 @@ def repro_table3(outdir=None) -> list[ReproRow]:
     bd = energy_day(plan)
     life_y = battery_life_days(plan, VL34570) / DAYS_PER_YEAR
     return [
-        _abs_row("n_sessions", pub["n_sessions"], bd.n_sessions, 0.0),
-        _abs_row("t_acq_s", pub["t_acq_s"], bd.t_acq_s, 0.0),
+        _abs_row("n_sessions", pub["n_sessions"], bd.plan.n_sessions_per_day, 0.0),
+        _abs_row("t_acq_s", pub["t_acq_s"], bd.plan.t_acq_s, 0.0),
         _abs_row("t_active_s", pub["t_active_s"], bd.t_active_s, 1e-9),
         _abs_row("t_sleep_s", pub["t_sleep_s"], bd.t_sleep_s, 1e-9),
         _pct_row("e_tx_j", pub["e_tx_j"], bd.e_tx_session_j, 0.1),

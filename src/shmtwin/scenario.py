@@ -34,8 +34,6 @@ from .decimator import (
     ChainState,
     DecimatorSpec,
     FilterReport,
-    FilterStage,
-    check_warmup,
     design_decimator,
     run_chain,
 )
@@ -95,7 +93,6 @@ class StageError(Exception):
     def __init__(self, stage: str, cause: Exception):
         super().__init__(f"stage {stage}: {cause}")
         self.stage = stage
-        self.cause = cause
 
 
 @contextlib.contextmanager
@@ -181,6 +178,9 @@ class Scenario:
             end = (self.event.onset_s + self.event.duration_s) * f_os
             if not math.isfinite(end) or round(end) > n_in:
                 raise ConfigError("event extends past the end of the record")
+            if not math.isfinite(self.sensor.sensitivity_v_per_g * self.event.peak_g):
+                raise ConfigError(f"event_peak_g = {self.event.peak_g!r} senses to a "
+                                  "non-finite voltage")
 
 
 # The scenario file: section -> key -> the Scenario field the key reads and
@@ -379,7 +379,10 @@ class RunResult:
     life_days: float
     margin: float | None
     trigger_sample: int | None
-    outputs: Path
+
+    @property
+    def outputs(self) -> Path:
+        return Path(self.scenario.outputs)
 
 
 # Input samples per block of the streamed front end.  Each block pays a
@@ -389,8 +392,7 @@ class RunResult:
 _BLOCK = 65536
 
 
-def _sense(s: Scenario, n: int,
-           stages: tuple[FilterStage, ...]) -> tuple[np.ndarray, int, int | None]:
+def _sense(s: Scenario, n: int, chain: ChainState) -> tuple[np.ndarray, int, int | None]:
     """Synthesize, sense, quantize and decimate the record block by block.
 
     The blocks run through a two-stage pipeline, one block ahead.  A
@@ -404,6 +406,7 @@ def _sense(s: Scenario, n: int,
     release the GIL, so they overlap.  The worker is joined
     before this returns or raises.
 
+    ``chain`` is a fresh state over the record's ``n`` input samples.
     Dwell tones are synthesized per block.  Ambient modes are normalized
     over the whole record, so that record is synthesized in one pass and
     read in block slices.  Only the output series is a whole-record
@@ -412,7 +415,6 @@ def _sense(s: Scenario, n: int,
     """
     f_os = s.adc.f_os_hz
     noise = np.random.default_rng(s.seed + 1)
-    chain = ChainState(stages, n)
     trig = None
 
     def analog(i0: int) -> np.ndarray:
@@ -451,7 +453,7 @@ def _sense(s: Scenario, n: int,
                 codes, sat = quantize(volts, s.adc)
             n_sat += sat
             with stage("dsp"):
-                out.append(run_chain(codes, stages, s.adc, s.sensor, state=chain))
+                out.append(run_chain(codes, chain.stages, s.adc, s.sensor, chain))
     return np.concatenate(out), n_sat, trig
 
 
@@ -463,9 +465,9 @@ def run_scenario(s: Scenario, write: bool = True) -> RunResult:
 
     with stage("dsp"):
         stages, filt_report = design_decimator(s.decimator)
-        check_warmup(n, stages)
+        chain = ChainState(stages, n)
 
-    samples, n_sat, trig = _sense(s, n, stages)
+    samples, n_sat, trig = _sense(s, n, chain)
 
     with stage("uplink"):
         packets = packetize(samples, session_id=0)
@@ -488,12 +490,11 @@ def run_scenario(s: Scenario, write: bool = True) -> RunResult:
         if s.harvester is not None:
             _, margin = energy_neutral(s.plan, s.harvester, s.coverage, params)
 
-    outputs = Path(s.outputs)
     result = RunResult(
         scenario=s, filter_report=filt_report, samples_out=samples,
         uplink=uplink, sink=sink, estimate=estimate, report=report,
         breakdown=breakdown, life_days=life, margin=margin,
-        trigger_sample=trig, outputs=outputs,
+        trigger_sample=trig,
     )
     if write:
         with stage("write"):

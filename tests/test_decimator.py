@@ -168,19 +168,14 @@ def test_chain_state_keeps_no_view_of_a_held_block(default_chain):
 
 def test_run_chain_state_must_match_its_stages(default_chain):
     _, stages, _ = default_chain
-    with pytest.raises(ValueError):
-        run_chain(np.zeros(10, dtype=int), stages[:3], state=ChainState(stages, 10))
-
-
-def test_filter_stage_value_equality_and_hash():
-    a = FilterStage([0.25, 0.5, 0.25], 2)
-    b = FilterStage(np.array([0.25, 0.5, 0.25]), 2)
-    assert a == b and hash(a) == hash(b)
-    assert len({a, b}) == 1
-    assert a != FilterStage([0.25, 0.5, 0.25], 4)
-    assert a != FilterStage([0.25, 0.5, 0.2500000000000001], 2)
-    assert a != FilterStage([0.25, 0.5], 2)
-    assert a != "stage"
+    state = ChainState(stages, 10_000)
+    codes = np.zeros(10, dtype=int)
+    with pytest.raises(ValueError, match="other stages"):
+        run_chain(codes, stages[:3], AdcSpec(), SensorSpec(), state)
+    # equal taps are not the same stages: the state holds the objects it was built for
+    copies = tuple(FilterStage(st.coeffs, st.decim) for st in stages)
+    with pytest.raises(ValueError, match="other stages"):
+        run_chain(codes, copies, AdcSpec(), SensorSpec(), state)
 
 
 def test_90hz_tone_rejected_below_minus_60_dbfs(default_chain):
@@ -225,7 +220,7 @@ def test_run_chain_scaling_and_dtype(default_chain):
     spec, stages, _ = default_chain
     adc, sensor = AdcSpec(), SensorSpec()
     codes = np.full(int(2 * spec.f_in_hz), adc.midscale + 64)
-    out = run_chain(codes, stages, adc, sensor)
+    out = run_chain(codes, stages, adc, sensor, ChainState(stages, len(codes)))
     assert out.dtype == np.int16
     # 64 ADC LSB above midscale = 64 * (3.3/4096) / 0.66 g = 78.1 mg;
     # output counts at 2 g full scale: 78.1 mg * 32768 / 2 = 1280.
@@ -234,9 +229,14 @@ def test_run_chain_scaling_and_dtype(default_chain):
 
 
 def test_run_chain_rejects_short_input(default_chain):
-    spec, stages, _ = default_chain
-    with pytest.raises(ValueError):
-        run_chain(np.zeros(10, dtype=int), stages, AdcSpec(), SensorSpec())
+    # run_chain takes a ChainState, which refuses a record the chain cannot fill
+    _, stages, _ = default_chain
+    need = warmup_input_samples(stages)
+    ChainState(stages, need)
+    with pytest.raises(ValueError, match=f"shorter than the chain warm-up \\({need}\\)"):
+        ChainState(stages, need - 1)
+    with pytest.raises(ValueError, match="warm-up"):
+        cascade(np.zeros(need - 1), stages)
 
 
 def test_stage_file_round_trip(tmp_path, default_chain):

@@ -196,14 +196,16 @@ def test_window_model_value():
     t, p = simulate_power_trace(VALIDATION_PLAN)
     v = validate_window(t, p, VALIDATION_PLAN)
     assert v.e_model_j == pytest.approx(8.6137258, abs=1e-6)
-    assert abs(v.error_pct) < 0.05      # synthetic trace edges land on the grid
+    # synthetic trace edges land on the grid
+    assert v.e_model_j == pytest.approx(v.e_measured_j, rel=0.05e-2)
 
 
 def test_window_must_hold_the_session_after_its_lead():
     # 91 s active (65 s of blocks, 26 s of radio) after a 20 s lead
     t, p = simulate_power_trace(VALIDATION_PLAN, window_s=111.0)
     assert p[-1] == SLEEP_W and p[int(21.0 / 0.01)] > SLEEP_W
-    assert abs(validate_window(t, p, VALIDATION_PLAN).error_pct) < 0.1
+    v = validate_window(t, p, VALIDATION_PLAN)
+    assert v.e_model_j == pytest.approx(v.e_measured_j, rel=0.1e-2)
     with pytest.raises(ValueError, match="does not fit"):
         simulate_power_trace(VALIDATION_PLAN, window_s=110.0)
 

@@ -10,10 +10,8 @@ from shmtwin.presets import PAYLOAD_EPB_ROWS
 from shmtwin.radio import (
     DEFAULT_DISPERSION_SIGMA,
     EVENT_LOG_FIELDS,
-    PACKET_BYTES,
     CoverageClass,
     EnergyParams,
-    Packet,
     classify_coverage,
     deliver,
     epb_uj_per_bit,
@@ -51,20 +49,28 @@ def test_energy_params_validation():
 
 
 def test_packet_shapes():
-    assert packetize(np.arange(650, dtype=np.int16))[0].pad_samples == 0
-    assert len(packetize(np.arange(650, dtype=np.int16))) == 1
+    one = packetize(np.arange(650, dtype=np.int16))
+    assert len(one) == 1 and len(one[0].samples) == 650
     two = packetize(np.arange(651, dtype=np.int16))
-    assert len(two) == 2 and two[-1].pad_samples == 649
+    assert [len(p.samples) for p in two] == [650, 1]
     ten = packetize(np.arange(6000, dtype=np.int16), session_id=7)
-    assert len(ten) == 10
-    assert ten[-1].pad_samples == 500
-    assert all(len(p.payload) == PACKET_BYTES for p in ten)
+    assert [len(p.samples) for p in ten] == [650] * 9 + [150]
+    assert all(p.samples.dtype == np.int16 for p in ten)
     assert [p.seq for p in ten] == list(range(10))
     assert all(p.session_id == 7 for p in ten)
     with pytest.raises(ValueError):
         packetize(np.zeros(0, dtype=np.int16))
-    with pytest.raises(ValueError):
-        Packet(0, 0, b"\x00" * 12)
+
+
+def test_packets_are_read_only_views_of_their_own_copy():
+    x = np.arange(1950, dtype=np.int16)
+    pkts = packetize(x)
+    sink = deliver(pkts)
+    x[:] = -1  # the caller reuses its array
+    assert np.array_equal(reassemble(pkts), np.arange(1950))
+    assert np.array_equal(sink.samples, np.arange(1950))
+    with pytest.raises(ValueError, match="read-only"):
+        pkts[0].samples[0] = 7
 
 
 @settings(max_examples=120, deadline=None)

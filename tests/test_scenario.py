@@ -170,15 +170,18 @@ def test_out_of_domain_values_are_config_errors(text):
      "peak_g"),
     ("[signal-synth]\ntrigger_threshold_g = inf\n", "trigger_threshold_g"),
     ("[dsp-chain]\ncoeff_budget = 0\n", "coeff_budget"),
+    ("[signal-synth]\nsensitivity_v_per_g = 2\nevent_onset_s = 1\nevent_peak_g = 1e308\n"
+     "event_duration_s = 1\n", "event_peak_g"),
 ], ids=["no-peaks", "light-above-moderate", "zero-trigger", "atten-underflow",
         "ripple-underflow", "ripple-overflow", "event-peak-nan", "event-peak-inf",
-        "infinite-trigger", "zero-budget"])
+        "infinite-trigger", "zero-budget", "event-volts-overflow"])
 def test_stage_domains_are_checked_at_parse(text, field):
     # the modal and trigger stages would reject these only after the
     # front end had run; a design tolerance that underflows to 0, or a
     # ripple beyond a float, would fail the filter design with a bare
-    # math error; a non-finite event peak would fail only after the whole
-    # record's synthesis, and an infinite trigger threshold never fires
+    # math error; a non-finite event peak, or one the sensor turns into a
+    # non-finite voltage, would fail only after the whole record's
+    # synthesis, and an infinite trigger threshold never fires
     with pytest.raises(ConfigError, match=field):
         parse_scenario_text(MINIMAL + text)
 
@@ -383,20 +386,17 @@ def test_too_short_record_is_a_stage_error(tmp_path):
     assert exc.value.stage == "modal"
 
 
-# A non-finite event peak is rejected at parse, so these runs reach the
-# front end's finite-sample guard through an overflow instead: a finite peak
-# and a finite sensitivity whose product, the burst's crests as sensed
-# acceleration in volts, is infinite.
-_OVERFLOWING_EVENT = ("[signal-synth]\nsensitivity_v_per_g = 2\nevent_onset_s = {}\n"
-                      "event_peak_g = 1e308\nevent_duration_s = 1\n")
-
-
+# An event whose sensed peak is not a finite voltage is rejected at parse;
+# the front end's finite-sample guard still stands for the random draws.
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_non_finite_acceleration_is_a_synth_error(tmp_path):
-    text = _short_run_text(tmp_path, extra=_OVERFLOWING_EVENT.format(1))
+    # noise so loud that the sensed voltage overflows on some samples
+    text = _short_run_text(tmp_path, extra=("[signal-synth]\nsensitivity_v_per_g = 1e12\n"
+                                            "noise_density_ug_sqrthz = 1e300\n"))
     with pytest.raises(StageError) as exc:
         run_scenario(parse_scenario_text(text), write=False)
     assert exc.value.stage == "synth"
+    assert "not finite" in str(exc.value)
 
 
 def test_run_measures_the_chain_once(tmp_path, monkeypatch):
@@ -617,14 +617,22 @@ def test_concurrent_runs_under_a_short_switch_interval_equal_the_oracle(tmp_path
         assert r.trigger_sample == trig
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-def test_non_finite_block_late_in_the_record_is_a_synth_error(tmp_path):
-    text = _short_run_text(tmp_path, extra=_OVERFLOWING_EVENT.format(6))
-    assert 6 * 25600 >= 2 * scenario._BLOCK
+def test_non_finite_block_late_in_the_record_is_a_synth_error(tmp_path, monkeypatch):
+    real = scenario.apply_sensor
+    calls = []
+
+    def nan_on_third_block(*args, **kwargs):
+        calls.append(None)
+        volts = real(*args, **kwargs)
+        return np.full_like(volts, np.nan) if len(calls) == 3 else volts
+
+    monkeypatch.setattr(scenario, "apply_sensor", nan_on_third_block)
     threads = threading.active_count()
     with pytest.raises(StageError) as exc:
-        run_scenario(parse_scenario_text(text), write=False)
+        run_scenario(parse_scenario_text(_short_run_text(tmp_path)), write=False)
     assert exc.value.stage == "synth"
+    assert "not finite" in str(exc.value)
+    assert len(calls) >= 3
     assert threading.active_count() == threads
 
 

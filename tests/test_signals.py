@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import signal as sp_signal
 
-from shmtwin.decimator import run_chain
+from shmtwin.decimator import ChainState, run_chain
 from shmtwin.presets import STRUCTURES
 from shmtwin.signals import (
     _offset_tables,
@@ -297,5 +297,5 @@ def test_front_end_stages_leave_their_inputs_unchanged(default_chain):
     codes, _ = quantize(volts)
     assert np.array_equal(volts, volts_before)
     codes_before = codes.copy()
-    run_chain(codes, stages)
+    run_chain(codes, stages, AdcSpec(), SensorSpec(), ChainState(stages, len(codes)))
     assert np.array_equal(codes, codes_before)
