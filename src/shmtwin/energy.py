@@ -5,8 +5,8 @@ sleep.  Each session acquires t_acq seconds at the output rate, stores and
 uplinks the samples in 650-sample packets, then returns to sleep.  Session
 energy is billed from measured per-packet constants; sleep is a flat
 current floor.  Everything here is closed-form arithmetic, with a
-day-by-day battery decrement simulation and a power-trace integrator kept
-as independent cross-checks.
+session-by-session lifetime and a power-trace integrator kept as
+independent cross-checks.
 """
 
 from __future__ import annotations
@@ -194,9 +194,9 @@ def battery_life_days_sim(
     coverage: CoverageClass = CoverageClass.GOOD,
     params: EnergyParams = EnergyParams(),
 ) -> float:
-    """Day-by-day battery decrement, the day's sessions billed one by one
-    from the radio model.  Cross-check for the closed form, deliberately
-    not routed through energy_day."""
+    """Battery lifetime from a day billed session by session from the radio
+    model.  Cross-check for the closed form, deliberately not routed
+    through energy_day."""
     n = plan.n_packets
     t_active = plan.n_sessions_per_day * session_active_s(plan, coverage, params)
     if t_active > SECONDS_PER_DAY:
@@ -205,30 +205,7 @@ def battery_life_days_sim(
     for _ in range(plan.n_sessions_per_day):
         spent += session_energy_j(n, coverage, params)
         spent += n * (plan.k_acq * params.e_acq_1s_mj + params.e_sd_write_mj) * 1e-3
-    remaining = battery.usable_j
-    days = 0
-    while True:
-        if remaining < spent:
-            return days + remaining / spent
-        remaining -= spent
-        days += 1
-        if days > 200000:   # > 500 years; sleep floor makes this unreachable
-            raise RuntimeError("battery simulation did not terminate")
-
-
-def lifetime_curve(
-    t_acq_grid_s,
-    sessions_list,
-    battery: BatterySpec,
-) -> list[tuple[float, int, float]]:
-    """Rows (t_acq_s, n_sessions, lifetime_days) over a plan grid, in good
-    coverage with the measured constants."""
-    rows = []
-    for n_sess in sessions_list:
-        for t_acq in t_acq_grid_s:
-            plan = SessionPlan(n_sessions_per_day=n_sess, t_acq_s=float(t_acq))
-            rows.append((float(t_acq), int(n_sess), battery_life_days(plan, battery)))
-    return rows
+    return battery.usable_j / spent
 
 
 def energy_neutral(
@@ -236,11 +213,11 @@ def energy_neutral(
     h: HarvesterSpec,
     coverage: CoverageClass = CoverageClass.GOOD,
     params: EnergyParams = EnergyParams(),
-) -> tuple[bool, float]:
-    """(neutral flag, harvest/consumption ratio) for one day."""
+) -> float:
+    """Harvest over consumption for one day; the plan is energy-neutral
+    when this margin is at least 1."""
     e_day = energy_day(plan, coverage, params).e_day_j
-    margin = harvest_day_wh(h) * 3600.0 / e_day
-    return margin >= 1.0, margin
+    return harvest_day_wh(h) * 3600.0 / e_day
 
 
 # ---------------------------------------------------------------------------

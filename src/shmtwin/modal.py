@@ -10,6 +10,7 @@ damage verdict.
 from __future__ import annotations
 
 import enum
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -20,6 +21,25 @@ class Verdict(enum.Enum):
     NO_DAMAGE = "NO_DAMAGE"
     LIGHT = "LIGHT"
     MODERATE = "MODERATE"
+
+
+@dataclass(frozen=True)
+class ModalSpec:
+    """Peak picking and damage thresholds; each field is the scenario key
+    of the same name."""
+
+    max_peaks: int = 8
+    min_prominence: float = 10.0
+    light_shift_pct: float = 1.0
+    moderate_shift_pct: float = 10.0
+
+    def __post_init__(self):
+        if self.max_peaks < 1:
+            raise ValueError(f"max_peaks must be >= 1, got {self.max_peaks}")
+        if not 0.0 <= self.min_prominence < math.inf:
+            raise ValueError(f"min_prominence must be in [0, inf), got {self.min_prominence}")
+        if not 0.0 < self.light_shift_pct < self.moderate_shift_pct:
+            raise ValueError("need 0 < light_shift_pct < moderate_shift_pct")
 
 
 @dataclass(frozen=True)
@@ -154,28 +174,22 @@ def _under_skirt(mags: np.ndarray, spectrum: Spectrum, k: int, k_stronger: int) 
     return mags[k] < mags[k_stronger] * 10.0 ** (env_db / 20.0)
 
 
-def detect_peaks(
-    spectrum: Spectrum,
-    max_peaks: int = 8,
-    min_prominence: float = 10.0,
-) -> ModalEstimate:
-    """Pick at most max_peaks spectral peaks, refined to sub-bin frequency.
+def detect_peaks(spectrum: Spectrum, spec: ModalSpec = ModalSpec()) -> ModalEstimate:
+    """Pick at most spec.max_peaks spectral peaks, refined to sub-bin frequency.
 
-    A local maximum qualifies if its magnitude exceeds min_prominence times
-    the median spectral magnitude; the median is a robust stand-in for the
-    noise floor.  Because zero padding resolves the sidelobes of a strong
+    A local maximum qualifies if its magnitude exceeds spec.min_prominence
+    times the median spectral magnitude; the median is a robust stand-in for
+    the noise floor.  Because zero padding resolves the sidelobes of a strong
     tone into local maxima of their own, candidates are accepted strongest
     first and anything lying under the window-skirt envelope of an already
     accepted peak is discarded as a sidelobe.  Returned peaks are ordered
     by frequency and lie strictly inside (0, f_s/2).
     """
-    if max_peaks < 1:
-        raise ValueError("max_peaks must be >= 1")
     mags = spectrum.mags
     floor = float(np.median(mags))
     # second gate: 100 dB below the strongest bin; keeps FFT arithmetic
     # noise out of otherwise noiseless records
-    height = max(min_prominence * floor, float(np.max(mags)) * 1e-5)
+    height = max(spec.min_prominence * floor, float(np.max(mags)) * 1e-5)
     idx = _local_maxima(mags)
     idx = idx[mags[idx] >= height]
     # below ~3 resolution widths a record holds too few cycles to estimate,
@@ -189,12 +203,12 @@ def detect_peaks(
     for k in idx[np.argsort(mags[idx])[::-1]]:
         if all(not _under_skirt(mags, spectrum, int(k), ka) for ka in accepted):
             accepted.append(int(k))
-        if len(accepted) == max_peaks:
+        if len(accepted) == spec.max_peaks:
             break
 
     # local maxima lie at least two bins apart and refinement moves each by
-    # less than one, so bin order is frequency order
-    f_top = spectrum.freqs[-1]
+    # less than one, so bin order is frequency order; f_top is rfftfreq's last bin
+    f_top = (len(mags) - 1) * (1.0 / (spectrum.nfft * (1.0 / spectrum.f_s_hz)))
     freqs = (float(_parabolic_refine(mags, k) * spectrum.df_hz) for k in sorted(accepted))
     return ModalEstimate(peaks=tuple(f for f in freqs if 0.0 < f < f_top))
 
@@ -202,8 +216,7 @@ def detect_peaks(
 def compare_modes(
     baseline_hz: Sequence[float],
     current_hz: Sequence[float],
-    light_pct: float = 1.0,
-    moderate_pct: float = 10.0,
+    spec: ModalSpec = ModalSpec(),
 ) -> DamageReport:
     """Pair modes by nearest frequency (Hz) and classify the worst relative shift.
 
@@ -212,8 +225,6 @@ def compare_modes(
     mode.  Baseline modes with no candidate are reported missing and do not
     contribute a shift.
     """
-    if not 0.0 < light_pct < moderate_pct:
-        raise ValueError("need 0 < light_pct < moderate_pct")
     cur = list(current_hz)
     used = [False] * len(cur)
     shifts: list[ModeShift] = []
@@ -231,9 +242,9 @@ def compare_modes(
 
     worst = max((abs(s.shift_pct) for s in shifts if s.shift_pct is not None),
                 default=0.0)
-    if worst >= moderate_pct:
+    if worst >= spec.moderate_shift_pct:
         verdict = Verdict.MODERATE
-    elif worst >= light_pct:
+    elif worst >= spec.light_shift_pct:
         verdict = Verdict.LIGHT
     else:
         verdict = Verdict.NO_DAMAGE

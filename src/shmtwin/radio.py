@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -42,12 +42,13 @@ def classify_coverage(rssi_dbm: float) -> CoverageClass:
 
 # Session energy in BAD coverage measures 3.8x GOOD and 2.8x MEDIUM, which
 # pins MEDIUM at 3.8/2.8 of GOOD.
-_COVERAGE_MULT = {
+COVERAGE_MULT = {
     CoverageClass.GOOD: 1.0,
     CoverageClass.MEDIUM: 3.8 / 2.8,
     CoverageClass.BAD: 3.8,
 }
-_COVERAGE_ECL = {CoverageClass.GOOD: 0, CoverageClass.MEDIUM: 1, CoverageClass.BAD: 2}
+# Extended-coverage level: each packet's airtime repeats 2**ecl times.
+COVERAGE_ECL = {CoverageClass.GOOD: 0, CoverageClass.MEDIUM: 1, CoverageClass.BAD: 2}
 
 
 @dataclass(frozen=True)
@@ -69,25 +70,17 @@ class EnergyParams:
                                          # measured 91 s active split 65 + 26
 
     def __post_init__(self):
-        for name in ("e_acq_1s_mj", "e_sd_write_mj", "e_connect_first_tx_mj",
-                     "e_packet_tx_mj", "e_session_tail_mj", "i_sleep_ua",
-                     "v_supply_v", "t_connect_s", "t_packet_s"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        for f in fields(self):
+            if getattr(self, f.name) <= 0:
+                raise ValueError(f"{f.name} must be positive")
 
     @property
     def sleep_power_w(self) -> float:
         return self.v_supply_v * self.i_sleep_ua * 1e-6
 
-    def coverage_multiplier(self, coverage: CoverageClass) -> float:
-        return _COVERAGE_MULT[coverage]
-
-    def ecl(self, coverage: CoverageClass) -> int:
-        return _COVERAGE_ECL[coverage]
-
     def radio_window_s(self, n_packets: int, coverage: CoverageClass) -> float:
         """Connect time plus n packets of airtime, each repeated 2**ecl times."""
-        return self.t_connect_s + n_packets * self.t_packet_s * 2 ** self.ecl(coverage)
+        return self.t_connect_s + n_packets * self.t_packet_s * 2 ** COVERAGE_ECL[coverage]
 
 
 def epb_uj_per_bit(payload_bytes: int, energy_j: float) -> float:
@@ -181,7 +174,7 @@ def uplink_session(
         raise ValueError("a session needs at least one packet")
     if mode not in ("deterministic", "stochastic"):
         raise ValueError(f"unknown mode {mode!r}")
-    mult = params.coverage_multiplier(coverage)
+    mult = COVERAGE_MULT[coverage]
 
     means_mj = [params.e_connect_first_tx_mj]
     means_mj += [params.e_packet_tx_mj] * (len(packets) - 1)
@@ -212,7 +205,7 @@ def session_energy_j(
         raise ValueError("packet count cannot be negative")
     if n_packets == 0:
         return 0.0
-    mult = params.coverage_multiplier(coverage)
+    mult = COVERAGE_MULT[coverage]
     mj = (params.e_connect_first_tx_mj + params.e_session_tail_mj
           + (n_packets - 1) * params.e_packet_tx_mj)
     return mult * mj * 1e-3

@@ -20,16 +20,17 @@ from .energy import (
     DAYS_PER_YEAR,
     LS336000,
     VL34570,
+    SessionPlan,
     battery_life_days,
     energy_acquisition_j,
     energy_day,
     energy_neutral,
     harvest_day_wh,
-    lifetime_curve,
     simulate_power_trace,
     validate_window,
 )
 from .radio import (
+    COVERAGE_MULT,
     DEFAULT_DISPERSION_SIGMA,
     CoverageClass,
     EnergyParams,
@@ -137,8 +138,9 @@ def repro_table5(outdir=None, seed: int = 0) -> list[ReproRow]:
 
 def repro_fig5(outdir=None) -> list[ReproRow]:
     """Lifetime curves plus the two headline points read off them."""
-    curve = lifetime_curve(presets.LIFETIME_TACQ_GRID_S,
-                           presets.LIFETIME_SESSION_COUNTS, LS336000)
+    curve = [(t_acq, n_sess, battery_life_days(SessionPlan(n_sess, t_acq), LS336000))
+             for n_sess in presets.LIFETIME_SESSION_COUNTS
+             for t_acq in presets.LIFETIME_TACQ_GRID_S]
     if outdir is not None:
         write_csv_rows(Path(outdir) / "fig5_curve.csv",
                        ("t_acq_s", "n_sessions", "lifetime_days"), curve)
@@ -161,9 +163,8 @@ def repro_fig5(outdir=None) -> list[ReproRow]:
 
 def repro_fig3_classes(outdir=None) -> list[ReproRow]:
     """Coverage-class energy ratios and the good-coverage dispersion."""
-    p = EnergyParams()
-    mult_bad = p.coverage_multiplier(CoverageClass.BAD)
-    mult_med = p.coverage_multiplier(CoverageClass.MEDIUM)
+    mult_bad = COVERAGE_MULT[CoverageClass.BAD]
+    mult_med = COVERAGE_MULT[CoverageClass.MEDIUM]
     good_1300 = dict((b, e) for b, e, _ in presets.PAYLOAD_EPB_ROWS)[1300]
 
     rng = np.random.default_rng(0)
@@ -252,7 +253,7 @@ def repro_damage(outdir=None) -> list[ReproRow]:
 def repro_harvest(outdir=None) -> list[ReproRow]:
     """Daily panel harvest, and its margin (neutral at 1) over the 6 x 60 s plan."""
     panel = presets.DEFAULT_HARVESTER
-    _, margin = energy_neutral(presets.TABLE3_PLAN, panel)
+    margin = energy_neutral(presets.TABLE3_PLAN, panel)
     return [_abs_row("harvest_day_wh", presets.HARVEST_DAY_WH, harvest_day_wh(panel), 0.0),
             _floor_row("neutral_margin", presets.HARVEST_MIN_MARGIN, margin)]
 

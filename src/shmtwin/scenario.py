@@ -20,7 +20,6 @@ from __future__ import annotations
 import configparser
 import contextlib
 import functools
-import inspect
 import math
 import typing
 from concurrent.futures import ThreadPoolExecutor
@@ -50,6 +49,7 @@ from .energy import (
 from .modal import (
     DamageReport,
     ModalEstimate,
+    ModalSpec,
     compare_modes,
     compute_spectrum,
     detect_peaks,
@@ -104,19 +104,15 @@ def stage(name: str):
         raise StageError(name, e) from e
 
 
-def _default(fn, name: str):
-    """The default that function ``fn`` gives its parameter ``name``."""
-    return inspect.signature(fn).parameters[name].default
-
-
 @dataclass(frozen=True)
 class Scenario:
     """One configured run of the node.
 
     A field a scenario file leaves out keeps its default here, and each of
-    those defaults is the one its owner gives: the spec dataclasses, or the
-    modal functions for their parameters.  The scenario's own choices are
-    the dwell excitation, the NO_DAMAGE structure and a 180 s record.
+    those defaults is the one its spec dataclass gives.  The scenario's own
+    choices are the dwell excitation, the NO_DAMAGE structure and a 180 s
+    record.  The three copies of the sample rate must agree: ``adc.f_os_hz``
+    is ``decimator.f_in_hz``, and ``decimator.f_out_hz`` is ``plan.f_s_hz``.
     """
 
     label: str
@@ -128,11 +124,7 @@ class Scenario:
     sensor: SensorSpec = SensorSpec()
     adc: AdcSpec = AdcSpec()
     decimator: DecimatorSpec = DecimatorSpec()
-    max_peaks: int = _default(detect_peaks, "max_peaks")
-    min_prominence: float = _default(detect_peaks, "min_prominence")
-    light_shift_pct: float = _default(compare_modes, "light_pct")
-    moderate_shift_pct: float = _default(compare_modes, "moderate_pct")
-    rssi_dbm: float | None = None
+    modal: ModalSpec = ModalSpec()
     coverage: CoverageClass = CoverageClass.GOOD
     uplink_mode: str = "deterministic"
     loss_prob: float = 0.0
@@ -149,13 +141,6 @@ class Scenario:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.loss_prob < 1.0:
             raise ConfigError(f"loss_prob must be in [0, 1), got {self.loss_prob}")
-        # the stages that use these check them only after the front end ran
-        if self.max_peaks < 1:
-            raise ConfigError(f"max_peaks must be >= 1, got {self.max_peaks}")
-        if not 0.0 <= self.min_prominence < math.inf:
-            raise ConfigError(f"min_prominence must be in [0, inf), got {self.min_prominence}")
-        if not 0.0 < self.light_shift_pct < self.moderate_shift_pct:
-            raise ConfigError("need 0 < light_shift_pct < moderate_shift_pct")
         if self.trigger_threshold_g is not None and not 0 < self.trigger_threshold_g < math.inf:
             raise ConfigError("trigger_threshold_g must be in (0, inf), "
                               f"got {self.trigger_threshold_g}")
@@ -163,12 +148,15 @@ class Scenario:
             energy_day(self.plan, self.coverage)
         except ValueError as e:
             raise ConfigError(str(e)) from e
-        f_os = self.adc.f_os_hz
+        f_os, dec = self.adc.f_os_hz, self.decimator
+        if dec.f_in_hz != f_os or self.plan.f_s_hz != dec.f_out_hz:
+            raise ConfigError(f"sample rates disagree: ADC {f_os!r} Hz, decimator {dec.f_in_hz!r}"
+                              f" -> {dec.f_out_hz!r} Hz, plan {self.plan.f_s_hz!r} Hz")
         n_in = round(self.plan.t_acq_s * f_os)
         # the plan bills round(t_acq_s * f_s) samples, the chain emits
         # ceil(n_in / total_decim), and the two may fall either side of a
         # packet boundary
-        n_out = -(-n_in // self.decimator.total_decim)
+        n_out = -(-n_in // dec.total_decim)
         n_pkt = -(-n_out // SAMPLES_PER_PACKET)
         if n_pkt != self.plan.n_packets:
             raise ConfigError(f"t_acq_s = {self.plan.t_acq_s!r} bills {self.plan.n_packets} "
@@ -217,14 +205,14 @@ _TABLE: dict[str, dict[str, str]] = {
         "coeff_budget": "decimator.coeff_budget",
     },
     "modal-analysis": {
-        "max_peaks": "max_peaks",
-        "min_prominence": "min_prominence",
-        "light_shift_pct": "light_shift_pct",
-        "moderate_shift_pct": "moderate_shift_pct",
+        "max_peaks": "modal.max_peaks",
+        "min_prominence": "modal.min_prominence",
+        "light_shift_pct": "modal.light_shift_pct",
+        "moderate_shift_pct": "modal.moderate_shift_pct",
     },
     "nbiot-sim": {
         "coverage": "coverage",
-        "rssi_dbm": "rssi_dbm",
+        "rssi_dbm": "coverage",
         "mode": "uplink_mode",
         "loss_prob": "loss_prob",
     },
@@ -262,9 +250,11 @@ def _leaf_type(path: str) -> type:
     return t
 
 
-# Every other key converts with the type of its field.
+# Every other key converts with the type of its field, save the RSSI, which
+# converts to the coverage class it falls in.
 _TYPES = {key: _leaf_type(path) for keys in _TABLE.values()
           for key, path in keys.items() if key not in _NAMES}
+_TYPES["rssi_dbm"] = lambda raw: classify_coverage(float(raw))
 
 
 def _convert(key: str, raw: str):
@@ -311,20 +301,18 @@ def parse_scenario_text(text: str) -> Scenario:
             except ValueError as e:
                 raise ConfigError(f"bad value for {key} in [{section}]: {e}") from e
             owner, _, name = path.rpartition(".")
-            given.setdefault(owner, {})[name] = value
+            if name in given.setdefault(owner, {}):  # two keys set the coverage
+                raise ConfigError("give coverage or rssi_dbm, not both")
+            given[owner][name] = value
     top = given.pop("")
     if "seed" not in top:
         raise ConfigError("missing required key 'seed' in [scenario]")
 
     if len(given.get("event", ())) not in (0, 3):
         raise ConfigError("event needs all of event_onset_s, event_peak_g, event_duration_s")
-    if "coverage" in top and "rssi_dbm" in top:
-        raise ConfigError("give coverage or rssi_dbm, not both")
     label = top.get("label") or top.get("structure", Scenario.structure).label
     top.update(label=label, outputs=top.get("outputs") or f"runs/{label.lower()}")
     try:
-        if "rssi_dbm" in top:
-            top["coverage"] = classify_coverage(top["rssi_dbm"])
         f_os = given.get("adc", {}).get("f_os_hz", Scenario.adc.f_os_hz)
         top["decimator"] = replace(Scenario.decimator, f_in_hz=f_os,
                                    **given.pop("decimator", {}))
@@ -351,8 +339,8 @@ def serialize_scenario(s: Scenario) -> str:
     for section, keys in _TABLE.items():
         lines = [f"[{section}]"]
         for key, path in keys.items():
-            if key == "coverage" and s.rssi_dbm is not None:
-                continue  # the RSSI sets the class
+            if key == "rssi_dbm":
+                continue  # the class it sets is written
             value = _get(s, path)
             if key in _NAMES:
                 value = _name_of(key, value)
@@ -477,18 +465,15 @@ def run_scenario(s: Scenario, write: bool = True) -> RunResult:
 
     with stage("modal"):
         spectrum = compute_spectrum(sink.samples, f_s_hz=s.decimator.f_out_hz)
-        estimate = detect_peaks(spectrum, max_peaks=s.max_peaks,
-                                min_prominence=s.min_prominence)
-        report = compare_modes(s.baseline.mode_freqs(), estimate.peaks,
-                               light_pct=s.light_shift_pct,
-                               moderate_pct=s.moderate_shift_pct)
+        estimate = detect_peaks(spectrum, s.modal)
+        report = compare_modes(s.baseline.mode_freqs(), estimate.peaks, s.modal)
 
     with stage("energy"):
         breakdown = energy_day(s.plan, s.coverage, params)
         life = battery_life_days(s.plan, s.battery, s.coverage, params)
         margin = None
         if s.harvester is not None:
-            _, margin = energy_neutral(s.plan, s.harvester, s.coverage, params)
+            margin = energy_neutral(s.plan, s.harvester, s.coverage, params)
 
     result = RunResult(
         scenario=s, filter_report=filt_report, samples_out=samples,

@@ -25,3 +25,24 @@ def test_no_definition_is_kept_alive_by_its_tests():
     unread = sorted(name for name, n_defs in defined.items()
                     if len(re.findall(rf"\b{re.escape(name)}\b", text)) <= n_defs)
     assert unread == []
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names a module imports and never reads; ``__future__`` imports excluded."""
+    tree = ast.parse(source)
+    imported = {(alias.asname or alias.name).split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - read)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # perfbench is left out: only a change to the benchmark may edit it
+    modules = (sorted((ROOT / "src" / "shmtwin").glob("*.py"))
+               + sorted((ROOT / "tests").glob("*.py")))
+    unused = {p.name: names for p in modules
+              if (names := _unused_imports(p.read_text(encoding="utf-8")))}
+    assert unused == {}

@@ -27,6 +27,7 @@ from shmtwin.energy import (
 )
 from shmtwin.presets import (
     DEFAULT_HARVESTER,
+    DRAIN_PLAN,
     TABLE3_PLAN,
     TEN_YEAR_PLAN,
     VALIDATION_PLAN,
@@ -128,13 +129,18 @@ def test_lifetime_monotone_in_load():
 
 
 def test_sim_agrees_with_closed_form():
+    # the two billing paths agree to rounding, so a drift of either shows
     plans = [SessionPlan(n_sessions_per_day=n, t_acq_s=t)
-             for n in (1, 2, 3, 4, 5) for t in (30.0, 60.0, 300.0, 900.0)]
+             for n in (0, 1, 2, 3, 4, 5, 6) for t in (30.0, 60.0, 300.0, 900.0, 1200.0)]
+    plans += [TABLE3_PLAN, TEN_YEAR_PLAN, DRAIN_PLAN, VALIDATION_PLAN]
     assert len(plans) >= 20
     for plan in plans:
-        closed = battery_life_days(plan, VL34570)
-        sim = battery_life_days_sim(plan, VL34570)
-        assert abs(sim - closed) / closed < 0.01, plan
+        for coverage in CoverageClass:
+            # the last cell outlives any day count a loop could reach
+            for cell in (LS336000, VL34570, BatterySpec("big", 5e6)):
+                closed = battery_life_days(plan, cell, coverage)
+                sim = battery_life_days_sim(plan, cell, coverage)
+                assert sim == pytest.approx(closed, rel=1e-12), (plan, coverage, cell)
 
 
 def test_sim_bills_the_day_once(monkeypatch):
@@ -184,12 +190,10 @@ def test_sim_bad_coverage_shortens_life():
 
 
 def test_energy_neutrality():
-    neutral, margin = energy_neutral(TABLE3_PLAN, DEFAULT_HARVESTER)
-    assert neutral and margin == pytest.approx(187.3, rel=0.01)
-    neutral, margin = energy_neutral(TABLE3_PLAN, HarvesterSpec(sun_hours=0.0))
-    assert not neutral and margin == 0.0
-    neutral, margin = energy_neutral(TABLE3_PLAN, HarvesterSpec(area_cm2=72.0 / 200))
-    assert not neutral and margin < 1.0
+    # neutral is a margin of at least 1
+    assert energy_neutral(TABLE3_PLAN, DEFAULT_HARVESTER) == pytest.approx(187.3, rel=0.01)
+    assert energy_neutral(TABLE3_PLAN, HarvesterSpec(sun_hours=0.0)) == 0.0
+    assert energy_neutral(TABLE3_PLAN, HarvesterSpec(area_cm2=72.0 / 200)) < 1.0
 
 
 def test_window_model_value():

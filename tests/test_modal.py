@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from shmtwin.modal import (
+    ModalSpec,
     Verdict,
     compare_modes,
     compute_spectrum,
@@ -39,7 +40,7 @@ def test_peak_refinement_subbin_accuracy():
     rng = np.random.default_rng(7)
     for f0 in rng.uniform(1.0, 45.0, size=8):
         spec = compute_spectrum(_tone([f0]), f_s_hz=FS)
-        est = detect_peaks(spec, max_peaks=1)
+        est = detect_peaks(spec, ModalSpec(max_peaks=1))
         assert len(est.peaks) == 1
         err_pct = abs(est.peaks[0] - f0) / f0 * 100.0
         assert err_pct < 0.02, f"{f0:.4f} Hz off by {err_pct:.4f}%"
@@ -47,7 +48,7 @@ def test_peak_refinement_subbin_accuracy():
 
 def test_two_equal_tones_both_found():
     spec = compute_spectrum(_tone([8.0, 21.0]), f_s_hz=FS)
-    est = detect_peaks(spec, max_peaks=2)
+    est = detect_peaks(spec, ModalSpec(max_peaks=2))
     got = sorted(est.peaks)
     assert abs(got[0] - 8.0) < 0.05 and abs(got[1] - 21.0) < 0.05
 
@@ -55,7 +56,7 @@ def test_two_equal_tones_both_found():
 def test_close_pair_resolved():
     # 0.3 Hz apart, 180 s record: separation is ~54 half-bins of resolution
     spec = compute_spectrum(_tone([8.0, 8.3]), f_s_hz=FS)
-    est = detect_peaks(spec, max_peaks=2)
+    est = detect_peaks(spec, ModalSpec(max_peaks=2))
     got = sorted(est.peaks)
     assert len(got) == 2
     assert abs(got[0] - 8.0) < 0.05 and abs(got[1] - 8.3) < 0.05
@@ -63,15 +64,15 @@ def test_close_pair_resolved():
 
 def test_scale_invariant_frequencies():
     x = _tone([5.0, 17.0])
-    f1 = detect_peaks(compute_spectrum(x, f_s_hz=FS), max_peaks=2).peaks
-    f2 = detect_peaks(compute_spectrum(250.0 * x, f_s_hz=FS), max_peaks=2).peaks
+    f1 = detect_peaks(compute_spectrum(x, f_s_hz=FS), ModalSpec(max_peaks=2)).peaks
+    f2 = detect_peaks(compute_spectrum(250.0 * x, f_s_hz=FS), ModalSpec(max_peaks=2)).peaks
     assert np.allclose(f1, f2, atol=1e-12)
 
 
 def test_flat_noise_yields_no_confident_peaks():
     rng = np.random.default_rng(3)
     spec = compute_spectrum(rng.standard_normal(8192), f_s_hz=FS)
-    est = detect_peaks(spec, max_peaks=8, min_prominence=10.0)
+    est = detect_peaks(spec, ModalSpec(max_peaks=8, min_prominence=10.0))
     assert len(est.peaks) <= 1     # nothing in white noise clears a 10x floor by right
 
 

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from shmtwin.presets import PAYLOAD_EPB_ROWS
 from shmtwin.radio import (
+    COVERAGE_ECL,
+    COVERAGE_MULT,
     DEFAULT_DISPERSION_SIGMA,
     EVENT_LOG_FIELDS,
     CoverageClass,
@@ -44,8 +46,8 @@ def test_energy_params_validation():
         EnergyParams(i_sleep_ua=-1.0)
     p = EnergyParams()
     assert p.sleep_power_w == pytest.approx(34e-6 * 3.3)
-    assert p.coverage_multiplier(CoverageClass.BAD) == 3.8
-    assert p.ecl(CoverageClass.MEDIUM) == 1
+    assert COVERAGE_MULT[CoverageClass.BAD] == 3.8
+    assert COVERAGE_ECL[CoverageClass.MEDIUM] == 1
 
 
 def test_packet_shapes():

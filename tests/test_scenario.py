@@ -1,5 +1,4 @@
 import hashlib
-import inspect
 import sys
 import tempfile
 import threading
@@ -16,7 +15,7 @@ from hypothesis import strategies as st
 from shmtwin import decimator, presets, scenario
 from shmtwin.decimator import ChainState, DecimatorSpec, design_decimator, run_chain
 from shmtwin.energy import LS336000, SessionPlan
-from shmtwin.modal import Verdict, compare_modes, detect_peaks
+from shmtwin.modal import ModalSpec, Verdict
 from shmtwin.radio import CoverageClass, session_energy_j
 from shmtwin.signals import (
     AdcSpec,
@@ -122,15 +121,8 @@ def test_bare_seed_gets_the_owners_defaults():
     assert s.decimator == DecimatorSpec()
     assert s.plan == SessionPlan(t_acq_s=180.0, f_s_hz=DecimatorSpec().f_out_hz)
     assert s.battery == LS336000
-    assert (s.harvester, s.event, s.rssi_dbm, s.trigger_threshold_g) == (None,) * 4
-
-    def default(fn, name):
-        return inspect.signature(fn).parameters[name].default
-
-    assert s.max_peaks == default(detect_peaks, "max_peaks")
-    assert s.min_prominence == default(detect_peaks, "min_prominence")
-    assert s.light_shift_pct == default(compare_modes, "light_pct")
-    assert s.moderate_shift_pct == default(compare_modes, "moderate_pct")
+    assert (s.harvester, s.event, s.trigger_threshold_g) == (None,) * 3
+    assert s.modal == ModalSpec()
 
 
 @pytest.mark.parametrize("text", [
@@ -184,6 +176,17 @@ def test_stage_domains_are_checked_at_parse(text, field):
     # synthesis, and an infinite trigger threshold never fires
     with pytest.raises(ConfigError, match=field):
         parse_scenario_text(MINIMAL + text)
+
+
+@pytest.mark.parametrize("change", [
+    lambda s: replace(s, decimator=replace(s.decimator, f_in_hz=51200.0)),
+    lambda s: replace(s, adc=AdcSpec(f_os_hz=12800.0)),
+    lambda s: replace(s, decimator=replace(s.decimator, total_decim=128)),
+], ids=["decimator-input", "adc", "decimator-output"])
+def test_a_scenario_whose_rates_disagree_is_a_config_error(change):
+    # the parser sets every copy of the rate; a scenario built in Python may not
+    with pytest.raises(ConfigError, match="sample rates disagree"):
+        change(parse_scenario_text(MINIMAL))
 
 
 def test_plan_longer_than_a_day_is_a_config_error():
