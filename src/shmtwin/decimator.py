@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .seriesio import write_text
 from .signals import AdcSpec, SensorSpec, apply_sensor, quantize
 
 
@@ -608,5 +609,4 @@ def save_stages(path, stages: Sequence[FilterStage]) -> None:
         lines.append(f"taps {st.n_taps}")
         lines.extend(repr(float(c)) for c in st.coeffs)
         lines.append("")
-    with open(path, "w") as f:
-        f.write("\n".join(lines))
+    write_text(path, "\n".join(lines))

@@ -80,7 +80,7 @@ from .signals import (
     synth_structure_response,
     trigger_index,
 )
-from .seriesio import write_csv_columns, write_csv_rows
+from .seriesio import write_csv_rows, write_npy_columns, write_text
 
 
 class ConfigError(Exception):
@@ -492,7 +492,7 @@ def _write_bundle(r: RunResult, spectrum, n_sat: int) -> None:
     out = r.outputs
     out.mkdir(parents=True, exist_ok=True)
 
-    write_csv_columns(out / "spectrum.csv",
+    write_npy_columns(out / "spectrum.npy",
                       {"freq_hz": spectrum.freqs, "magnitude": spectrum.mags})
 
     write_event_log(out / "uplink.csv", event_rows(r.uplink, sink=r.sink))
@@ -545,5 +545,4 @@ def _write_bundle(r: RunResult, spectrum, n_sat: int) -> None:
         summary.append(("harvest_margin_ratio", r.margin))
     write_csv_rows(out / "summary.csv", ("metric", "value"), summary)
 
-    with open(out / "verdict.txt", "w", encoding="utf-8") as f:
-        f.write(verdict_line(r.report) + "\n")
+    write_text(out / "verdict.txt", verdict_line(r.report) + "\n")

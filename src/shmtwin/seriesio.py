@@ -1,10 +1,14 @@
-"""CSV files: every file the program writes goes through one of two writers.
+"""Output files: every file the program writes goes through one of four writers.
 
-Both write dot-decimal UTF-8 with a header row, each float written with
-repr so it reads back exactly.  ``write_csv_columns`` writes equal-length
-numeric columns with CRLF line endings (the spectrum and the uplink event
+The CSV writers write dot-decimal UTF-8 with a header row, each float
+written with repr so it reads back exactly.  ``write_csv_columns`` writes
+equal-length numeric columns with CRLF line endings (the uplink event
 log); ``write_csv_rows`` writes rows of mixed values with LF line endings
 (the energy and summary tables and the reproduction reports).
+``write_npy_columns`` writes equal-length float columns as one structured
+little-endian ``.npy`` array, one ``<f8`` field per column, bit for bit
+(the spectrum).  ``write_text`` writes text as UTF-8 with LF line endings
+(the verdict and the filter stages).
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import numpy as np
 _BLOCK_ROWS = 4096
 
 
-def write_csv_columns(path, columns: dict[str, np.ndarray]) -> None:
+def _equal_length(columns: dict[str, np.ndarray]) -> tuple[dict[str, np.ndarray], int]:
     if not columns:
         raise ValueError("need at least one column")
     arrays = {k: np.asarray(v) for k, v in columns.items()}
@@ -24,10 +28,15 @@ def write_csv_columns(path, columns: dict[str, np.ndarray]) -> None:
     if len(sizes) != 1:
         raise ValueError("columns must have equal length")
     (n,) = sizes
+    return arrays, n
+
+
+def write_csv_columns(path, columns: dict[str, np.ndarray]) -> None:
+    arrays, n = _equal_length(columns)
     with open(path, "w", newline="", encoding="utf-8") as f:
         csv.writer(f).writerow(arrays.keys())
         # Python floats are converted one block at a time, so a long
-        # spectrum never holds a second full-size copy of its columns.
+        # column never holds a second full-size copy of its values.
         # ``%r`` formats a float or an int as repr does.
         row = ",".join(["%r"] * len(arrays)) + "\r\n"
         for i in range(0, n, _BLOCK_ROWS):
@@ -35,8 +44,24 @@ def write_csv_columns(path, columns: dict[str, np.ndarray]) -> None:
             f.writelines(map(row.__mod__, rows))
 
 
+def write_npy_columns(path, columns: dict[str, np.ndarray]) -> None:
+    """Columns as one structured array whose field names are the column names."""
+    arrays, n = _equal_length(columns)
+    rec = np.empty(n, dtype=[(k, "<f8") for k in arrays])
+    for k, a in arrays.items():
+        rec[k] = a
+    # a file object, so that ``path`` is the name written, suffix or not
+    with open(path, "wb") as f:
+        np.save(f, rec, allow_pickle=False)
+
+
 def write_csv_rows(path, header, rows) -> None:
     """A header and rows of any values: floats as repr, the rest as str."""
     with open(path, "w", newline="", encoding="utf-8") as f:
         for row in (header, *rows):
             f.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+
+
+def write_text(path, text: str) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        f.write(text)

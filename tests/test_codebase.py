@@ -46,3 +46,31 @@ def test_no_module_imports_a_name_it_never_uses():
     unused = {p.name: names for p in modules
               if (names := _unused_imports(p.read_text(encoding="utf-8")))}
     assert unused == {}
+
+
+def _file_writes(source: str) -> list[int]:
+    """Lines that call ``open`` with a mode that writes, or numpy's ``save`` family."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if isinstance(f, ast.Name) and f.id == "open":
+            mode = node.args[1] if len(node.args) > 1 else next(
+                (kw.value for kw in node.keywords if kw.arg == "mode"), None)
+            # a mode that is not a literal may write
+            if mode is not None and not (isinstance(mode, ast.Constant)
+                                         and set(str(mode.value)).isdisjoint("wax+")):
+                lines.append(node.lineno)
+        elif (isinstance(f, ast.Attribute) and f.attr.startswith("save")
+              and isinstance(f.value, ast.Name) and f.value.id in ("np", "numpy")):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_every_output_file_is_written_by_seriesio():
+    # perfbench is left out: only a change to the benchmark may edit it
+    writers = {p.name: lines for p in sorted((ROOT / "src" / "shmtwin").glob("*.py"))
+               if p.name != "seriesio.py"
+               and (lines := _file_writes(p.read_text(encoding="utf-8")))}
+    assert writers == {}

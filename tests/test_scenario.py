@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from shmtwin import decimator, presets, scenario
 from shmtwin.decimator import ChainState, DecimatorSpec, design_decimator, run_chain
 from shmtwin.energy import LS336000, SessionPlan
-from shmtwin.modal import ModalSpec, Verdict
+from shmtwin.modal import ModalSpec, Verdict, compute_spectrum
 from shmtwin.radio import CoverageClass, session_energy_j
 from shmtwin.signals import (
     AdcSpec,
@@ -373,12 +373,47 @@ def test_run_writes_stable_bundle(tmp_path):
     r = run_scenario(s)
     out = r.outputs
     names = sorted(p.name for p in out.iterdir())
-    assert names == ["energy.csv", "spectrum.csv", "summary.csv",
+    assert names == ["energy.csv", "spectrum.npy", "summary.csv",
                      "uplink.csv", "verdict.txt"]
     first = _dir_digest(out)
     run_scenario(s)
     assert _dir_digest(out) == first          # byte-identical rerun
     assert "verdict=NO_DAMAGE" in (out / "verdict.txt").read_text()
+
+
+def test_bundle_holds_the_spectrum_the_peaks_were_picked_from(tmp_path):
+    s = parse_scenario_text(_short_run_text(tmp_path))
+    r = run_scenario(s)
+    rec = np.load(r.outputs / "spectrum.npy", allow_pickle=False)
+    spectrum = compute_spectrum(r.sink.samples, f_s_hz=s.decimator.f_out_hz)
+    assert rec.dtype.names == ("freq_hz", "magnitude")
+    assert np.array_equal(rec["freq_hz"], spectrum.freqs)
+    assert np.array_equal(rec["magnitude"], spectrum.mags)
+
+
+def _bundle(tmp_path, name, extra="") -> dict[str, bytes]:
+    text = _short_run_text(tmp_path / name, extra=extra)
+    out = run_scenario(parse_scenario_text(text)).outputs
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+def test_harvester_adds_only_the_harvest_rows(tmp_path):
+    # the text ends inside [energy-model], so the key lands there
+    plain = _bundle(tmp_path, "plain")
+    harvested = _bundle(tmp_path, "harvested", extra="harvester = default\n")
+    assert plain.keys() == harvested.keys()
+    for name in ("energy.csv", "summary.csv"):
+        lines = harvested.pop(name).decode().splitlines(keepends=True)
+        added = [ln for ln in lines if ln.startswith("harvest_margin_ratio,")]
+        assert len(added) == 1
+        kept = [ln for ln in lines if ln not in added]
+        assert kept == plain.pop(name).decode().splitlines(keepends=True)
+    assert harvested == plain
+
+
+def test_lossless_nbiot_section_changes_nothing(tmp_path):
+    assert (_bundle(tmp_path, "lossless", extra="[nbiot-sim]\nloss_prob = 0\n")
+            == _bundle(tmp_path, "plain"))
 
 
 def test_too_short_record_is_a_stage_error(tmp_path):

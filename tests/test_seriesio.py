@@ -1,3 +1,4 @@
+import struct
 import tempfile
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from shmtwin.seriesio import write_csv_columns, write_csv_rows
+from shmtwin.seriesio import write_csv_columns, write_csv_rows, write_npy_columns
 
 
 def test_csv_columns_exact_round_trip(tmp_path):
@@ -54,3 +55,47 @@ def test_csv_rows_are_the_repr_of_each_value(rows):
     assert data == expected.encode()
     # floats as repr, ints and text as str, LF line endings
     assert mixed == ("x,n,s\n" + "".join(f"{x!r},{n},{s}\n" for x, n, s in rows)).encode()
+
+
+def test_npy_columns_exact_bytes(tmp_path):
+    # a numpy whose .npy header differs fails here, not only as bundle digests
+    path = tmp_path / "cols.npy"
+    write_npy_columns(path, {"freq_hz": np.array([0.0, 0.5, 1.0]),
+                             "magnitude": np.array([1e-12, 0.25, 3.0000000000000004])})
+    header = (b"{'descr': [('freq_hz', '<f8'), ('magnitude', '<f8')], "
+              b"'fortran_order': False, 'shape': (3,), }")
+    assert path.read_bytes() == (
+        b"\x93NUMPY\x01\x00v\x00" + header + b" " * 23 + b"\n"
+        + struct.pack("<6d", 0.0, 1e-12, 0.5, 0.25, 1.0, 3.0000000000000004))
+
+
+def test_npy_columns_keep_names_and_order(tmp_path):
+    path = tmp_path / "cols.npy"
+    write_npy_columns(path, {"z": [1.0, 2.0], "a": np.array([3.0, 4.0]), "m": (5.0, 6.0)})
+    rec = np.load(path, allow_pickle=False)
+    assert rec.dtype.names == ("z", "a", "m")
+    assert [rec.dtype[k] for k in rec.dtype.names] == [np.dtype("<f8")] * 3
+    assert not rec.dtype.hasobject
+    assert rec["a"].tolist() == [3.0, 4.0]
+
+
+def test_npy_columns_rejects_bad_input(tmp_path):
+    with pytest.raises(ValueError):
+        write_npy_columns(tmp_path / "x.npy", {})
+    with pytest.raises(ValueError):
+        write_npy_columns(tmp_path / "x.npy",
+                          {"a": np.zeros(3), "b": np.zeros(4)})
+
+
+@given(st.lists(st.tuples(st.floats(), st.floats()), max_size=5000))
+def test_npy_columns_round_trip_every_bit(rows):
+    # st.floats() draws NaN, ±inf, -0.0 and subnormals, so compare bit patterns
+    cols = {"freq_hz": np.array([r[0] for r in rows], dtype=float),
+            "magnitude": np.array([r[1] for r in rows], dtype=float)}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cols.npy"
+        write_npy_columns(path, cols)
+        rec = np.load(path, allow_pickle=False)
+    assert rec.dtype.names == tuple(cols)
+    for k, a in cols.items():
+        assert np.array_equal(rec[k].view(np.uint64), a.view(np.uint64))
