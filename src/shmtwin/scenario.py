@@ -374,25 +374,27 @@ class RunResult:
 
 
 # Input samples per block of the streamed front end.  Each block pays a
-# hand-off between the pipeline's two threads: on two cores a 180 s dwell
-# run is fastest at 64 Ki, ~5-15 % slower at 128-256 Ki and 1.3-2x slower
-# at 32 Ki and 16 Ki.  Peak memory grows with the block.
+# hand-off between the pipeline's two threads.  On a 2-vCPU VM the
+# benchmark's seed-sweep ran 12.9-13.0 items/s at 32 Ki, 15.1-15.8 at
+# 64 Ki and 13.2-13.4 at 128 Ki, and scenario-suite 15.0-15.1, 17.4-17.9
+# and 15.1-15.6; peak RSS was 47.2-48.2, 48.5-49.2 and 51.5-52.0 MiB.
 _BLOCK = 65536
 
 
 def _sense(s: Scenario, n: int, chain: ChainState) -> tuple[np.ndarray, int, int | None]:
     """Synthesize, sense, quantize and decimate the record block by block.
 
-    The blocks run through a two-stage pipeline, one block ahead.  A
-    worker thread runs the analog half of each block in record order:
-    synthesis, the event, the trigger search and the sensor noise, drawn
-    from one Generator.  The calling thread runs the digital half of the
-    block before it: the quantizer and the chain, whose held stage inputs
-    it carries.  Each half has one thread and sees its blocks in order, so
-    the output is the same, bit for bit, as running the blocks one after
-    the other.  Both halves spend most of their time in numpy calls that
-    release the GIL, so they overlap.  The worker is joined
-    before this returns or raises.
+    The blocks run through a two-stage pipeline, one block ahead.  The
+    calling thread synthesizes each block, injects the event, runs the
+    trigger search, and hands the block to a worker thread.  The worker
+    draws the block's sensor noise from the run's one Generator, applies
+    the sensor and quantizes; meanwhile the calling thread synthesizes the
+    next block and runs the chain, whose held stage inputs it carries, over
+    the codes of the block before.  The worker alone draws noise, in block
+    order, and the chain sees its blocks in order, so the output is the
+    same, bit for bit, as running the blocks one after the other.  Both
+    threads spend most of their time in numpy calls that release the GIL,
+    so they overlap.  The worker is joined before this returns or raises.
 
     ``chain`` is a fresh state over the record's ``n`` input samples.
     Dwell tones are synthesized per block.  Ambient modes are normalized
@@ -403,45 +405,52 @@ def _sense(s: Scenario, n: int, chain: ChainState) -> tuple[np.ndarray, int, int
     """
     f_os = s.adc.f_os_hz
     noise = np.random.default_rng(s.seed + 1)
+    with stage("synth"):
+        ambient = (synth_structure_response(s.structure, s.plan.t_acq_s, f_os_hz=f_os,
+                                            seed=s.seed, excitation=s.excitation)
+                   if s.excitation == "ambient" else None)
+    out = []
+    n_sat = 0
     trig = None
 
-    def analog(i0: int) -> np.ndarray:
-        # Runs in the worker thread, which alone draws from ``noise`` and
-        # sets ``trig``.
+    def synth(i0: int) -> np.ndarray:
         nonlocal trig
-        i1 = min(i0 + _BLOCK, n)
         if ambient is None:
             accel = synth_structure_response(
                 s.structure, s.plan.t_acq_s, f_os_hz=f_os, seed=s.seed,
-                excitation=s.excitation, start=i0, stop=i1,
+                excitation=s.excitation, start=i0, stop=min(i0 + _BLOCK, n),
             )
         else:
-            accel = ambient[i0:i1]
+            accel = ambient[i0:i0 + _BLOCK]
         if s.event is not None:
             accel = inject_transient(accel, s.event, s.structure.modes[0].freq_hz,
                                      f_os_hz=f_os, start=i0, record_len=n)
         if trig is None and s.trigger_threshold_g is not None:
             hit = trigger_index(accel, s.trigger_threshold_g)
             trig = None if hit is None else i0 + hit
-        return apply_sensor(accel, s.sensor, f_os_hz=f_os, seed=noise)
+        return accel
 
-    out = []
-    n_sat = 0
-    with stage("synth"):
-        ambient = (synth_structure_response(s.structure, s.plan.t_acq_s, f_os_hz=f_os,
-                                            seed=s.seed, excitation=s.excitation)
-                   if s.excitation == "ambient" else None)
+    def sense(accel: np.ndarray) -> tuple[np.ndarray, int]:
+        # Runs in the worker thread, which alone draws from ``noise``.
+        return quantize(apply_sensor(accel, s.sensor, f_os_hz=f_os, seed=noise), s.adc)
+
+    def decimate(sensed) -> None:
+        nonlocal n_sat
+        with stage("synth"):
+            codes, sat = sensed.result()
+        n_sat += sat
+        with stage("dsp"):
+            out.append(run_chain(codes, chain.stages, s.adc, s.sensor, chain))
+
     with ThreadPoolExecutor(max_workers=1) as worker:
-        ahead = worker.submit(analog, 0)
+        behind = None  # the block before, being sensed
         for i0 in range(0, n, _BLOCK):
             with stage("synth"):
-                volts = ahead.result()
-                if i0 + _BLOCK < n:
-                    ahead = worker.submit(analog, i0 + _BLOCK)
-                codes, sat = quantize(volts, s.adc)
-            n_sat += sat
-            with stage("dsp"):
-                out.append(run_chain(codes, chain.stages, s.adc, s.sensor, chain))
+                ahead = worker.submit(sense, synth(i0))
+            if behind is not None:
+                decimate(behind)
+            behind = ahead
+        decimate(behind)
     return np.concatenate(out), n_sat, trig
 
 

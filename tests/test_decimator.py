@@ -109,6 +109,9 @@ _BLOCKINGS = [
     (1_048_583, [4103]),
     (1_048_583, [65536]),
     (1_048_583, [1, 2, 255, 1000, 4103, 12345, 7, 65536]),
+    # 4095 outputs of the first stage held back, then a whole piece: the
+    # most a stage's phase buffers must hold
+    (1_048_583, [8190, 65536]),
 ]
 
 
@@ -120,9 +123,9 @@ def test_chain_state_blocks_equal_whole_cascade(default_chain, monkeypatch, chai
     runs = {id(st.coeffs): [] for st in stages}  # outputs of each filtering run
     real = decimator._fir_decimate
 
-    def counting(taps, z, first, d, k):
+    def counting(taps, phases, first, k):
         runs[id(taps)].append(k)
-        return real(taps, z, first, d, k)
+        return real(taps, phases, first, k)
 
     rng = np.random.default_rng(8)
     for n, sizes in _BLOCKINGS:
@@ -214,6 +217,40 @@ def test_identity_spec_reports_zero_margins():
     spec = DecimatorSpec(n_stages=1, total_decim=1, f_in_hz=100.0, cutoff_hz=50.0)
     _, report = design_decimator(spec)
     assert report.stopband_atten_db == 0.0   # no alias bands exist; reported honestly
+
+
+def _report_band_by_band(stages, spec):
+    """measure_response as one sweep per alias band, the plain form of it."""
+    fs = spec.f_in_hz
+    gain = decimator._gain(stages, fs, np.linspace(0.0, spec.protected_edge_hz, 2001))
+    sweeps = (np.linspace(lo, hi, max(int((hi - lo) / 0.1), 64) + 1)
+              for lo, hi in decimator._alias_bands(spec))
+    return decimator.FilterReport(
+        passband_ripple_db=decimator._ripple_db(gain),
+        stopband_atten_db=min((decimator._atten_db(decimator._gain(stages, fs, w))
+                               for w in sweeps), default=0.0),
+        group_delay_samples_out=decimator._delay_input_samples(stages) / spec.total_decim,
+        stage_taps=tuple(st.n_taps for st in stages),
+    )
+
+
+@pytest.mark.parametrize("spec", [
+    DecimatorSpec(),
+    DecimatorSpec(total_decim=128),
+    DecimatorSpec(n_stages=8, total_decim=512, cutoff_hz=20.0),
+    DecimatorSpec(stopband_atten_db=80.0),
+    DecimatorSpec(n_stages=4),
+    DecimatorSpec(cutoff_hz=40.0, passband_ripple_db=0.05),
+    DecimatorSpec(n_stages=1, total_decim=1, f_in_hz=100.0, cutoff_hz=50.0),
+])
+def test_one_sweep_report_equals_the_band_by_band_report(spec):
+    stages, report = design_decimator(spec)
+    expected = _report_band_by_band(stages, spec)
+    assert report == expected  # every float by ==
+    assert decimator.measure_response(stages, spec) == expected
+    if spec.total_decim > 1:  # the sweep spans several chunks, the last one partial
+        points = sum(max(int((hi - lo) / 0.1), 64) + 1 for lo, hi in decimator._alias_bands(spec))
+        assert points > 2 * decimator._SWEEP_CHUNK and points % decimator._SWEEP_CHUNK
 
 
 def test_run_chain_scaling_and_dtype(default_chain):

@@ -674,7 +674,10 @@ def test_non_finite_block_late_in_the_record_is_a_synth_error(tmp_path, monkeypa
     assert threading.active_count() == threads
 
 
-@pytest.mark.parametrize("name, stage", [("apply_sensor", "synth"), ("run_chain", "dsp")])
+# two of the per-block functions run on each thread of the front end
+@pytest.mark.parametrize("name, stage", [("synth_structure_response", "synth"),
+                                         ("apply_sensor", "synth"), ("quantize", "synth"),
+                                         ("run_chain", "dsp")])
 def test_stage_failing_on_its_third_block_names_its_stage(tmp_path, monkeypatch, name, stage):
     real = getattr(scenario, name)
     calls = []

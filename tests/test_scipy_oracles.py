@@ -5,6 +5,8 @@ scipy.signal; these tests hold each stand-in to the scipy routine it
 replaces, so a given scenario and seed keep writing the same bytes.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -74,18 +76,62 @@ def test_cascade_gain_matches_freqz():
         assert ours.tobytes() == (np.abs(ref) / abs(dc)).tobytes()
 
 
+def _phases(x, d):
+    """x split by phase, as ``_fir_decimate`` reads it: x[i] at [i % d, i // d]."""
+    x = np.concatenate((x, np.zeros(-len(x) % d)))
+    return np.ascontiguousarray(x.reshape(-1, d).T)
+
+
 def test_tap_loop_matches_upfirdn():
     x = np.random.default_rng(3).standard_normal(50_001)
     for _, st in _designed_stages():
         d = st.decim
         ref = signal.upfirdn(st.coeffs, x, up=1, down=d)
         n = -(-len(x) // d)  # outputs at input indices 0, d, ... < len(x)
-        ours = decimator._fir_decimate(st.coeffs, x, 0, d, n)
+        ours = decimator._fir_decimate(st.coeffs, _phases(x, d), 0, n)
         assert ours.tobytes() == ref[:n].tobytes()
         # started part-way, with all of the first output's history present
         k = -(-(st.n_taps - 1) // d) + 5
-        ours = decimator._fir_decimate(st.coeffs, x[3:], k * d - 3, d, n - k)
+        ours = decimator._fir_decimate(st.coeffs, _phases(x[3:], d), k * d - 3, n - k)
         assert ours.tobytes() == ref[k:n].tobytes()
+
+
+# the default chain's stages, and a decim-3 stage whose 7 taps split
+# unevenly over its phases
+_STAGES = (*design_decimator(DecimatorSpec())[0],
+           decimator.FilterStage(np.random.default_rng(9).standard_normal(7), 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_tap_loop_from_any_start_matches_upfirdn(data):
+    stage = data.draw(st.sampled_from(_STAGES))
+    d, taps = stage.decim, stage.coeffs
+    first = data.draw(st.integers(0, stage.n_taps + d - 1))  # the early ones lack history
+    n = data.draw(st.integers(1, 300))
+    tail = data.draw(st.integers(0, 2 * d))  # inputs past the last output's
+    x = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).standard_normal(
+        first + (n - 1) * d + 1 + tail)
+    lead = -first % d  # zeros in front put output k of upfirdn at x[first + k * d]
+    ref = signal.upfirdn(taps, np.concatenate((np.zeros(lead), x)), up=1, down=d)
+    k = (first + lead) // d
+    ours = decimator._fir_decimate(taps, _phases(x, d), first, n)
+    assert ours.tobytes() == ref[k:k + n].tobytes()
+
+
+def test_blocks_of_uneven_phase_lengths_equal_the_whole_cascade():
+    stages = (_STAGES[-1], *_STAGES[:-1])  # 768x: the decim-3 stage first
+    x = np.random.default_rng(10).standard_normal(400_003)
+    state = decimator.ChainState(stages, len(x))
+    parts, i = [], 0
+    for size in itertools.cycle((1, 3, 4095, 65_537)):
+        if i >= len(x):
+            break
+        parts.append(state.push(x[i:i + size]))
+        i += size
+    whole = decimator.cascade(x, stages)
+    assert whole.size == -(-len(x) // 768)
+    assert np.concatenate(parts).tobytes() == whole.tobytes()
 
 
 # few distinct levels, so that ties, plateaus and maxima at either end are common
