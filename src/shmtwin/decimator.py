@@ -60,28 +60,30 @@ class FilterStage:
         return int(self.coeffs.size)
 
 
+def _prime_factors(n: int) -> list[int]:
+    """Prime factors of n >= 1, repeated by multiplicity, ascending."""
+    factors = []
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            factors.append(p)
+            n //= p
+        p += 1 if p == 2 else 2
+    return factors + [n] if n > 1 else factors
+
+
 def _default_stage_decims(total_decim: int, n_stages: int) -> tuple[int, ...]:
     """Split total_decim into n_stages factors, big factors last.
 
-    Prime-factorize, then merge smallest factors until the count fits; pad
-    with 1s in front if there are fewer factors than stages.  For the default
-    256x / 6-stage chain this yields (2, 2, 2, 2, 4, 4).
+    Prime-factorize, then merge smallest factors until the count fits.  For
+    the default 256x / 6-stage chain this yields (2, 2, 2, 2, 4, 4); a chain
+    without decimation is one pass-through stage.
     """
-    factors = []
-    rest = total_decim
-    p = 2
-    while rest > 1:
-        while rest % p == 0:
-            factors.append(p)
-            rest //= p
-        p += 1 if p == 2 else 2
-    factors.sort()
+    factors = _prime_factors(total_decim)
     while len(factors) > n_stages:
         merged = factors[0] * factors[1]
         factors = sorted([merged] + factors[2:])
-    while len(factors) < n_stages:
-        factors.insert(0, 1)
-    return tuple(factors)
+    return tuple(factors) or (1,)
 
 
 @dataclass(frozen=True)
@@ -104,6 +106,10 @@ class DecimatorSpec:
         if self.f_in_hz % self.total_decim:
             raise ValueError(f"input rate {self.f_in_hz} Hz must divide evenly by "
                              f"total_decim {self.total_decim}")
+        n_factors = len(_prime_factors(self.total_decim))
+        if self.n_stages > max(n_factors, 1):
+            raise ValueError(f"n_stages = {self.n_stages} is more than total_decim = "
+                             f"{self.total_decim} has prime factors ({n_factors})")
         if not 0 < self.cutoff_hz <= self.f_out_hz / 2.0:
             raise ValueError("cutoff must lie in (0, f_out/2]")
         if not all(0 < v < math.inf for v in (self.passband_ripple_db, self.stopband_atten_db)):
@@ -581,14 +587,11 @@ def _int16(counts: np.ndarray) -> np.ndarray:
     return np.clip(np.rint(counts), -32768, 32767).astype(np.int16)
 
 
-def measure_enob(
-    stages: Sequence[FilterStage],
-    adc: AdcSpec = AdcSpec(),
-) -> tuple[float, float]:
+def measure_enob(stages: Sequence[FilterStage]) -> tuple[float, float]:
     """Effective bits of the quantize-and-decimate chain, (SINAD - 1.76)/6.02.
 
     Drives a 40 s full-scale 10 Hz sine (amplitude = sensor full scale)
-    through the sensor model, the quantizer and the chain, then takes SINAD
+    through the sensor model, the default ADC and the chain, then takes SINAD
     from an FFT of the steady-state output.  Everything that is not the
     fundamental or DC counts as noise-plus-distortion, spurs included.
 
@@ -606,7 +609,7 @@ def measure_enob(
     enough not to dominate the decimated noise floor.
     """
     f_tone = 10.0
-    sensor = SensorSpec(noise_density_ug_sqrthz=2.0)
+    adc, sensor = AdcSpec(), SensorSpec(noise_density_ug_sqrthz=2.0)
     total_decim = math.prod(st.decim for st in stages)
     fs_out = adc.f_os_hz / total_decim
     period = fs_out / f_tone

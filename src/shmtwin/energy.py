@@ -84,23 +84,17 @@ LS336000 = BatterySpec("LS336000", 226440.0)
 VL34570 = BatterySpec("VL34570", 71928.0)
 
 
-@dataclass(frozen=True)
-class HarvesterSpec:
-    area_cm2: float = 72.0              # 120 mm x 60 mm board-sized panel
-    power_density_mw_cm2: float = 15.0
-    sun_hours: float = 4.0
-    loss_frac: float = 0.25             # recharge and storage circuitry
-
-    def __post_init__(self):
-        if self.area_cm2 < 0 or self.power_density_mw_cm2 < 0 or self.sun_hours < 0:
-            raise ValueError("harvester geometry cannot be negative")
-        if not 0 <= self.loss_frac < 1:
-            raise ValueError("loss fraction must be in [0, 1)")
+# The node's solar panel, 120 mm x 60 mm to fit the board, and the share its
+# recharge and storage circuitry loses.
+PANEL_AREA_CM2 = 72.0
+PANEL_MW_PER_CM2 = 15.0
+PANEL_SUN_HOURS = 4.0
+PANEL_LOSS_FRAC = 0.25
 
 
-def harvest_day_wh(h: HarvesterSpec) -> float:
-    """Daily harvested energy in Wh: area x density x sun hours x (1 - loss)."""
-    return h.area_cm2 * h.power_density_mw_cm2 * h.sun_hours * (1.0 - h.loss_frac) / 1000.0
+def harvest_day_wh() -> float:
+    """The panel's daily harvest in Wh: area x density x sun hours x (1 - loss)."""
+    return PANEL_AREA_CM2 * PANEL_MW_PER_CM2 * PANEL_SUN_HOURS * (1.0 - PANEL_LOSS_FRAC) / 1000.0
 
 
 # ---------------------------------------------------------------------------
@@ -210,14 +204,13 @@ def battery_life_days_sim(
 
 def energy_neutral(
     plan: SessionPlan,
-    h: HarvesterSpec,
     coverage: CoverageClass = CoverageClass.GOOD,
     params: EnergyParams = EnergyParams(),
 ) -> float:
-    """Harvest over consumption for one day; the plan is energy-neutral
-    when this margin is at least 1."""
+    """The panel's harvest over consumption for one day; the plan is
+    energy-neutral when this margin is at least 1."""
     e_day = energy_day(plan, coverage, params).e_day_j
-    return harvest_day_wh(h) * 3600.0 / e_day
+    return harvest_day_wh() * 3600.0 / e_day
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@ print reference-versus-computed tables without scattering magic numbers.
 
 from __future__ import annotations
 
-from .energy import LS336000, VL34570, BatterySpec, HarvesterSpec, SessionPlan
-from .signals import ModeSpec, StructureModel
+from .energy import LS336000, VL34570, BatterySpec, SessionPlan
+from .signals import StructureModel
 
 # ---------------------------------------------------------------------------
 # published reference values
@@ -33,8 +33,7 @@ _REFERENCE_HZ = tuple(ref_hz for _, _, ref_hz, _ in TONE_COMPARISON)
 
 
 def _structure(label: str, mode_1_hz: float) -> StructureModel:
-    return StructureModel(modes=tuple(ModeSpec(f) for f in (mode_1_hz, *_REFERENCE_HZ[1:])),
-                          label=label)
+    return StructureModel((mode_1_hz, *_REFERENCE_HZ[1:]), label)
 
 
 NO_DAMAGE = _structure("NO_DAMAGE", _REFERENCE_HZ[0])
@@ -125,5 +124,3 @@ DRAIN_PLAN = SessionPlan(n_sessions_per_day=6, t_acq_s=1200.0, k_acq=6.5)
 # Lifetime curve grid: 4 to 20 minutes, four session counts.
 LIFETIME_TACQ_GRID_S = tuple(float(t) for t in range(240, 1201, 60))
 LIFETIME_SESSION_COUNTS = (1, 2, 4, 6)
-
-DEFAULT_HARVESTER = HarvesterSpec()

@@ -238,10 +238,10 @@ def deliver(packets: list[Packet], loss_prob: float = 0.0, seed: int = 0) -> Sin
 EVENT_LOG_FIELDS = ["timestamp_s", "node_id", "session_id", "seq", "energy_j", "delivered"]
 
 
-def event_rows(record: UplinkRecord, sink: SinkReport | None = None) -> list[dict]:
+def event_rows(record: UplinkRecord, sink: SinkReport) -> list[dict]:
     """One row per packet transmission of node 1, stamped at its airtime
-    start from the start of the session."""
-    missing = set(sink.missing_seqs) if sink is not None else set()
+    start from the start of the session, with whether the sink got it."""
+    missing = set(sink.missing_seqs)
     return [{
         "timestamp_s": round(tx.t_s, 6),
         "node_id": 1,

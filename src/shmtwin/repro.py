@@ -252,10 +252,9 @@ def repro_damage(outdir=None) -> list[ReproRow]:
 
 def repro_harvest(outdir=None) -> list[ReproRow]:
     """Daily panel harvest, and its margin (neutral at 1) over the 6 x 60 s plan."""
-    panel = presets.DEFAULT_HARVESTER
-    margin = energy_neutral(presets.TABLE3_PLAN, panel)
-    return [_abs_row("harvest_day_wh", presets.HARVEST_DAY_WH, harvest_day_wh(panel), 0.0),
-            _floor_row("neutral_margin", presets.HARVEST_MIN_MARGIN, margin)]
+    return [_abs_row("harvest_day_wh", presets.HARVEST_DAY_WH, harvest_day_wh(), 0.0),
+            _floor_row("neutral_margin", presets.HARVEST_MIN_MARGIN,
+                       energy_neutral(presets.TABLE3_PLAN))]
 
 
 TARGETS = {

@@ -40,7 +40,6 @@ from .energy import (
     DAYS_PER_YEAR,
     BatterySpec,
     EnergyBreakdown,
-    HarvesterSpec,
     SessionPlan,
     battery_life_days,
     energy_day,
@@ -130,7 +129,7 @@ class Scenario:
     loss_prob: float = 0.0
     plan: SessionPlan = SessionPlan(t_acq_s=180.0)
     battery: BatterySpec = presets.BATTERIES["LS336000"]
-    harvester: HarvesterSpec | None = None
+    harvester: bool = False
     event: EventSpec | None = None
     trigger_threshold_g: float | None = None
 
@@ -234,7 +233,7 @@ _NAMES = {
     "coverage": CoverageClass.__members__,
     "mode": {n: n for n in ("deterministic", "stochastic")},
     "battery": presets.BATTERIES,
-    "harvester": {"none": None, "default": presets.DEFAULT_HARVESTER},
+    "harvester": {"none": False, "default": True},
 }
 
 
@@ -423,7 +422,7 @@ def _sense(s: Scenario, n: int, chain: ChainState) -> tuple[np.ndarray, int, int
         else:
             accel = ambient[i0:i0 + _BLOCK]
         if s.event is not None:
-            accel = inject_transient(accel, s.event, s.structure.modes[0].freq_hz,
+            accel = inject_transient(accel, s.event, s.structure.freqs[0],
                                      f_os_hz=f_os, start=i0, record_len=n)
         if trig is None and s.trigger_threshold_g is not None:
             hit = trigger_index(accel, s.trigger_threshold_g)
@@ -475,14 +474,12 @@ def run_scenario(s: Scenario, write: bool = True) -> RunResult:
     with stage("modal"):
         spectrum = compute_spectrum(sink.samples, f_s_hz=s.decimator.f_out_hz)
         estimate = detect_peaks(spectrum, s.modal)
-        report = compare_modes(s.baseline.mode_freqs(), estimate.peaks, s.modal)
+        report = compare_modes(s.baseline.freqs, estimate.peaks, s.modal)
 
     with stage("energy"):
         breakdown = energy_day(s.plan, s.coverage, params)
         life = battery_life_days(s.plan, s.battery, s.coverage, params)
-        margin = None
-        if s.harvester is not None:
-            margin = energy_neutral(s.plan, s.harvester, s.coverage, params)
+        margin = energy_neutral(s.plan, s.coverage, params) if s.harvester else None
 
     result = RunResult(
         scenario=s, filter_report=filt_report, samples_out=samples,
@@ -504,7 +501,7 @@ def _write_bundle(r: RunResult, spectrum, n_sat: int) -> None:
     write_npy_columns(out / "spectrum.npy",
                       {"freq_hz": spectrum.freqs, "magnitude": spectrum.mags})
 
-    write_event_log(out / "uplink.csv", event_rows(r.uplink, sink=r.sink))
+    write_event_log(out / "uplink.csv", event_rows(r.uplink, r.sink))
 
     energy_rows = r.breakdown.rows()
     energy_rows += [

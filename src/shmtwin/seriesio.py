@@ -17,8 +17,6 @@ import csv
 
 import numpy as np
 
-_BLOCK_ROWS = 4096
-
 
 def _equal_length(columns: dict[str, np.ndarray]) -> tuple[dict[str, np.ndarray], int]:
     if not columns:
@@ -32,16 +30,12 @@ def _equal_length(columns: dict[str, np.ndarray]) -> tuple[dict[str, np.ndarray]
 
 
 def write_csv_columns(path, columns: dict[str, np.ndarray]) -> None:
-    arrays, n = _equal_length(columns)
+    arrays, _ = _equal_length(columns)
     with open(path, "w", newline="", encoding="utf-8") as f:
         csv.writer(f).writerow(arrays.keys())
-        # Python floats are converted one block at a time, so a long
-        # column never holds a second full-size copy of its values.
         # ``%r`` formats a float or an int as repr does.
         row = ",".join(["%r"] * len(arrays)) + "\r\n"
-        for i in range(0, n, _BLOCK_ROWS):
-            rows = zip(*(a[i:i + _BLOCK_ROWS].tolist() for a in arrays.values()))
-            f.writelines(map(row.__mod__, rows))
+        f.writelines(map(row.__mod__, zip(*(a.tolist() for a in arrays.values()))))
 
 
 def write_npy_columns(path, columns: dict[str, np.ndarray]) -> None:

@@ -24,40 +24,26 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass(frozen=True)
-class ModeSpec:
-    """One structural vibration mode."""
-
-    freq_hz: float
-    damping_ratio: float = 0.01
-    rms_amp_g: float = 0.01
-
-    def __post_init__(self):
-        if self.freq_hz <= 0:
-            raise ValueError(f"mode frequency must be positive, got {self.freq_hz}")
-        if not 0 < self.damping_ratio < 1:
-            raise ValueError(f"damping ratio must be in (0, 1), got {self.damping_ratio}")
-        if self.rms_amp_g < 0:
-            raise ValueError(f"mode rms amplitude must be >= 0, got {self.rms_amp_g}")
+# Every mode of a structure has this damping ratio and this RMS amplitude
+# in g; a dwell tone's amplitude is MODE_RMS_G * sqrt(2).
+MODE_DAMPING = 0.01
+MODE_RMS_G = 0.01
 
 
 @dataclass(frozen=True)
 class StructureModel:
-    """A set of modes plus a human-readable condition label."""
+    """Mode frequencies in Hz, strictly ascending, plus a condition label."""
 
-    modes: tuple[ModeSpec, ...]
-    label: str = "structure"
+    freqs: tuple[float, ...]
+    label: str
 
     def __post_init__(self):
-        object.__setattr__(self, "modes", tuple(self.modes))
-        if not self.modes:
+        object.__setattr__(self, "freqs", tuple(self.freqs))
+        if not self.freqs:
             raise ValueError("structure model needs at least one mode")
-        freqs = [m.freq_hz for m in self.modes]
-        if any(b <= a for a, b in zip(freqs, freqs[1:])):
-            raise ValueError("modes must be strictly ascending in frequency")
-
-    def mode_freqs(self) -> list[float]:
-        return [m.freq_hz for m in self.modes]
+        if not all(a < b for a, b in zip((0.0, *self.freqs), self.freqs)):
+            raise ValueError(f"mode frequencies must be positive and strictly ascending, "
+                             f"got {self.freqs}")
 
 
 @dataclass(frozen=True)
@@ -119,12 +105,12 @@ class EventSpec:
             raise ValueError(f"event peak_g must be >= 0 and finite, got {self.peak_g}")
 
 
-def _resonator_coeffs(freq_hz: float, damping: float, fs_hz: float):
-    # Matched-pole mapping of s^2 + 2*zeta*w0*s + w0^2; gain is irrelevant
-    # because the output is rescaled to the requested RMS afterwards.
+def _resonator_coeffs(freq_hz: float, fs_hz: float):
+    # Matched-pole mapping of s^2 + 2*zeta*w0*s + w0^2 at zeta = MODE_DAMPING;
+    # gain is irrelevant because the output is rescaled to MODE_RMS_G afterwards.
     w0 = 2.0 * np.pi * freq_hz / fs_hz
-    r = np.exp(-damping * w0)
-    theta = w0 * np.sqrt(1.0 - damping * damping)
+    r = np.exp(-MODE_DAMPING * w0)
+    theta = w0 * np.sqrt(1.0 - MODE_DAMPING * MODE_DAMPING)
     a = np.array([1.0, -2.0 * r * np.cos(theta), r * r])
     b = np.array([1.0])
     return b, a
@@ -146,11 +132,9 @@ def record_samples(
     if excitation not in ("ambient", "dwell"):
         raise ValueError(f"unknown excitation {excitation!r}")
     nyquist = f_os_hz / 2.0
-    for m in model.modes:
-        if m.freq_hz >= nyquist:
-            raise ValueError(
-                f"mode at {m.freq_hz} Hz is at or above Nyquist ({nyquist} Hz)"
-            )
+    for f in model.freqs:
+        if f >= nyquist:
+            raise ValueError(f"mode at {f} Hz is at or above Nyquist ({nyquist} Hz)")
     return int(round(duration_s * f_os_hz))
 
 
@@ -181,18 +165,16 @@ def synth_structure_response(
 
     excitation="ambient": each mode is an independent white-noise
     realization filtered by its resonator, scaled so that its sample RMS
-    over the record equals ``rms_amp_g`` exactly.  The realized spectral
+    over the record equals ``MODE_RMS_G`` exactly.  The realized spectral
     peak of such a record wanders around the mode frequency by a fraction
-    of the resonance width (roughly damping_ratio * freq); that is physics,
+    of the resonance width (roughly MODE_DAMPING * freq); that is physics,
     not estimator error.
 
     excitation="dwell": a coherent tone per mode (random phase), the way a
     shaker dwelling on the resonances excites the structure.  Use this for
     tone-accuracy comparisons where sub-bin truth matters.  A tone's
-    amplitude is ``rms_amp_g * sqrt(2)``, so its sample RMS equals
-    ``rms_amp_g`` only over whole periods.
-
-    A model where every mode has rms_amp_g == 0 returns an all-zero series.
+    amplitude is ``MODE_RMS_G * sqrt(2)``, so its sample RMS equals
+    ``MODE_RMS_G`` only over whole periods.
 
     Returns samples [start, stop) of the record, all of it by default.  A
     dwell tone is evaluated by angle addition from anchors every 4096
@@ -221,13 +203,10 @@ def synth_structure_response(
         t_anchor = np.arange(k0 * _ANCHOR, k1 * _ANCHOR, _ANCHOR) / f_os_hz
         accel = np.zeros((k1 - k0, _ANCHOR))
         term = np.empty_like(accel)
-        for m in model.modes:
-            phase = rng.uniform(0.0, 2.0 * np.pi)
-            if m.rms_amp_g == 0.0:
-                continue  # draw consumed anyway so seeds stay comparable across models
-            theta = 2.0 * np.pi * m.freq_hz * t_anchor + phase
-            amp = m.rms_amp_g * np.sqrt(2.0)
-            sin_d, cos_d = _offset_tables(m.freq_hz, f_os_hz)
+        amp = MODE_RMS_G * np.sqrt(2.0)
+        for f in model.freqs:
+            theta = 2.0 * np.pi * f * t_anchor + rng.uniform(0.0, 2.0 * np.pi)
+            sin_d, cos_d = _offset_tables(f, f_os_hz)
             accel += np.multiply.outer(amp * np.sin(theta), cos_d, out=term)
             accel += np.multiply.outer(amp * np.cos(theta), sin_d, out=term)
         offset = start - k0 * _ANCHOR
@@ -240,20 +219,17 @@ def synth_structure_response(
 
     # Each ambient mode is evaluated in one reused buffer (``arg``) with the
     # same operations in the same order as the plain expression
-    # y * (rms_amp / sqrt(mean(y * y))), so the series is bit-identical to
-    # it without a full-length temporary per operator.
+    # y * (MODE_RMS_G / sqrt(mean(y * y))), so the series is bit-identical
+    # to it without a full-length temporary per operator.
     accel = np.zeros(n)
     arg = np.empty(n)
-    for m in model.modes:
+    for f in model.freqs:
         rng.standard_normal(out=arg)
-        if m.rms_amp_g == 0.0:
-            continue  # draw consumed anyway so seeds stay comparable across models
-        b, a = _resonator_coeffs(m.freq_hz, m.damping_ratio, f_os_hz)
-        y = lfilter(b, a, arg)
+        y = lfilter(*_resonator_coeffs(f, f_os_hz), arg)
         np.multiply(y, y, out=arg)
         rms = np.sqrt(np.mean(arg))
         if rms > 0:
-            y *= m.rms_amp_g / rms
+            y *= MODE_RMS_G / rms
             accel += y
     return accel
 

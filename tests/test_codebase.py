@@ -1,6 +1,10 @@
 import ast
+import dataclasses
 import re
+import typing
 from pathlib import Path
+
+from shmtwin import scenario
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -74,3 +78,38 @@ def test_every_output_file_is_written_by_seriesio():
                if p.name != "seriesio.py"
                and (lines := _file_writes(p.read_text(encoding="utf-8")))}
     assert writers == {}
+
+
+def _dataclass_in(hint) -> type | None:
+    """The dataclass a field's type names, itself or inside ``X | None`` or ``tuple[X, ...]``."""
+    return next((t for t in (hint, *typing.get_args(hint)) if dataclasses.is_dataclass(t)), None)
+
+
+def test_every_setting_is_a_key_a_derived_rate_or_varied_by_a_preset():
+    # A field of a spec that a Scenario holds is a setting.  If no key
+    # sets it, the parser does not derive it, and the named presets all
+    # give it one value, then one value is all it ever takes: a constant.
+    keyed = {path for keys in scenario._TABLE.values() for path in keys.values()}
+    derived = {"decimator.f_in_hz", "plan.f_s_hz"}
+    named = {path: list(scenario._NAMES[key].values())
+             for keys in scenario._TABLE.values() for key, path in keys.items()
+             if key in scenario._NAMES}
+    constant = set()
+
+    def walk(cls, path, instances):
+        hints = typing.get_type_hints(cls)
+        for f in dataclasses.fields(cls):
+            sub = f"{path}.{f.name}"
+            values = [getattr(obj, f.name) for obj in instances]
+            if sub not in keyed | derived and len(set(values)) < 2:
+                constant.add(f"{cls.__name__}.{f.name}")
+            if (inner := _dataclass_in(hints[f.name])) is not None:
+                walk(inner, sub, [x for v in values
+                                  for x in (v if isinstance(v, tuple) else (v,))])
+
+    hints = typing.get_type_hints(scenario.Scenario)
+    for f in dataclasses.fields(scenario.Scenario):
+        if (cls := _dataclass_in(hints[f.name])) is not None:
+            instances = named.get(f.name, [getattr(scenario.Scenario, f.name)])
+            walk(cls, f.name, [obj for obj in instances if obj is not None])
+    assert constant == set()

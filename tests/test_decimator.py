@@ -39,6 +39,19 @@ def test_rates_and_split_follow_the_total_decimation():
     assert spec.stage_decims == (2, 2, 2, 2, 2, 4)
 
 
+def test_stage_split_has_at_most_one_stage_per_prime_factor():
+    assert DecimatorSpec(n_stages=2, total_decim=12, f_in_hz=1200.0).stage_decims == (3, 4)
+    assert DecimatorSpec(n_stages=1, total_decim=1, f_in_hz=100.0).stage_decims == (1,)
+    # a large prime factor is found by trial division up to its square root
+    big = DecimatorSpec(n_stages=1, total_decim=10000019, f_in_hz=10000019.0, cutoff_hz=0.5)
+    assert big.stage_decims == (10000019,)
+    for n_stages, total_decim, n_factors in ((100000, 256, 8), (7, 64, 6), (2, 1, 0)):
+        with pytest.raises(ValueError, match=f"n_stages = {n_stages} is more than "
+                                             f"total_decim = {total_decim} has prime "
+                                             f"factors \\({n_factors}\\)"):
+            DecimatorSpec(n_stages=n_stages, total_decim=total_decim, f_in_hz=25600.0)
+
+
 def test_designed_chain_meets_targets(default_chain):
     spec, stages, report = default_chain
     assert len(stages) == 6
@@ -243,13 +256,22 @@ def _report_band_by_band(stages, spec):
     DecimatorSpec(cutoff_hz=40.0, passband_ripple_db=0.05),
     DecimatorSpec(n_stages=1, total_decim=1, f_in_hz=100.0, cutoff_hz=50.0),
 ])
-def test_one_sweep_report_equals_the_band_by_band_report(spec):
+def test_one_sweep_report_equals_the_band_by_band_report(spec, monkeypatch):
     stages, report = design_decimator(spec)
     expected = _report_band_by_band(stages, spec)
     assert report == expected  # every float by ==
+    # the report keeps only extremes, so count the points the sweep evaluates
+    gain, counted = decimator._gain, []
+
+    def counting_gain(stages, fs, freqs):
+        counted.append(len(freqs))
+        return gain(stages, fs, freqs)
+
+    monkeypatch.setattr(decimator, "_gain", counting_gain)
     assert decimator.measure_response(stages, spec) == expected
+    points = sum(max(int((hi - lo) / 0.1), 64) + 1 for lo, hi in decimator._alias_bands(spec))
+    assert counted[0] == 2001 and sum(counted[1:]) == points
     if spec.total_decim > 1:  # the sweep spans several chunks, the last one partial
-        points = sum(max(int((hi - lo) / 0.1), 64) + 1 for lo, hi in decimator._alias_bands(spec))
         assert points > 2 * decimator._SWEEP_CHUNK and points % decimator._SWEEP_CHUNK
 
 
@@ -294,26 +316,23 @@ def test_stage_file_round_trip(tmp_path, default_chain):
 
 def test_enob_default_chain_exceeds_15_bits(default_chain):
     _, stages, _ = default_chain
-    enob_int16, _ = measure_enob(stages, AdcSpec())
+    enob_int16, _ = measure_enob(stages)
     assert enob_int16 >= 15.0
 
 
 def test_enob_needs_a_whole_number_of_samples_per_tone_period():
     # 25.6 kHz / 100 = 256 Hz: 25.6 output samples per 10 Hz period
-    stages, _ = design_decimator(DecimatorSpec(total_decim=100))
+    stages, _ = design_decimator(DecimatorSpec(n_stages=4, total_decim=100))
     with pytest.raises(ValueError, match="256.0 Hz"):
-        measure_enob(stages, AdcSpec())
+        measure_enob(stages)
 
 
 def test_oversampling_law_half_bit_per_octave():
     # On the float path (before 16-bit output rounding), doubling the
     # decimation factor should buy about half an effective bit.
-    adc = AdcSpec()
     enobs = []
     for total in (64, 128, 256):
-        spec = DecimatorSpec(n_stages=6, total_decim=total, f_in_hz=adc.f_os_hz,
-                             cutoff_hz=50.0)
-        stages, _ = design_decimator(spec)
-        enobs.append(measure_enob(stages, adc)[1])
+        stages, _ = design_decimator(DecimatorSpec(total_decim=total))
+        enobs.append(measure_enob(stages)[1])
     deltas = np.diff(enobs)
     assert np.all(deltas > 0.35) and np.all(deltas < 0.65)

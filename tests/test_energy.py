@@ -13,7 +13,6 @@ from shmtwin.energy import (
     SECONDS_PER_DAY,
     VL34570,
     BatterySpec,
-    HarvesterSpec,
     SessionPlan,
     battery_life_days,
     battery_life_days_sim,
@@ -26,7 +25,6 @@ from shmtwin.energy import (
     validate_window,
 )
 from shmtwin.presets import (
-    DEFAULT_HARVESTER,
     DRAIN_PLAN,
     TABLE3_PLAN,
     TEN_YEAR_PLAN,
@@ -68,12 +66,8 @@ def test_battery_presets_and_validation():
 
 
 def test_harvester_daily_energy():
-    assert harvest_day_wh(DEFAULT_HARVESTER) == 3.24    # 72 * 15 * 4 * 0.75 / 1000
-    assert harvest_day_wh(DEFAULT_HARVESTER) * 3600.0 == 3.24 * 3600.0
-    with pytest.raises(ValueError):
-        HarvesterSpec(area_cm2=-1.0)
-    with pytest.raises(ValueError):
-        HarvesterSpec(loss_frac=1.0)
+    assert harvest_day_wh() == 3.24    # 72 * 15 * 4 * 0.75 / 1000
+    assert harvest_day_wh() * 3600.0 == 3.24 * 3600.0
 
 
 def test_session_energies_match_hand_arithmetic():
@@ -191,9 +185,10 @@ def test_sim_bad_coverage_shortens_life():
 
 def test_energy_neutrality():
     # neutral is a margin of at least 1
-    assert energy_neutral(TABLE3_PLAN, DEFAULT_HARVESTER) == pytest.approx(187.3, rel=0.01)
-    assert energy_neutral(TABLE3_PLAN, HarvesterSpec(sun_hours=0.0)) == 0.0
-    assert energy_neutral(TABLE3_PLAN, HarvesterSpec(area_cm2=72.0 / 200)) < 1.0
+    assert energy_neutral(TABLE3_PLAN) == pytest.approx(187.3, rel=0.01)
+    bad = energy_neutral(TABLE3_PLAN, CoverageClass.BAD)
+    assert bad == harvest_day_wh() * 3600.0 / energy_day(TABLE3_PLAN, CoverageClass.BAD).e_day_j
+    assert 1.0 < bad < energy_neutral(TABLE3_PLAN)
 
 
 def test_window_model_value():

@@ -189,7 +189,8 @@ def test_dispersion_sigma_value():
 
 def test_event_log_stamps_come_from_the_session_params():
     params = EnergyParams(t_connect_s=3.0)
-    rec = uplink_session(packetize(np.arange(1300, dtype=np.int16)), params=params)
-    stamps = [r["timestamp_s"] for r in event_rows(rec)]
+    pkts = packetize(np.arange(1300, dtype=np.int16))
+    rec = uplink_session(pkts, params=params)
+    stamps = [r["timestamp_s"] for r in event_rows(rec, deliver(pkts, loss_prob=0.0))]
     assert stamps[0] == 3.0                     # the record's own connect time
     assert all(t < rec.duration_s for t in stamps)

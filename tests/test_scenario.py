@@ -121,7 +121,8 @@ def test_bare_seed_gets_the_owners_defaults():
     assert s.decimator == DecimatorSpec()
     assert s.plan == SessionPlan(t_acq_s=180.0, f_s_hz=DecimatorSpec().f_out_hz)
     assert s.battery == LS336000
-    assert (s.harvester, s.event, s.trigger_threshold_g) == (None,) * 3
+    assert s.harvester is False
+    assert (s.event, s.trigger_threshold_g) == (None,) * 2
     assert s.modal == ModalSpec()
 
 
@@ -164,16 +165,21 @@ def test_out_of_domain_values_are_config_errors(text):
     ("[dsp-chain]\ncoeff_budget = 0\n", "coeff_budget"),
     ("[signal-synth]\nsensitivity_v_per_g = 2\nevent_onset_s = 1\nevent_peak_g = 1e308\n"
      "event_duration_s = 1\n", "event_peak_g"),
+    ("[dsp-chain]\nn_stages = 100000\n", "n_stages = 100000 .* total_decim = 256"),
+    ("[dsp-chain]\nn_stages = 7\ntotal_decim = 64\n", "n_stages = 7 .* total_decim = 64"),
 ], ids=["no-peaks", "light-above-moderate", "zero-trigger", "atten-underflow",
         "ripple-underflow", "ripple-overflow", "event-peak-nan", "event-peak-inf",
-        "infinite-trigger", "zero-budget", "event-volts-overflow"])
+        "infinite-trigger", "zero-budget", "event-volts-overflow", "stages-100000-of-256",
+        "stages-7-of-64"])
 def test_stage_domains_are_checked_at_parse(text, field):
     # the modal and trigger stages would reject these only after the
     # front end had run; a design tolerance that underflows to 0, or a
     # ripple beyond a float, would fail the filter design with a bare
     # math error; a non-finite event peak, or one the sensor turns into a
     # non-finite voltage, would fail only after the whole record's
-    # synthesis, and an infinite trigger threshold never fires
+    # synthesis, and an infinite trigger threshold never fires; a split
+    # into more stages than total_decim has prime factors once padded
+    # itself with pass-through stages, without bound
     with pytest.raises(ConfigError, match=field):
         parse_scenario_text(MINIMAL + text)
 
@@ -610,7 +616,7 @@ def _sequential_front_end(s):
         accel = synth_structure_response(s.structure, s.plan.t_acq_s, f_os_hz=f_os,
                                          seed=s.seed, excitation=s.excitation,
                                          start=i0, stop=i1)
-        accel = inject_transient(accel, s.event, s.structure.modes[0].freq_hz,
+        accel = inject_transient(accel, s.event, s.structure.freqs[0],
                                  f_os_hz=f_os, start=i0, record_len=n)
         hit = trigger_index(accel, s.trigger_threshold_g)
         if trig is None and hit is not None:

@@ -24,7 +24,7 @@ RATES_CUTOFFS = ((25600.0, 6400.0), (400.0, 50.0), (1000.0, 3.0), (2.0, 0.61))
 
 def _designed_stages():
     specs = (DecimatorSpec(), DecimatorSpec(stopband_atten_db=80.0),
-             DecimatorSpec(total_decim=100), DecimatorSpec(total_decim=64))
+             DecimatorSpec(n_stages=4, total_decim=100), DecimatorSpec(total_decim=64))
     return [(spec, st) for spec in specs for st in design_decimator(spec)[0]]
 
 
