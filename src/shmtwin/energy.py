@@ -233,10 +233,12 @@ def simulate_power_trace(
     The window holds one session, 20 s in: an acquisition plateau followed
     by a radio plateau, at powers that integrate to the deterministic
     session energies.  The rest of the window sits at the sleep floor, and
-    the trace is sampled every 10 ms.  Raises ValueError if the session
-    does not fit in the window after its lead.
+    the trace is sampled every 10 ms.  Raises ValueError if window_s is not
+    finite or the session does not fit in the window after its lead.
     """
     lead_s, dt_s = 20.0, 0.01
+    if not math.isfinite(window_s):
+        raise ValueError(f"window_s must be finite, got {window_s}")
     n = plan.n_packets
     t_blocks = n * plan.block_s
     t_radio = params.radio_window_s(n, coverage)
@@ -248,8 +250,10 @@ def simulate_power_trace(
 
     t = np.arange(0.0, window_s + dt_s / 2, dt_s)
     p = np.full_like(t, params.sleep_power_w)
-    p[(t >= lead_s) & (t < lead_s + t_blocks)] = p_acq
-    p[(t >= lead_s + t_blocks) & (t < lead_s + t_sess)] = p_radio
+    # t is sorted, so each plateau lead <= t < end is one index range
+    i0, i1, i2 = np.searchsorted(t, (lead_s, lead_s + t_blocks, lead_s + t_sess))
+    p[i0:i1] = p_acq
+    p[i1:i2] = p_radio
     return t, p
 
 
@@ -268,19 +272,36 @@ def validate_window(
     matches bench measurements of this window), transmission at the
     deterministic session energy, and sleep over the remainder of the
     window after physical active time.
+
+    The trace is checked before it is integrated.  Its timestamps, and the
+    intervals between them, must be finite, and the times must strictly
+    increase.  A gap is an interval over twice the median interval; the
+    median is computed only when the longest interval is over twice the
+    shortest, since it is never below the shortest.  The integral is
+    numpy's trapezoid rule, ``np.trapezoid(p, t)``, bit for bit, and
+    must be finite, so a non-finite power sample is rejected.
     """
     t = np.asarray(trace_t_s, dtype=float)
     p = np.asarray(trace_p_w, dtype=float)
     if t.ndim != 1 or t.shape != p.shape or t.size < 2:
         raise ValueError("trace must be two equal-length 1-D arrays")
     dt = np.diff(t)
-    if np.any(dt <= 0):
+    dt_min, dt_max = dt.min(), dt.max()
+    if not (math.isfinite(dt_min) and math.isfinite(dt_max)):
+        raise ValueError("trace timestamps and their intervals must be finite")
+    if dt_min <= 0:
         raise ValueError("trace timestamps must strictly increase")
-    if np.max(dt) > 2.0 * np.median(dt):
+    if dt_max > 2.0 * dt_min and dt_max > 2.0 * np.median(dt):
         raise ValueError("trace has gaps (sample interval jump over 2x median)")
 
     window_s = float(t[-1] - t[0])
-    e_measured = float(np.trapezoid(p, t))
+    # np.trapezoid's expression, dt * (p[1:] + p[:-1]) / 2.0, on one temporary
+    area = p[1:] + p[:-1]
+    area *= dt
+    area /= 2.0
+    e_measured = float(area.sum())
+    if not math.isfinite(e_measured):
+        raise ValueError(f"trace power samples must be finite; they integrate to {e_measured}")
 
     e_sess = (energy_acquisition_j(plan, params)
               + session_energy_j(plan.n_packets, coverage, params))

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shmtwin import energy
 from shmtwin.energy import (
@@ -30,7 +32,7 @@ from shmtwin.presets import (
     TEN_YEAR_PLAN,
     VALIDATION_PLAN,
 )
-from shmtwin.radio import CoverageClass, session_energy_j
+from shmtwin.radio import CoverageClass, EnergyParams, session_energy_j
 
 SLEEP_W = 34e-6 * 3.3
 
@@ -222,3 +224,95 @@ def test_window_rejects_malformed_traces():
     short_p = np.full_like(short_t, SLEEP_W)
     with pytest.raises(ValueError):
         validate_window(short_t, short_p, VALIDATION_PLAN)      # 91 s active > 50 s
+
+
+def _reference_trace(plan, params, window_s, coverage):
+    """simulate_power_trace's plateaus written as boolean masks over the grid."""
+    lead_s, n = 20.0, plan.n_packets
+    t_blocks = n * plan.block_s
+    t_radio = params.radio_window_s(n, coverage)
+    t_sess = t_blocks + t_radio
+    t = np.arange(0.0, window_s + 0.01 / 2, 0.01)
+    p = np.full_like(t, params.sleep_power_w)
+    p[(t >= lead_s) & (t < lead_s + t_blocks)] = energy_acquisition_j(plan, params) / t_blocks
+    p[(t >= lead_s + t_blocks) & (t < lead_s + t_sess)] = (
+        session_energy_j(n, coverage, params) / t_radio)
+    return t, p
+
+
+def test_power_trace_equals_the_boolean_mask_reference():
+    # the radio-plan benchmark grid: a window holding one session with 40 s
+    # of sleep after it, ending on and just off a 10 ms grid point
+    params = EnergyParams()
+    for n_sess in (1, 2, 4, 6):
+        for t_acq in (60.0, 120.0, 300.0, 600.0, 900.0, 1200.0):
+            for cov in CoverageClass:
+                plan = SessionPlan(n_sessions_per_day=n_sess, t_acq_s=t_acq)
+                on_grid = round((20.0 + session_active_s(plan, cov, params) + 40.0) * 100) / 100
+                for window_s in (on_grid, np.nextafter(on_grid, 0.0), on_grid + 0.004):
+                    t, p = simulate_power_trace(plan, params, window_s, cov)
+                    rt, rp = _reference_trace(plan, params, window_s, cov)
+                    assert t.tobytes() == rt.tobytes()
+                    assert p.tobytes() == rp.tobytes()
+
+
+def _reference_integral(t, p):
+    """validate_window's trace checks and integral as plain numpy calls."""
+    dt = np.diff(t)
+    if np.any(dt <= 0):
+        raise ValueError("trace timestamps must strictly increase")
+    if np.max(dt) > 2.0 * np.median(dt):
+        raise ValueError("trace has gaps (sample interval jump over 2x median)")
+    return float(np.trapezoid(p, t))
+
+
+def _outcome(f):
+    """The bytes f() returns, or the message of the ValueError it raises."""
+    try:
+        return np.float64(f()).tobytes()
+    except ValueError as e:
+        return str(e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(2, 600),
+       kind=st.sampled_from(["uniform", "under_2x", "over_2x", "gapped", "repeated"]),
+       t0=st.floats(-1e3, 1e3),
+       seed=st.integers(0, 2**32 - 1))
+def test_window_integral_equals_the_plain_reference(n, kind, t0, seed):
+    rng = np.random.default_rng(seed)
+    h = 150.0 / (n - 1)                     # every window outlasts the 91 s session
+    dt = np.full(n - 1, h)
+    if kind == "under_2x":
+        dt *= 1.0 + rng.uniform(0.0, 0.9, n - 1)
+    elif kind == "over_2x":
+        dt *= 1.0 + rng.uniform(0.0, 3.0, n - 1)
+    elif kind == "gapped":
+        dt[rng.integers(n - 1)] *= rng.uniform(1.5, 4.0)
+    elif kind == "repeated":
+        dt[rng.integers(n - 1)] *= rng.choice([0.0, -1.0])
+    t = t0 + np.concatenate([[0.0], np.cumsum(dt)])
+    p = rng.uniform(0.0, 0.5, n)
+    measured = _outcome(lambda: validate_window(t, p, VALIDATION_PLAN).e_measured_j)
+    assert measured == _outcome(lambda: _reference_integral(t, p))
+
+
+@pytest.mark.parametrize("array, index, value, match", [
+    ("t", 70000, np.nan, "timestamps"),
+    ("t", -1, np.inf, "timestamps"),
+    ("t", 0, -np.inf, "timestamps"),
+    ("p", 70000, np.nan, "power"),
+    ("p", 70000, np.inf, "power"),
+    ("p", 0, -np.inf, "power"),
+])
+def test_window_rejects_non_finite_traces(array, index, value, match):
+    t, p = simulate_power_trace(VALIDATION_PLAN)
+    {"t": t, "p": p}[array][index] = value
+    with pytest.raises(ValueError, match=match):
+        validate_window(t, p, VALIDATION_PLAN)
+
+
+@pytest.mark.parametrize("window_s", [np.nan, np.inf])
+def test_power_trace_rejects_a_non_finite_window(window_s):
+    with pytest.raises(ValueError, match="window_s"):
+        simulate_power_trace(VALIDATION_PLAN, window_s=window_s)
