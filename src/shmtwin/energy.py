@@ -257,6 +257,24 @@ def simulate_power_trace(
     return t, p
 
 
+# numpy sums a contiguous float64 array pairwise: a node of more than 128
+# terms splits after half its terms, rounded down to a multiple of 8.  The
+# same split applied down to nodes of at most _LEAF terms, each finished by
+# numpy's own .sum(), adds up in numpy's order.  8,192 float64 are 64 KiB,
+# below glibc's 128 KiB mmap threshold, so a reused leaf buffer stays on
+# the heap instead of being mapped and faulted in again on every call.
+_LEAF = 8192
+
+
+def _pairwise(a: int, b: int, leaf) -> float:
+    """Sum leaf(i, j) over [a, b) split as numpy's pairwise sum splits it."""
+    if b - a <= _LEAF:
+        return leaf(a, b)
+    n2 = (b - a) // 2
+    n2 -= n2 % 8
+    return _pairwise(a, a + n2, leaf) + _pairwise(a + n2, b, leaf)
+
+
 def validate_window(
     trace_t_s: np.ndarray,
     trace_p_w: np.ndarray,
@@ -276,33 +294,52 @@ def validate_window(
     The trace is checked before it is integrated.  Its timestamps, and the
     intervals between them, must be finite, and the times must strictly
     increase.  A gap is an interval over twice the median interval; the
-    median is computed only when the longest interval is over twice the
-    shortest, since it is never below the shortest.  The integral is
-    numpy's trapezoid rule, ``np.trapezoid(p, t)``, bit for bit, and
-    must be finite, so a non-finite power sample is rejected.
+    median, the one pass over a whole-trace ``np.diff``, is computed only
+    when the longest interval is over twice the shortest, since it is never
+    below the shortest.  The integral is numpy's trapezoid rule,
+    ``np.trapezoid(p, t)``, bit for bit, and must be finite, so a
+    non-finite power sample is rejected.
+
+    No other temporary spans the trace: the intervals are walked along
+    numpy's own pairwise-sum tree (see ``_pairwise``), and each leaf's
+    intervals and trapezoid terms are formed in two reused 64 KiB buffers
+    and summed by ``.sum()``, so the leaf sums, added back up the tree,
+    give the bits ``np.trapezoid`` gives.
     """
     t = np.asarray(trace_t_s, dtype=float)
     p = np.asarray(trace_p_w, dtype=float)
     if t.ndim != 1 or t.shape != p.shape or t.size < 2:
         raise ValueError("trace must be two equal-length 1-D arrays")
-    dt = np.diff(t)
-    dt_min, dt_max = dt.min(), dt.max()
-    if not (math.isfinite(dt_min) and math.isfinite(dt_max)):
-        raise ValueError("trace timestamps and their intervals must be finite")
-    if dt_min <= 0:
-        raise ValueError("trace timestamps must strictly increase")
-    if dt_max > 2.0 * dt_min and dt_max > 2.0 * np.median(dt):
-        raise ValueError("trace has gaps (sample interval jump over 2x median)")
+    dt_buf = np.empty(min(t.size - 1, _LEAF))
+    area_buf = np.empty_like(dt_buf)
+    dt_lo, dt_hi = math.inf, -math.inf
 
-    window_s = float(t[-1] - t[0])
-    # np.trapezoid's expression, dt * (p[1:] + p[:-1]) / 2.0, on one temporary
-    area = p[1:] + p[:-1]
-    area *= dt
-    area /= 2.0
-    e_measured = float(area.sum())
+    def leaf(a: int, b: int) -> float:
+        nonlocal dt_lo, dt_hi
+        dt = dt_buf[:b - a]
+        np.subtract(t[a + 1:b + 1], t[a:b], out=dt)
+        lo, hi = float(dt.min()), float(dt.max())
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError("trace timestamps and their intervals must be finite")
+        dt_lo, dt_hi = min(dt_lo, lo), max(dt_hi, hi)
+        if dt_lo <= 0:
+            return 0.0          # rejected below, once every interval is known finite
+        # np.trapezoid's expression, dt * (p[1:] + p[:-1]) / 2.0
+        area = area_buf[:b - a]
+        np.add(p[a + 1:b + 1], p[a:b], out=area)
+        area *= dt
+        area /= 2.0
+        return float(area.sum())
+
+    e_measured = _pairwise(0, t.size - 1, leaf)
+    if dt_lo <= 0:
+        raise ValueError("trace timestamps must strictly increase")
+    if dt_hi > 2.0 * dt_lo and dt_hi > 2.0 * np.median(np.diff(t)):
+        raise ValueError("trace has gaps (sample interval jump over 2x median)")
     if not math.isfinite(e_measured):
         raise ValueError(f"trace power samples must be finite; they integrate to {e_measured}")
 
+    window_s = float(t[-1] - t[0])
     e_sess = (energy_acquisition_j(plan, params)
               + session_energy_j(plan.n_packets, coverage, params))
     t_active = session_active_s(plan, coverage, params)

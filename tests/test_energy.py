@@ -1,6 +1,8 @@
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -122,6 +124,69 @@ def test_lifetime_monotone_in_load():
     lives = [battery_life_days(SessionPlan(n_sessions_per_day=n, t_acq_s=600.0), VL34570)
              for n in (1, 2, 4, 6)]
     assert all(a > b for a, b in zip(lives, lives[1:]))
+
+
+# Energy is monotone: a grid of acquisition lengths, from one packet (6.5 s)
+# to an hour, with 60 s and 65 s both ten packets, and every session count
+# that fits in a day
+T_ACQ_GRID = (6.5, 10.0, 60.0, 65.0, 300.0, 600.0, 1200.0, 1800.0, 3600.0)
+SESSION_GRID = range(12)
+
+
+def _feasible(n_sessions, t_acq, coverage):
+    plan = SessionPlan(n_sessions_per_day=n_sessions, t_acq_s=t_acq)
+    return n_sessions * session_active_s(plan, coverage) <= SECONDS_PER_DAY
+
+
+def _lives(n_sessions, t_acq, coverage):
+    """Closed-form and session-by-session lifetime on both cells."""
+    plan = SessionPlan(n_sessions_per_day=n_sessions, t_acq_s=t_acq)
+    return [f(plan, cell, coverage) for cell in (LS336000, VL34570)
+            for f in (battery_life_days, battery_life_days_sim)]
+
+
+def test_daily_energy_is_affine_in_the_session_count():
+    for t_acq in T_ACQ_GRID:
+        for coverage in CoverageClass:
+            e = [energy_day(SessionPlan(n_sessions_per_day=n, t_acq_s=t_acq), coverage).e_day_j
+                 for n in SESSION_GRID if _feasible(n, t_acq, coverage)]
+            assert len(e) >= 3, (t_acq, coverage)
+            steps = np.diff(e)
+            assert steps == pytest.approx(np.full_like(steps, steps[0]), rel=1e-9), (t_acq, coverage)
+
+
+def test_lifetime_falls_as_the_session_count_rises():
+    for t_acq in T_ACQ_GRID:
+        for coverage in CoverageClass:
+            lives = [_lives(n, t_acq, coverage)
+                     for n in SESSION_GRID if _feasible(n, t_acq, coverage)]
+            for fewer, more in zip(lives, lives[1:]):
+                assert all(a > b for a, b in zip(fewer, more)), (t_acq, coverage)
+
+
+def test_lifetime_does_not_rise_with_the_acquisition_length():
+    n_equal = n_fall = 0
+    for n in SESSION_GRID[1:]:
+        for coverage in CoverageClass:
+            t_acqs = [t for t in T_ACQ_GRID if _feasible(n, t, coverage)]
+            for short, long in zip(t_acqs, t_acqs[1:]):
+                more_packets = (SessionPlan(t_acq_s=long).n_packets
+                                > SessionPlan(t_acq_s=short).n_packets)
+                for a, b in zip(_lives(n, short, coverage), _lives(n, long, coverage)):
+                    assert a > b if more_packets else a >= b, (n, short, long, coverage)
+                n_fall += more_packets
+                n_equal += not more_packets
+    assert n_equal > 0 and n_fall > 0
+
+
+def test_lifetime_falls_from_good_to_bad_coverage():
+    for n in SESSION_GRID[1:]:
+        for t_acq in T_ACQ_GRID:
+            if not _feasible(n, t_acq, CoverageClass.BAD):
+                continue
+            good, medium, bad = (_lives(n, t_acq, c) for c in
+                                 (CoverageClass.GOOD, CoverageClass.MEDIUM, CoverageClass.BAD))
+            assert all(g > m > b for g, m, b in zip(good, medium, bad)), (n, t_acq)
 
 
 def test_sim_agrees_with_closed_form():
@@ -316,3 +381,112 @@ def test_window_rejects_non_finite_traces(array, index, value, match):
 def test_power_trace_rejects_a_non_finite_window(window_s):
     with pytest.raises(ValueError, match="window_s"):
         simulate_power_trace(VALIDATION_PLAN, window_s=window_s)
+
+
+def _whole_trace_reference(t, p):
+    """validate_window's checks, in order, and its integral over whole-trace arrays."""
+    dt = np.diff(t)
+    if not np.isfinite(dt).all():
+        raise ValueError("trace timestamps and their intervals must be finite")
+    if dt.min() <= 0:
+        raise ValueError("trace timestamps must strictly increase")
+    if dt.max() > 2.0 * np.median(dt):
+        raise ValueError("trace has gaps (sample interval jump over 2x median)")
+    e = float(np.trapezoid(p, t))
+    if not math.isfinite(e):
+        raise ValueError(f"trace power samples must be finite; they integrate to {e}")
+    return e
+
+
+def _long_trace(n, kind, seed):
+    """An n-point trace over 150 s, uniform or jittered below or above 2x."""
+    rng = np.random.default_rng(seed)
+    dt = np.full(n - 1, 150.0 / (n - 1))
+    if kind == "under_2x":
+        dt *= 1.0 + rng.uniform(0.0, 0.9, n - 1)
+    elif kind == "over_2x":
+        dt *= 1.0 + rng.uniform(0.0, 3.0, n - 1)
+    t = rng.uniform(-1e3, 1e3) + np.concatenate([[0.0], np.cumsum(dt)])
+    return t, rng.uniform(0.0, 0.5, n)
+
+
+def _radio_plan_grids():
+    """The radio-plan benchmark's trace grids: one session, 40 s of sleep after."""
+    params = EnergyParams()
+    for t_acq in (60.0, 120.0, 300.0, 600.0, 900.0, 1200.0):
+        for coverage in CoverageClass:
+            plan = SessionPlan(t_acq_s=t_acq)
+            window_s = 20.0 + session_active_s(plan, coverage, params) + 40.0
+            yield simulate_power_trace(plan, params, window_s, coverage)
+
+
+# Lengths at and one past the splits of numpy's pairwise sum at 8,192
+# intervals and its doubles, and two whose halves round down to a multiple
+# of 8: validate_window sums leaf by leaf in numpy's order, so a numpy that
+# splits its sum otherwise fails here by name.
+@pytest.mark.parametrize("n", [8193, 8194, 8211, 16385, 16386, 50013, 131073])
+@pytest.mark.parametrize("kind", ["uniform", "under_2x", "over_2x"])
+def test_long_trace_integral_equals_np_trapezoid_bit_for_bit(n, kind):
+    t, p = _long_trace(n, kind, seed=n)
+    e = validate_window(t, p, VALIDATION_PLAN).e_measured_j
+    assert np.float64(e).tobytes() == np.trapezoid(p, t).tobytes()
+
+
+def test_radio_plan_trace_integrals_equal_np_trapezoid_bit_for_bit():
+    rng = np.random.default_rng(25)
+    sizes = set()
+    for t, p in _radio_plan_grids():
+        sizes.add(t.size)
+        for power in (p, rng.uniform(0.0, 0.5, t.size)):
+            e = validate_window(t, power, VALIDATION_PLAN).e_measured_j
+            assert np.float64(e).tobytes() == np.trapezoid(power, t).tobytes(), t.size
+    assert min(sizes) < 16_000 and max(sizes) > 270_000 and len(sizes) == 18
+
+
+def _nan_late(t, p, k):
+    t[k] = np.nan
+
+
+def _repeat_late(t, p, k):
+    t[k] = t[k - 1]
+
+
+def _gap_late(t, p, k):
+    t[k:] += 5.0 * (t[1] - t[0])
+
+
+def _inf_power_late(t, p, k):
+    p[k] = np.inf
+
+
+def _repeat_early_nan_late(t, p, k):
+    t[5] = t[4]
+    t[k] = np.nan
+
+
+@pytest.mark.parametrize("fault, match", [
+    (_nan_late, "timestamps and their intervals must be finite"),
+    (_repeat_late, "strictly increase"),
+    (_gap_late, "gaps"),
+    (_inf_power_late, "power samples must be finite; they integrate to inf"),
+    (_repeat_early_nan_late, "timestamps and their intervals must be finite"),
+])
+def test_a_fault_in_a_late_leaf_raises_the_whole_trace_message(fault, match):
+    t, p = _long_trace(131073, "uniform", seed=7)
+    fault(t, p, t.size - 100)           # inside the last 8,192-interval leaf
+    with pytest.raises(ValueError, match=match) as raised:
+        validate_window(t, p, VALIDATION_PLAN)
+    assert str(raised.value) == _outcome(lambda: _whole_trace_reference(t, p))
+
+
+def test_window_check_holds_no_trace_length_temporary():
+    t, p = simulate_power_trace(VALIDATION_PLAN)
+    assert t.size >= 98_000
+    validate_window(t, p, VALIDATION_PLAN)
+    tracemalloc.start()
+    try:
+        validate_window(t, p, VALIDATION_PLAN)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < t.nbytes
