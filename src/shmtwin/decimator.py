@@ -299,11 +299,20 @@ def design_decimator(
     f_protect = spec.protected_edge_hz
     pp_budget, atten_target, delta_p, delta_s = _stage_targets(spec)
 
-    stages: list[FilterStage] = []
+    # Kaiser-windowed sinc: passband and stopband deviations are equal,
+    # so size the window for whichever requirement is tighter.
+    delta = min(delta_p, delta_s)
+    atten_design = -20.0 * math.log10(delta)
+    beta = _kaiser_beta(atten_design)
+
+    # Each stage's design starts from Kaiser's length estimate and only
+    # grows, so the estimates' sum bounds the chain from below: a chain
+    # that cannot fit the budget fails before any window is computed.
+    plan = []  # (stage input rate, decimation, stop edge, first tap count)
     fs = spec.f_in_hz
     for d in spec.stage_decims:
         if d == 1:
-            stages.append(FilterStage(np.array([1.0]), 1))
+            plan.append((fs, 1, None, 1))
             continue
         f_next = fs / d
         f_stop = f_next - f_protect
@@ -312,12 +321,19 @@ def design_decimator(
                 f"no transition band left at stage rate {fs} Hz / {d}: "
                 f"stop edge {f_stop} Hz <= pass edge {f_protect} Hz"
             )
-        # Kaiser-windowed sinc: passband and stopband deviations are equal,
-        # so size the window for whichever requirement is tighter.
-        delta = min(delta_p, delta_s)
-        atten_design = -20.0 * math.log10(delta)
-        beta = _kaiser_beta(atten_design)
-        n = _kaiser_taps(atten_design, (f_stop - f_protect) / fs)
+        plan.append((fs, d, f_stop, _kaiser_taps(atten_design, (f_stop - f_protect) / fs)))
+        fs = f_next
+    least = sum(n for *_, n in plan)
+    if least > spec.coeff_budget:
+        raise FilterDesignError(
+            f"chain needs at least {least} coefficients, budget is {spec.coeff_budget}"
+        )
+
+    stages: list[FilterStage] = []
+    for fs, d, f_stop, n in plan:
+        if d == 1:
+            stages.append(FilterStage(np.array([1.0]), 1))
+            continue
         n_cap = 4 * n + 257
         while True:
             h = _kaiser_lowpass(n, (f_protect + f_stop) / 2.0, beta, fs)
@@ -330,7 +346,6 @@ def design_decimator(
                     f"stage at {fs} Hz did not converge by {n_cap} taps"
                 )
         stages.append(FilterStage(h / np.sum(h), d))
-        fs = f_next
 
     total = sum(s.n_taps for s in stages)
     if total > spec.coeff_budget:

@@ -17,6 +17,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, fields
+from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -98,8 +100,7 @@ def epb_uj_per_bit(payload_bytes: int, energy_j: float) -> float:
 SAMPLES_PER_PACKET = 650
 
 
-@dataclass(frozen=True, eq=False)
-class Packet:
+class Packet(NamedTuple):
     session_id: int
     seq: int
     samples: np.ndarray  # read-only int16 view of the packetized series
@@ -121,7 +122,7 @@ def reassemble(packets: list[Packet]) -> np.ndarray:
     """Concatenate the packets' samples in sequence order."""
     if not packets:
         return np.zeros(0, dtype=np.int16)
-    return np.concatenate([p.samples for p in sorted(packets, key=lambda p: p.seq)])
+    return np.concatenate([p.samples for p in sorted(packets, key=attrgetter("seq"))])
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +133,7 @@ def reassemble(packets: list[Packet]) -> np.ndarray:
 DEFAULT_DISPERSION_SIGMA = 1.645 - math.sqrt(1.645**2 - 2.0 * math.log(2.0))
 
 
-@dataclass(frozen=True)
-class PacketTx:
+class PacketTx(NamedTuple):
     seq: int
     energy_j: float
     t_s: float  # airtime start, from the start of the session
@@ -175,24 +175,29 @@ def uplink_session(
     if mode not in ("deterministic", "stochastic"):
         raise ValueError(f"unknown mode {mode!r}")
     mult = COVERAGE_MULT[coverage]
+    n = len(packets)
 
     means_mj = [params.e_connect_first_tx_mj]
-    means_mj += [params.e_packet_tx_mj] * (len(packets) - 1)
+    means_mj += [params.e_packet_tx_mj] * (n - 1)
     means_mj[-1] += params.e_session_tail_mj
     means_j = [mult * m * 1e-3 for m in means_mj]
 
     if mode == "stochastic":
-        rng = np.random.default_rng(seed)
-        z = rng.standard_normal(len(means_j))
+        z = np.random.default_rng(seed).standard_normal(n).tolist()
         s = DEFAULT_DISPERSION_SIGMA
-        energies = [m * math.exp(s * zi - 0.5 * s * s) for m, zi in zip(means_j, z)]
+        half_s2 = 0.5 * s * s
+        energies = [m * math.exp(s * zi - half_s2) for m, zi in zip(means_j, z)]
     else:
         energies = means_j
 
-    txs = tuple(PacketTx(seq=p.seq, energy_j=e, t_s=params.radio_window_s(i, coverage))
-                for i, (p, e) in enumerate(zip(packets, energies)))
+    # each airtime start is radio_window_s(i, coverage), written out in the
+    # same order of operations so the bits match, with one class lookup
+    t_connect, t_packet = params.t_connect_s, params.t_packet_s
+    reps = 2 ** COVERAGE_ECL[coverage]
+    txs = tuple(map(PacketTx, [p.seq for p in packets], energies,
+                    [t_connect + i * t_packet * reps for i in range(n)]))
     return UplinkRecord(session_id=packets[0].session_id, packets=txs,
-                        duration_s=params.radio_window_s(len(packets), coverage))
+                        duration_s=params.radio_window_s(n, coverage))
 
 
 def session_energy_j(
@@ -225,8 +230,7 @@ def deliver(packets: list[Packet], loss_prob: float = 0.0, seed: int = 0) -> Sin
     """Drop packets independently with loss_prob and reassemble the rest."""
     if not 0.0 <= loss_prob < 1.0:
         raise ValueError(f"loss probability must be in [0, 1), got {loss_prob}")
-    rng = np.random.default_rng(seed)
-    keep = rng.random(len(packets)) >= loss_prob
+    keep = (np.random.default_rng(seed).random(len(packets)) >= loss_prob).tolist()
     got = [p for p, k in zip(packets, keep) if k]
     lost = tuple(p.seq for p, k in zip(packets, keep) if not k)
     return SinkReport(delivered_count=len(got), missing_seqs=lost, samples=reassemble(got))
@@ -238,20 +242,24 @@ def deliver(packets: list[Packet], loss_prob: float = 0.0, seed: int = 0) -> Sin
 EVENT_LOG_FIELDS = ["timestamp_s", "node_id", "session_id", "seq", "energy_j", "delivered"]
 
 
-def event_rows(record: UplinkRecord, sink: SinkReport) -> list[dict]:
-    """One row per packet transmission of node 1, stamped at its airtime
-    start from the start of the session, with whether the sink got it."""
+def event_rows(record: UplinkRecord, sink: SinkReport) -> dict[str, list]:
+    """The event log's columns, in EVENT_LOG_FIELDS order: one entry per
+    packet transmission of node 1, stamped at its airtime start from the
+    start of the session, with whether the sink got it."""
+    txs = record.packets
+    n = len(txs)
     missing = set(sink.missing_seqs)
-    return [{
-        "timestamp_s": round(tx.t_s, 6),
-        "node_id": 1,
-        "session_id": record.session_id,
-        "seq": tx.seq,
-        "energy_j": tx.energy_j,
-        "delivered": int(tx.seq not in missing),
-    } for tx in record.packets]
+    seqs = [tx.seq for tx in txs]
+    return {
+        "timestamp_s": [round(tx.t_s, 6) for tx in txs],
+        "node_id": [1] * n,
+        "session_id": [record.session_id] * n,
+        "seq": seqs,
+        "energy_j": [tx.energy_j for tx in txs],
+        "delivered": [int(seq not in missing) for seq in seqs],
+    }
 
 
-def write_event_log(path, rows: list[dict]) -> None:
-    """The event rows as CSV columns, in EVENT_LOG_FIELDS order."""
-    write_csv_columns(path, {k: [r[k] for r in rows] for k in EVENT_LOG_FIELDS})
+def write_event_log(path, columns: dict[str, list]) -> None:
+    """The event log's columns as CSV, in EVENT_LOG_FIELDS order."""
+    write_csv_columns(path, {k: columns[k] for k in EVENT_LOG_FIELDS})

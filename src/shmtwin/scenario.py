@@ -90,16 +90,18 @@ class StageError(Exception):
     """A pipeline stage failed; carries the stage name for exit reporting."""
 
     def __init__(self, stage: str, cause: Exception):
-        super().__init__(f"stage {stage}: {cause}")
+        # a bare MemoryError() has no message of its own
+        super().__init__(f"stage {stage}: {str(cause) or type(cause).__name__}")
         self.stage = stage
 
 
 @contextlib.contextmanager
 def stage(name: str):
-    """Re-raise a failure of the stage run inside as a ``StageError``."""
+    """Re-raise a failure of the stage run inside as a ``StageError``; a
+    failed allocation is a stage failure too."""
     try:
         yield
-    except (ValueError, RuntimeError, OSError) as e:
+    except (ValueError, RuntimeError, OSError, MemoryError) as e:
         raise StageError(name, e) from e
 
 

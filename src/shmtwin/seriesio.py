@@ -3,7 +3,8 @@
 The CSV writers write dot-decimal UTF-8 with a header row, each float
 written with repr so it reads back exactly.  ``write_csv_columns`` writes
 equal-length numeric columns with CRLF line endings (the uplink event
-log); ``write_csv_rows`` writes rows of mixed values with LF line endings
+log), each a list of Python numbers, written as it stands, or an array;
+``write_csv_rows`` writes rows of mixed values with LF line endings
 (the energy and summary tables and the reproduction reports).
 ``write_npy_columns`` writes equal-length float columns as one structured
 little-endian ``.npy`` array, one ``<f8`` field per column, bit for bit
@@ -29,13 +30,19 @@ def _equal_length(columns: dict[str, np.ndarray]) -> tuple[dict[str, np.ndarray]
     return arrays, n
 
 
-def write_csv_columns(path, columns: dict[str, np.ndarray]) -> None:
-    arrays, _ = _equal_length(columns)
+def write_csv_columns(path, columns: dict[str, list | np.ndarray]) -> None:
+    """A list column is written as it stands, so it must hold Python ints
+    and floats; any other column is read as a numpy array."""
+    if not columns:
+        raise ValueError("need at least one column")
+    values = [v if isinstance(v, list) else np.asarray(v).tolist() for v in columns.values()]
+    if len(set(map(len, values))) != 1:
+        raise ValueError("columns must have equal length")
     with open(path, "w", newline="", encoding="utf-8") as f:
-        csv.writer(f).writerow(arrays.keys())
+        csv.writer(f).writerow(columns.keys())
         # ``%r`` formats a float or an int as repr does.
-        row = ",".join(["%r"] * len(arrays)) + "\r\n"
-        f.writelines(map(row.__mod__, zip(*(a.tolist() for a in arrays.values()))))
+        row = ",".join(["%r"] * len(values)) + "\r\n"
+        f.writelines(map(row.__mod__, zip(*values)))
 
 
 def write_npy_columns(path, columns: dict[str, np.ndarray]) -> None:

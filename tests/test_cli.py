@@ -1,5 +1,8 @@
+import time
+
 import pytest
 
+from shmtwin import scenario
 from shmtwin.cli import EXIT_ACCEPT, EXIT_CONFIG, EXIT_OK, EXIT_STAGE, main
 from shmtwin.repro import TARGETS, ReproRow
 
@@ -56,8 +59,36 @@ def test_run_tolerance_that_underflows_is_a_config_error(tmp_path, capsys, key, 
 def test_run_filter_design_failure_is_a_stage_error(tmp_path, capsys):
     path = _write(tmp_path, GOOD + "[dsp-chain]\ncoeff_budget = 50\n")
     assert main(["run", path, "--outputs", str(tmp_path / "o")]) == EXIT_STAGE
-    assert ("stage failure: stage dsp: chain needs 218 coefficients, budget is 50"
+    # Kaiser's estimates (9 + 9 + 9 + 11 + 21 + 155) already exceed the
+    # budget, so the design stops before it computes a window
+    assert ("stage failure: stage dsp: chain needs at least 214 coefficients, budget is 50"
             in capsys.readouterr().err)
+
+
+def test_run_with_a_prime_decimation_fails_fast_on_the_budget(tmp_path, capsys):
+    # one stage of 1000003: its window alone would hold ~38 M taps
+    path = _write(tmp_path, GOOD + "[signal-synth]\nf_os_hz = 100000300\n"
+                  "[dsp-chain]\ntotal_decim = 1000003\nn_stages = 1\n")
+    t0 = time.perf_counter()
+    assert main(["run", path, "--outputs", str(tmp_path / "o")]) == EXIT_STAGE
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("stage failure: stage dsp: chain needs at least ")
+    assert err.endswith(" coefficients, budget is 1000\n")
+
+
+def test_run_out_of_memory_is_a_stage_error(tmp_path, capsys, monkeypatch):
+    def no_memory(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(scenario, "compute_spectrum", no_memory)
+    path = _write(tmp_path, GOOD)
+    with pytest.raises(scenario.StageError) as exc:
+        scenario.run_scenario(scenario.load_scenario(path), write=False)
+    assert exc.value.stage == "modal"
+    assert isinstance(exc.value.__cause__, MemoryError)
+    assert main(["run", path, "--outputs", str(tmp_path / "o")]) == EXIT_STAGE
+    assert capsys.readouterr().err == "stage failure: stage modal: MemoryError\n"
 
 
 def test_run_seed_override_changes_outputs(tmp_path):

@@ -69,6 +69,18 @@ def test_budget_too_small_fails_loudly():
             design_decimator(spec)
 
 
+def test_budget_is_checked_before_any_window_is_designed(monkeypatch):
+    # a prime decimation leaves one stage whose Kaiser estimate is ~38 M taps
+    def no_window(*args):
+        raise AssertionError("a window was designed")
+
+    monkeypatch.setattr(decimator, "_kaiser_lowpass", no_window)
+    spec = DecimatorSpec(n_stages=1, total_decim=1000003, f_in_hz=100000300.0)
+    with pytest.raises(FilterDesignError, match=r"needs at least \d{8} coefficients, "
+                                                r"budget is 1000"):
+        design_decimator(spec)
+
+
 def test_equal_specs_share_one_design():
     stages, report = design_decimator(DecimatorSpec())
     again, report_again = design_decimator(DecimatorSpec(n_stages=6))

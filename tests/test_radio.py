@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import math
 
 import numpy as np
@@ -167,18 +168,55 @@ def test_event_log_round_trip(tmp_path):
     pkts = packetize(np.arange(1950, dtype=np.int16), session_id=4)
     rec = uplink_session(pkts, mode="stochastic", seed=2)
     sink = deliver(pkts, loss_prob=0.5, seed=9)
-    rows = event_rows(rec, sink)
-    assert [list(r.keys()) for r in rows] == [EVENT_LOG_FIELDS] * 3
-    assert rows[0]["timestamp_s"] == 6.0        # the connect time
+    cols = event_rows(rec, sink)
+    assert list(cols) == EVENT_LOG_FIELDS
+    assert [len(c) for c in cols.values()] == [3] * len(EVENT_LOG_FIELDS)
+    assert cols["timestamp_s"][0] == 6.0        # the connect time
     path = tmp_path / "uplink.csv"
-    write_event_log(path, rows)
+    write_event_log(path, cols)
     with open(path, newline="") as f:
         back = list(csv.DictReader(f))
     assert len(back) == 3
-    for orig, rt in zip(rows, back):
-        assert float(rt["energy_j"]) == orig["energy_j"]
-        assert int(rt["delivered"]) == orig["delivered"]
+    for k, rt in enumerate(back):
+        assert float(rt["energy_j"]) == cols["energy_j"][k]
+        assert int(rt["delivered"]) == cols["delivered"][k]
         assert int(rt["node_id"]) == 1
+
+
+# sha256 of uplink.csv for a 12-packet stochastic session that loses 6
+# packets, pinned from the row-by-row writer the column form replaced; the
+# second params' stamps are inexact sums, so they pin the stamps' operation
+# order
+EVENT_LOG_SHA256 = {
+    (6.0, CoverageClass.GOOD):
+        "b62c634fe39cda20547c64c0fc2643f594cefbb9c32623b74cc1541b998e9661",
+    (6.0, CoverageClass.MEDIUM):
+        "b907597c80c3eb858030316ff61a6413ddfd1fc7343a6f5110fde6187a417b52",
+    (6.0, CoverageClass.BAD):
+        "0c39b85b5dab7a2b338943be450b085f75f74e405bf3b45369cd445f578f449a",
+    (0.7, CoverageClass.GOOD):
+        "12fb2a8b1ea95a8ad876d596dee31b17359108854b8c96962c2c71f16cb57e51",
+    (0.7, CoverageClass.MEDIUM):
+        "6253313690109025a4fe231a2357e03a247e3855fa2a6f8a61c876511b0008ae",
+    (0.7, CoverageClass.BAD):
+        "47b50eccc7a086a4fa474fd128b1bddca922035a61414a344e5152b9ab94c5f3",
+}
+
+
+@pytest.mark.parametrize("t_connect_s, coverage", list(EVENT_LOG_SHA256))
+def test_event_log_bytes_in_every_coverage_class(tmp_path, t_connect_s, coverage):
+    params = (EnergyParams() if t_connect_s == 6.0
+              else EnergyParams(t_connect_s=t_connect_s, t_packet_s=0.1))
+    pkts = packetize(np.arange(-3000, 4250, dtype=np.int16), session_id=7)
+    rec = uplink_session(pkts, coverage, params, mode="stochastic", seed=11)
+    sink = deliver(pkts, loss_prob=0.3, seed=12)
+    assert len(pkts) == 12 and len(sink.missing_seqs) == 6
+    for i, tx in enumerate(rec.packets):
+        assert tx.t_s == params.radio_window_s(i, coverage)
+    path = tmp_path / "uplink.csv"
+    write_event_log(path, event_rows(rec, sink))
+    assert (hashlib.sha256(path.read_bytes()).hexdigest()
+            == EVENT_LOG_SHA256[t_connect_s, coverage])
 
 
 def test_dispersion_sigma_value():
@@ -191,6 +229,6 @@ def test_event_log_stamps_come_from_the_session_params():
     params = EnergyParams(t_connect_s=3.0)
     pkts = packetize(np.arange(1300, dtype=np.int16))
     rec = uplink_session(pkts, params=params)
-    stamps = [r["timestamp_s"] for r in event_rows(rec, deliver(pkts, loss_prob=0.0))]
+    stamps = event_rows(rec, deliver(pkts, loss_prob=0.0))["timestamp_s"]
     assert stamps[0] == 3.0                     # the record's own connect time
     assert all(t < rec.duration_s for t in stamps)
