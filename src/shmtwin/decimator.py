@@ -72,23 +72,29 @@ def _prime_factors(n: int) -> list[int]:
     return factors + [n] if n > 1 else factors
 
 
-def _default_stage_decims(total_decim: int, n_stages: int) -> tuple[int, ...]:
-    """Split total_decim into n_stages factors, big factors last.
+def _default_stage_decims(factors: list[int], n_stages: int) -> tuple[int, ...]:
+    """Split a decimation, given as its prime factors, into n_stages factors,
+    big factors last.
 
-    Prime-factorize, then merge smallest factors until the count fits.  For
-    the default 256x / 6-stage chain this yields (2, 2, 2, 2, 4, 4); a chain
-    without decimation is one pass-through stage.
+    Merge the smallest factors until the count fits.  For the default
+    256x / 6-stage chain this yields (2, 2, 2, 2, 4, 4); a chain without
+    decimation is one pass-through stage.
     """
-    factors = _prime_factors(total_decim)
     while len(factors) > n_stages:
         merged = factors[0] * factors[1]
         factors = sorted([merged] + factors[2:])
     return tuple(factors) or (1,)
 
 
+# The largest total decimation a spec accepts.  Trial division of a number
+# up to 2**31 takes at most ~23,000 steps, so even a prime splits at once.
+MAX_TOTAL_DECIM = 2**31
+
+
 @dataclass(frozen=True)
 class DecimatorSpec:
-    """Target figures for the whole cascade; output rate and stage split are derived."""
+    """Target figures for the whole cascade; output rate and stage split are
+    derived, the split once, when the spec is made."""
 
     n_stages: int = 6
     total_decim: int = 256
@@ -101,15 +107,20 @@ class DecimatorSpec:
     def __post_init__(self):
         if self.n_stages < 1 or self.total_decim < 1:
             raise ValueError("need at least one stage and decimation >= 1")
+        if self.total_decim > MAX_TOTAL_DECIM:
+            raise ValueError(f"total_decim = {self.total_decim} is above the cap "
+                             f"{MAX_TOTAL_DECIM} (2**31)")
         if self.coeff_budget < 1:
             raise ValueError(f"coeff_budget must be >= 1, got {self.coeff_budget}")
         if self.f_in_hz % self.total_decim:
             raise ValueError(f"input rate {self.f_in_hz} Hz must divide evenly by "
                              f"total_decim {self.total_decim}")
-        n_factors = len(_prime_factors(self.total_decim))
-        if self.n_stages > max(n_factors, 1):
+        factors = _prime_factors(self.total_decim)
+        if self.n_stages > max(len(factors), 1):
             raise ValueError(f"n_stages = {self.n_stages} is more than total_decim = "
-                             f"{self.total_decim} has prime factors ({n_factors})")
+                             f"{self.total_decim} has prime factors ({len(factors)})")
+        object.__setattr__(self, "_stage_decims",
+                           _default_stage_decims(factors, self.n_stages))
         if not 0 < self.cutoff_hz <= self.f_out_hz / 2.0:
             raise ValueError("cutoff must lie in (0, f_out/2]")
         if not all(0 < v < math.inf for v in (self.passband_ripple_db, self.stopband_atten_db)):
@@ -129,7 +140,7 @@ class DecimatorSpec:
 
     @property
     def stage_decims(self) -> tuple[int, ...]:
-        return _default_stage_decims(self.total_decim, self.n_stages)
+        return self._stage_decims
 
     @property
     def protected_edge_hz(self) -> float:
@@ -315,12 +326,9 @@ def design_decimator(
             plan.append((fs, 1, None, 1))
             continue
         f_next = fs / d
+        # f_next >= f_out >= 2 * cutoff, so the stop edge is at least
+        # 1.1 * cutoff, above the 0.9 * cutoff pass edge
         f_stop = f_next - f_protect
-        if f_stop <= f_protect:
-            raise FilterDesignError(
-                f"no transition band left at stage rate {fs} Hz / {d}: "
-                f"stop edge {f_stop} Hz <= pass edge {f_protect} Hz"
-            )
         plan.append((fs, d, f_stop, _kaiser_taps(atten_design, (f_stop - f_protect) / fs)))
         fs = f_next
     least = sum(n for *_, n in plan)

@@ -249,30 +249,36 @@ def simulate_power_trace(
     p_radio = session_energy_j(n, coverage, params) / t_radio
 
     t = np.arange(0.0, window_s + dt_s / 2, dt_s)
-    p = np.full_like(t, params.sleep_power_w)
-    # t is sorted, so each plateau lead <= t < end is one index range
+    # t is sorted, so sleep, each plateau lead <= t < end, and sleep again
+    # are four index ranges, each written once
     i0, i1, i2 = np.searchsorted(t, (lead_s, lead_s + t_blocks, lead_s + t_sess))
+    p = np.empty_like(t)
+    p[:i0] = params.sleep_power_w
     p[i0:i1] = p_acq
     p[i1:i2] = p_radio
+    p[i2:] = params.sleep_power_w
     return t, p
 
 
 # numpy sums a contiguous float64 array pairwise: a node of more than 128
 # terms splits after half its terms, rounded down to a multiple of 8.  The
-# same split applied down to nodes of at most _LEAF terms, each finished by
-# numpy's own .sum(), adds up in numpy's order.  8,192 float64 are 64 KiB,
-# below glibc's 128 KiB mmap threshold, so a reused leaf buffer stays on
-# the heap instead of being mapped and faulted in again on every call.
-_LEAF = 8192
+# same split applied down to nodes of at most `size` terms, each finished
+# by numpy's own .sum(), adds up in numpy's order for any `size` >= 128.
+# validate_window stops at the tree's four quarters, each at most a quarter
+# of the trace plus 12 terms, so past 512 points its two leaf rows hold
+# less than one trace array; on a long trace it stops at nodes of at most
+# _LEAF terms, 256 KiB a row.
+_LEAF = 32768
 
 
-def _pairwise(a: int, b: int, leaf) -> float:
-    """Sum leaf(i, j) over [a, b) split as numpy's pairwise sum splits it."""
-    if b - a <= _LEAF:
+def _pairwise(a: int, b: int, leaf, size: int) -> float:
+    """Sum leaf(i, j) over [a, b) split as numpy's pairwise sum splits it,
+    down to nodes of at most ``size`` terms."""
+    if b - a <= size:
         return leaf(a, b)
     n2 = (b - a) // 2
     n2 -= n2 % 8
-    return _pairwise(a, a + n2, leaf) + _pairwise(a + n2, b, leaf)
+    return _pairwise(a, a + n2, leaf, size) + _pairwise(a + n2, b, leaf, size)
 
 
 def validate_window(
@@ -302,7 +308,8 @@ def validate_window(
 
     No other temporary spans the trace: the intervals are walked along
     numpy's own pairwise-sum tree (see ``_pairwise``), and each leaf's
-    intervals and trapezoid terms are formed in two reused 64 KiB buffers
+    intervals and trapezoid terms are formed in the two rows of one reused
+    buffer, each row at most about a quarter of the trace (see ``_LEAF``),
     and summed by ``.sum()``, so the leaf sums, added back up the tree,
     give the bits ``np.trapezoid`` gives.
     """
@@ -310,8 +317,8 @@ def validate_window(
     p = np.asarray(trace_p_w, dtype=float)
     if t.ndim != 1 or t.shape != p.shape or t.size < 2:
         raise ValueError("trace must be two equal-length 1-D arrays")
-    dt_buf = np.empty(min(t.size - 1, _LEAF))
-    area_buf = np.empty_like(dt_buf)
+    size = min(_LEAF, (t.size - 1) // 4 + 128)
+    dt_buf, area_buf = np.empty((2, min(t.size - 1, size)))
     dt_lo, dt_hi = math.inf, -math.inf
 
     def leaf(a: int, b: int) -> float:
@@ -332,7 +339,7 @@ def validate_window(
         area *= 0.5
         return float(area.sum())
 
-    e_measured = _pairwise(0, t.size - 1, leaf)
+    e_measured = _pairwise(0, t.size - 1, leaf, size)
     if dt_lo <= 0:
         raise ValueError("trace timestamps must strictly increase")
     if dt_hi > 2.0 * dt_lo and dt_hi > 2.0 * np.median(np.diff(t)):

@@ -10,13 +10,26 @@ log), each a list of Python numbers, written as it stands, or an array;
 little-endian ``.npy`` array, one ``<f8`` field per column, bit for bit
 (the spectrum).  ``write_text`` writes text as UTF-8 with LF line endings
 (the verdict and the filter stages).
+
+Every writer opens its file truncated to zero, so a crash mid-write
+leaves an empty or short file, never new rows followed by the tail of a
+longer old one.  The CSV and text writers form the whole content first
+and write it in one call, so a formatting error leaves the old file as it
+was.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 
 import numpy as np
+
+
+def _write_str(path, text: str) -> None:
+    data = text.encode("utf-8")
+    with open(path, "wb") as f:
+        f.write(data)
 
 
 def _equal_length(columns: dict[str, np.ndarray]) -> tuple[dict[str, np.ndarray], int]:
@@ -38,11 +51,11 @@ def write_csv_columns(path, columns: dict[str, list | np.ndarray]) -> None:
     values = [v if isinstance(v, list) else np.asarray(v).tolist() for v in columns.values()]
     if len(set(map(len, values))) != 1:
         raise ValueError("columns must have equal length")
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        csv.writer(f).writerow(columns.keys())
-        # ``%r`` formats a float or an int as repr does.
-        row = ",".join(["%r"] * len(values)) + "\r\n"
-        f.writelines(map(row.__mod__, zip(*values)))
+    header = io.StringIO()
+    csv.writer(header).writerow(columns.keys())
+    # ``%r`` formats a float or an int as repr does.
+    row = ",".join(["%r"] * len(values)) + "\r\n"
+    _write_str(path, header.getvalue() + "".join(map(row.__mod__, zip(*values))))
 
 
 def write_npy_columns(path, columns: dict[str, np.ndarray]) -> None:
@@ -58,11 +71,10 @@ def write_npy_columns(path, columns: dict[str, np.ndarray]) -> None:
 
 def write_csv_rows(path, header, rows) -> None:
     """A header and rows of any values: floats as repr, the rest as str."""
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        for row in (header, *rows):
-            f.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+    _write_str(path, "".join(
+        ",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n"
+        for row in (header, *rows)))
 
 
 def write_text(path, text: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        f.write(text)
+    _write_str(path, text)

@@ -1,3 +1,4 @@
+import os
 import time
 
 import pytest
@@ -77,6 +78,16 @@ def test_run_with_a_prime_decimation_fails_fast_on_the_budget(tmp_path, capsys):
     assert err.endswith(" coefficients, budget is 1000\n")
 
 
+def test_run_with_a_decimation_above_the_cap_is_a_config_error(tmp_path, capsys):
+    # a prime near 2**53 would take seconds of trial division to split
+    path = _write(tmp_path, GOOD + "[signal-synth]\nf_os_hz = 9007199254740881.0\n"
+                  "[dsp-chain]\ntotal_decim = 9007199254740881\nn_stages = 1\n"
+                  "cutoff_hz = 0.5\n")
+    assert main(["run", path, "--outputs", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == ("config error: total_decim = 9007199254740881 is "
+                                       "above the cap 2147483648 (2**31)\n")
+
+
 def test_run_out_of_memory_is_a_stage_error(tmp_path, capsys, monkeypatch):
     def no_memory(*args, **kwargs):
         raise MemoryError()
@@ -140,6 +151,11 @@ def test_design_filter_reports_and_saves(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "stages = 6" in out and "stopband attenuation" in out
     assert save.exists()
+
+
+def test_design_filter_saves_to_a_device(capsys):
+    assert main(["design-filter", "--save", os.devnull]) == EXIT_OK
+    assert capsys.readouterr().err == ""
 
 
 def test_design_filter_infeasible_budget(capsys):

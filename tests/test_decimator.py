@@ -1,7 +1,10 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import signal as sp_signal
 
 from shmtwin import decimator
@@ -50,6 +53,65 @@ def test_stage_split_has_at_most_one_stage_per_prime_factor():
                                              f"total_decim = {total_decim} has prime "
                                              f"factors \\({n_factors}\\)"):
             DecimatorSpec(n_stages=n_stages, total_decim=total_decim, f_in_hz=25600.0)
+
+
+def test_split_is_factored_once_per_spec(monkeypatch):
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return factors(n)
+
+    factors = decimator._prime_factors
+    monkeypatch.setattr(decimator, "_prime_factors", counted)
+    spec = DecimatorSpec()
+    for _ in range(3):
+        assert spec.stage_decims == (2, 2, 2, 2, 4, 4)
+    assert calls == [256]
+
+
+def test_total_decimation_above_the_cap_is_rejected_before_it_is_factored(monkeypatch):
+    cap = decimator.MAX_TOTAL_DECIM
+    assert DecimatorSpec(n_stages=31, total_decim=cap, f_in_hz=float(cap),
+                         cutoff_hz=0.5).stage_decims == (2,) * 31
+
+    def no_factoring(n):
+        raise AssertionError(f"{n} was factored")
+
+    monkeypatch.setattr(decimator, "_prime_factors", no_factoring)
+    for total in (cap + 1, 9007199254740881):
+        with pytest.raises(ValueError, match=f"total_decim = {total} is above the cap "
+                                             f"{cap} \\(2\\*\\*31\\)"):
+            DecimatorSpec(n_stages=1, total_decim=total, f_in_hz=float(total), cutoff_hz=0.5)
+
+
+@st.composite
+def _accepted_specs(draw):
+    total = draw(st.one_of(st.integers(1, decimator.MAX_TOTAL_DECIM),
+                           st.lists(st.integers(2, 12), max_size=12).map(math.prod)
+                           .filter(lambda n: n <= decimator.MAX_TOTAL_DECIM)))
+    n_stages = draw(st.integers(1, max(len(decimator._prime_factors(total)), 1)))
+    f_in = float(total * draw(st.integers(1, 2**20)))
+    f_out = f_in / total
+    # up to f_out, so that the spec's own check decides which cutoffs pass
+    cutoff = f_out * draw(st.floats(0.0, 1.0, exclude_min=True))
+    try:
+        return DecimatorSpec(n_stages=n_stages, total_decim=total, f_in_hz=f_in,
+                             cutoff_hz=cutoff)
+    except ValueError:
+        assume(False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_accepted_specs())
+def test_every_stage_of_an_accepted_spec_has_a_transition_band(spec):
+    # the stage rates design_decimator walks, without designing a filter
+    f_protect = spec.protected_edge_hz
+    fs = spec.f_in_hz
+    for d in spec.stage_decims:
+        if d > 1:
+            fs /= d
+            assert fs - f_protect > f_protect
 
 
 def test_designed_chain_meets_targets(default_chain):

@@ -423,8 +423,10 @@ def _radio_plan_grids():
 # Lengths at and one past the splits of numpy's pairwise sum at 8,192
 # intervals and its doubles, and two whose halves round down to a multiple
 # of 8: validate_window sums leaf by leaf in numpy's order, so a numpy that
-# splits its sum otherwise fails here by name.
-@pytest.mark.parametrize("n", [8193, 8194, 8211, 16385, 16386, 50013, 131073])
+# splits its sum otherwise fails here by name.  The last three are past four
+# leaves of energy._LEAF intervals, where the leaves stop being quarters.
+@pytest.mark.parametrize("n", [8193, 8194, 8211, 16385, 16386, 50013, 131073,
+                               131074, 131105, 262146])
 @pytest.mark.parametrize("kind", ["uniform", "under_2x", "over_2x"])
 def test_long_trace_integral_equals_np_trapezoid_bit_for_bit(n, kind):
     t, p = _long_trace(n, kind, seed=n)
@@ -473,7 +475,7 @@ def _repeat_early_nan_late(t, p, k):
 ])
 def test_a_fault_in_a_late_leaf_raises_the_whole_trace_message(fault, match):
     t, p = _long_trace(131073, "uniform", seed=7)
-    fault(t, p, t.size - 100)           # inside the last 8,192-interval leaf
+    fault(t, p, t.size - 100)           # inside the last of four leaves
     with pytest.raises(ValueError, match=match) as raised:
         validate_window(t, p, VALIDATION_PLAN)
     assert str(raised.value) == _outcome(lambda: _whole_trace_reference(t, p))
@@ -482,6 +484,19 @@ def test_a_fault_in_a_late_leaf_raises_the_whole_trace_message(fault, match):
 def test_window_check_holds_no_trace_length_temporary():
     t, p = simulate_power_trace(VALIDATION_PLAN)
     assert t.size >= 98_000
+    validate_window(t, p, VALIDATION_PLAN)
+    tracemalloc.start()
+    try:
+        validate_window(t, p, VALIDATION_PLAN)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < t.nbytes
+
+
+def test_window_check_of_the_shortest_radio_plan_trace_holds_no_trace_length_temporary():
+    t, p = min(_radio_plan_grids(), key=lambda tp: tp[0].size)
+    assert t.size < 16_000
     validate_window(t, p, VALIDATION_PLAN)
     tracemalloc.start()
     try:

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import sys
 import tempfile
 import threading
@@ -35,6 +36,7 @@ from shmtwin.scenario import (
     run_scenario,
     serialize_scenario,
 )
+from test_pinned_outputs import BUNDLE_SHA256
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scripts" / "scenarios"
 
@@ -256,7 +258,7 @@ _VALUES = {
     "event_duration_s": st.floats(0.0, 10.0, **_FINITE),
     "trigger_threshold_g": st.floats(0.01, 1.0, **_FINITE),
     "n_stages": st.integers(1, 8),
-    "total_decim": st.sampled_from([0, 64, 128, 256]),
+    "total_decim": st.one_of(st.sampled_from([0, 64, 128, 256]), st.integers(0, 2**53)),
     "cutoff_hz": st.floats(1.0, 25.0, **_FINITE),
     "passband_ripple_db": st.floats(0.01, 1.0, **_FINITE),
     "stopband_atten_db": st.floats(20.0, 100.0, **_FINITE),
@@ -332,6 +334,41 @@ def test_any_scenario_runs_or_fails_as_config_or_stage_error(text):
             run_scenario(replace(s, outputs=out))
         except StageError:
             pass
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 2**53), st.integers(1, 8))
+def test_any_total_decimation_parses_or_is_a_config_error(total, n_stages):
+    # the input rate is the decimation itself, so the rates always divide;
+    # a decimation above the cap is rejected, one within it splits exactly
+    text = MINIMAL + (f"[signal-synth]\nf_os_hz = {float(total)!r}\n[dsp-chain]\n"
+                      f"total_decim = {total}\nn_stages = {n_stages}\ncutoff_hz = 0.5\n")
+    try:
+        s = parse_scenario_text(text)
+    except ConfigError as e:
+        assert total <= decimator.MAX_TOTAL_DECIM or "above the cap" in str(e)
+    else:
+        assert math.prod(s.decimator.stage_decims) == total
+
+
+def _bundle_names(label: str) -> list[str]:
+    return sorted(k.partition("/")[2] for k in BUNDLE_SHA256 if k.startswith(label + "/"))
+
+
+def test_a_bundle_written_over_longer_files_keeps_its_pinned_bytes(tmp_path):
+    # a run into an existing outputs directory leaves no byte of the old files
+    out = tmp_path / "long_term_plan"
+    out.mkdir()
+    junk = b"\xff" * 2**21
+    for name in _bundle_names(out.name):
+        (out / name).write_bytes(junk)
+    ini = SCENARIO_DIR / "long_term_plan.ini"
+    run_scenario(replace(load_scenario(ini), outputs=str(out)))
+    for name in _bundle_names(out.name):
+        data = (out / name).read_bytes()
+        assert len(data) < len(junk)
+        assert hashlib.sha256(data).hexdigest() == BUNDLE_SHA256[f"{out.name}/{name}"], name
+    assert sorted(p.name for p in out.iterdir()) == _bundle_names(out.name)
 
 
 def test_serialize_round_trip_minimal():

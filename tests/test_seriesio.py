@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from shmtwin.seriesio import write_csv_columns, write_csv_rows, write_npy_columns
+from shmtwin.seriesio import write_csv_columns, write_csv_rows, write_npy_columns, write_text
 
 
 def test_csv_columns_exact_round_trip(tmp_path):
@@ -99,3 +99,41 @@ def test_npy_columns_round_trip_every_bit(rows):
     assert rec.dtype.names == tuple(cols)
     for k, a in cols.items():
         assert np.array_equal(rec[k].view(np.uint64), a.view(np.uint64))
+
+
+WRITERS = {
+    "csv_columns": lambda path, n: write_csv_columns(path, {"x": np.arange(n) / 3.0}),
+    "csv_rows": lambda path, n: write_csv_rows(path, ("k", "v"),
+                                               [("a", i / 3.0) for i in range(n)]),
+    "npy_columns": lambda path, n: write_npy_columns(path, {"x": np.arange(n) / 3.0}),
+    "text": lambda path, n: write_text(path, "line\n" * n),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITERS))
+def test_rewriting_a_longer_file_leaves_exactly_the_new_bytes(tmp_path, name):
+    # an output directory is often written again: no byte of the old file stays
+    write = WRITERS[name]
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    write(fresh, 10)
+    write(reused, 5000)
+    assert reused.stat().st_size > fresh.stat().st_size
+    write(reused, 10)
+    assert reused.read_bytes() == fresh.read_bytes()
+
+
+class _Unprintable:
+    def __str__(self):
+        raise ValueError("no text")
+
+
+def test_a_formatting_error_leaves_the_old_file_untouched(tmp_path):
+    # the content is formed before the file is opened
+    path = tmp_path / "rows.csv"
+    write_csv_rows(path, ("k", "v"), [("a", 1.0)] * 100)
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match="no text"):
+        write_csv_rows(path, ("k", "v"), [("b", 2.0), ("c", _Unprintable())])
+    with pytest.raises(UnicodeEncodeError):
+        write_text(path, "\ud800")
+    assert path.read_bytes() == before
