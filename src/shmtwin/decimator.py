@@ -90,6 +90,11 @@ def _default_stage_decims(factors: list[int], n_stages: int) -> tuple[int, ...]:
 # up to 2**31 takes at most ~23,000 steps, so even a prime splits at once.
 MAX_TOTAL_DECIM = 2**31
 
+# The most alias-band points design_decimator sweeps.  At ~2.1 ns per point
+# per tap, a 132-tap chain sweeps 2**22 points in ~1.1 s, over a 32 MiB grid
+# (2-vCPU Xeon VM, numpy 2.4); the default chain sweeps 114,878.
+MAX_SWEEP_POINTS = 2**22
+
 
 @dataclass(frozen=True)
 class DecimatorSpec:
@@ -125,14 +130,44 @@ class DecimatorSpec:
             raise ValueError("cutoff must lie in (0, f_out/2]")
         if not all(0 < v < math.inf for v in (self.passband_ripple_db, self.stopband_atten_db)):
             raise ValueError("ripple and attenuation targets must be positive and finite")
+        # Split the composite ripple evenly over the filtering stages;
+        # cascaded peak-to-peak ripples add to first order.  Stopband gets a
+        # fixed 3 dB design margin.
+        pp_budget = self.passband_ripple_db / max(sum(d > 1 for d in self._stage_decims), 1)
+        atten_target = self.stopband_atten_db + 3.0
         try:
-            deviations = _stage_targets(self)[2:]
+            r = 10.0 ** (pp_budget / 20.0)
+            deviations = ((r - 1.0) / (r + 1.0), 10.0 ** (-atten_target / 20.0))
         except OverflowError:  # 10 ** (ripple / 20) is beyond a float
             deviations = (math.nan, math.nan)
         for key, delta in zip(("passband_ripple_db", "stopband_atten_db"), deviations):
             if not delta > 0.0:  # 0 where the deviation underflows
                 raise ValueError(f"{key} = {getattr(self, key)!r} is out of range: its "
                                  f"per-stage deviation {delta} is not a positive float")
+        # Kaiser-windowed sinc: passband and stopband deviations are equal,
+        # so size the window for whichever requirement is tighter.
+        atten_design = -20.0 * math.log10(min(deviations))
+        # Each stage's design starts from Kaiser's length estimate and only
+        # grows, so the estimates' sum bounds the chain from below: a chain
+        # that cannot fit the budget is refused before any window is designed;
+        # a pass-through stage is its one tap.
+        f_protect, fs, plan = self.protected_edge_hz, self.f_in_hz, []
+        for d in self._stage_decims:
+            # fs / d >= f_out >= 2 * cutoff, so the stop edge is at least
+            # 1.1 * cutoff, above the 0.9 * cutoff pass edge
+            f_stop = fs / d - f_protect
+            plan.append((fs, d, f_stop, 1 if d == 1 else
+                         _kaiser_taps(atten_design, (f_stop - f_protect) / fs)))
+            fs /= d
+        least = sum(n for *_, n in plan)
+        if least > self.coeff_budget:
+            raise ValueError(f"chain needs at least {least} coefficients, "
+                             f"budget is {self.coeff_budget}")
+        # design_decimator's start: the per-stage ripple budget and attenuation
+        # target in dB, Kaiser's beta, and each stage's (input rate,
+        # decimation, stop edge, first tap count)
+        object.__setattr__(self, "_plan", (pp_budget, atten_target,
+                                           _kaiser_beta(atten_design), tuple(plan)))
 
     @property
     def f_out_hz(self) -> float:
@@ -164,23 +199,6 @@ class FilterReport:
 
 # ---------------------------------------------------------------------------
 # design
-
-
-def _ripple_db_to_delta(pp_db: float) -> float:
-    r = 10.0 ** (pp_db / 20.0)
-    return (r - 1.0) / (r + 1.0)
-
-
-def _stage_targets(spec: DecimatorSpec) -> tuple[float, float, float, float]:
-    """Each filtering stage's ripple budget and attenuation target in dB,
-    and the passband and stopband deviations they stand for."""
-    n_filtering = max(sum(d > 1 for d in spec.stage_decims), 1)
-    # Split the composite ripple evenly; cascaded peak-to-peak ripples add
-    # to first order.  Stopband gets a fixed 3 dB design margin.
-    pp_budget = spec.passband_ripple_db / n_filtering
-    atten_target = spec.stopband_atten_db + 3.0
-    return (pp_budget, atten_target, _ripple_db_to_delta(pp_budget),
-            10.0 ** (-atten_target / 20.0))
 
 
 def _kaiser_taps(atten_db: float, trans_frac: float) -> int:
@@ -303,40 +321,20 @@ def design_decimator(
     Returns the stages, as a tuple, and the measured report the verification
     used.  The design is cached per spec: equal specs get the same stage
     objects back, whose coefficients are read-only.  Raises
-    FilterDesignError if a stage cannot close, the coefficient budget is
-    exceeded, or the composite response misses the targets; a failing spec
-    is not cached and raises again on every call.
+    FilterDesignError if the alias sweep needs more than ``MAX_SWEEP_POINTS``
+    (before any window is designed), a stage cannot close, the coefficient
+    budget is exceeded, or the composite response misses the targets; a
+    failing spec is not cached and raises again on every call.
     """
+    pp_budget, atten_target, beta, plan = spec._plan
     f_protect = spec.protected_edge_hz
-    pp_budget, atten_target, delta_p, delta_s = _stage_targets(spec)
-
-    # Kaiser-windowed sinc: passband and stopband deviations are equal,
-    # so size the window for whichever requirement is tighter.
-    delta = min(delta_p, delta_s)
-    atten_design = -20.0 * math.log10(delta)
-    beta = _kaiser_beta(atten_design)
-
-    # Each stage's design starts from Kaiser's length estimate and only
-    # grows, so the estimates' sum bounds the chain from below: a chain
-    # that cannot fit the budget fails before any window is computed.
-    plan = []  # (stage input rate, decimation, stop edge, first tap count)
-    fs = spec.f_in_hz
-    for d in spec.stage_decims:
-        if d == 1:
-            plan.append((fs, 1, None, 1))
-            continue
-        f_next = fs / d
-        # f_next >= f_out >= 2 * cutoff, so the stop edge is at least
-        # 1.1 * cutoff, above the 0.9 * cutoff pass edge
-        f_stop = f_next - f_protect
-        plan.append((fs, d, f_stop, _kaiser_taps(atten_design, (f_stop - f_protect) / fs)))
-        fs = f_next
-    least = sum(n for *_, n in plan)
-    if least > spec.coeff_budget:
-        raise FilterDesignError(
-            f"chain needs at least {least} coefficients, budget is {spec.coeff_budget}"
-        )
-
+    # the sweep's points, without listing its bands: each spans twice the
+    # protected edge, though the input Nyquist may cut the last one short
+    n_bands = math.floor((spec.f_in_hz / 2.0 + f_protect) / spec.f_out_hz)
+    points = n_bands * (max(int(2.0 * f_protect / 0.1), 64) + 1)
+    if points > MAX_SWEEP_POINTS:
+        raise FilterDesignError(f"the alias sweep needs {points} points, above the cap "
+                                f"{MAX_SWEEP_POINTS} (2**22)")
     stages: list[FilterStage] = []
     for fs, d, f_stop, n in plan:
         if d == 1:

@@ -99,8 +99,9 @@ class EventSpec:
     duration_s: float
 
     def __post_init__(self):
-        if self.onset_s < 0 or self.duration_s < 0:
-            raise ValueError("event onset and duration must be >= 0")
+        if not (0 <= self.onset_s < math.inf and 0 <= self.duration_s < math.inf):
+            raise ValueError("event onset and duration must be >= 0 and finite, got "
+                             f"{self.onset_s} and {self.duration_s}")
         if not 0 <= self.peak_g < math.inf:
             raise ValueError(f"event peak_g must be >= 0 and finite, got {self.peak_g}")
 

@@ -58,12 +58,20 @@ def test_run_tolerance_that_underflows_is_a_config_error(tmp_path, capsys, key, 
 
 
 def test_run_filter_design_failure_is_a_stage_error(tmp_path, capsys):
-    path = _write(tmp_path, GOOD + "[dsp-chain]\ncoeff_budget = 50\n")
+    # above the chain's Kaiser floor of 214, below the 218 its design needs
+    path = _write(tmp_path, GOOD + "[dsp-chain]\ncoeff_budget = 215\n")
     assert main(["run", path, "--outputs", str(tmp_path / "o")]) == EXIT_STAGE
+    assert capsys.readouterr().err == ("stage failure: stage dsp: chain needs 218 coefficients, "
+                                       "budget is 215\n")
+
+
+def test_run_budget_below_the_kaiser_floor_is_a_config_error(tmp_path, capsys):
     # Kaiser's estimates (9 + 9 + 9 + 11 + 21 + 155) already exceed the
-    # budget, so the design stops before it computes a window
-    assert ("stage failure: stage dsp: chain needs at least 214 coefficients, budget is 50"
-            in capsys.readouterr().err)
+    # budget, so the spec refuses it at parse, before any window is designed
+    path = _write(tmp_path, GOOD + "[dsp-chain]\ncoeff_budget = 50\n")
+    assert main(["run", path, "--outputs", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == ("config error: chain needs at least 214 coefficients, "
+                                       "budget is 50\n")
 
 
 def test_run_with_a_prime_decimation_fails_fast_on_the_budget(tmp_path, capsys):
@@ -71,10 +79,10 @@ def test_run_with_a_prime_decimation_fails_fast_on_the_budget(tmp_path, capsys):
     path = _write(tmp_path, GOOD + "[signal-synth]\nf_os_hz = 100000300\n"
                   "[dsp-chain]\ntotal_decim = 1000003\nn_stages = 1\n")
     t0 = time.perf_counter()
-    assert main(["run", path, "--outputs", str(tmp_path / "o")]) == EXIT_STAGE
+    assert main(["run", path, "--outputs", str(tmp_path / "o")]) == EXIT_CONFIG
     assert time.perf_counter() - t0 < 1.0
     err = capsys.readouterr().err
-    assert err.startswith("stage failure: stage dsp: chain needs at least ")
+    assert err.startswith("config error: chain needs at least ")
     assert err.endswith(" coefficients, budget is 1000\n")
 
 
@@ -86,6 +94,19 @@ def test_run_with_a_decimation_above_the_cap_is_a_config_error(tmp_path, capsys)
     assert main(["run", path, "--outputs", str(tmp_path / "o")]) == EXIT_CONFIG
     assert capsys.readouterr().err == ("config error: total_decim = 9007199254740881 is "
                                        "above the cap 2147483648 (2**31)\n")
+
+
+def test_run_with_an_alias_sweep_above_the_cap_fails_fast(tmp_path, capsys):
+    # ~1.07e9 alias bands at the 512 Hz output rate: the sweep's grid alone
+    # would take ~7 TiB
+    path = _write(tmp_path, GOOD + "[signal-synth]\nf_os_hz = 1099511627776.0\n"
+                  "[dsp-chain]\ntotal_decim = 2147483648\ncoeff_budget = 5000\n")
+    t0 = time.perf_counter()
+    assert main(["run", path, "--outputs", str(tmp_path / "o")]) == EXIT_STAGE
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("stage failure: stage dsp: the alias sweep needs ")
+    assert err.endswith(" points, above the cap 4194304 (2**22)\n")
 
 
 def test_run_out_of_memory_is_a_stage_error(tmp_path, capsys, monkeypatch):
@@ -159,8 +180,13 @@ def test_design_filter_saves_to_a_device(capsys):
 
 
 def test_design_filter_infeasible_budget(capsys):
-    assert main(["design-filter", "--budget", "20"]) == EXIT_STAGE
-    assert "stage failure" in capsys.readouterr().err
+    # below the Kaiser floor the spec refuses it; above, the design fails
+    assert main(["design-filter", "--budget", "20"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == ("config error: chain needs at least 214 coefficients, "
+                                       "budget is 20\n")
+    assert main(["design-filter", "--budget", "215"]) == EXIT_STAGE
+    assert capsys.readouterr().err == ("stage failure: stage design: chain needs 218 "
+                                       "coefficients, budget is 215\n")
 
 
 @pytest.mark.parametrize("budget", ["0", "-3"])

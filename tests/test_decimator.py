@@ -45,8 +45,10 @@ def test_rates_and_split_follow_the_total_decimation():
 def test_stage_split_has_at_most_one_stage_per_prime_factor():
     assert DecimatorSpec(n_stages=2, total_decim=12, f_in_hz=1200.0).stage_decims == (3, 4)
     assert DecimatorSpec(n_stages=1, total_decim=1, f_in_hz=100.0).stage_decims == (1,)
-    # a large prime factor is found by trial division up to its square root
-    big = DecimatorSpec(n_stages=1, total_decim=10000019, f_in_hz=10000019.0, cutoff_hz=0.5)
+    # a large prime factor is found by trial division up to its square root;
+    # its one stage's Kaiser estimate is ~7.7e8 taps, so the budget is raised
+    big = DecimatorSpec(n_stages=1, total_decim=10000019, f_in_hz=10000019.0, cutoff_hz=0.5,
+                        coeff_budget=2**53)
     assert big.stage_decims == (10000019,)
     for n_stages, total_decim, n_factors in ((100000, 256, 8), (7, 64, 6), (2, 1, 0)):
         with pytest.raises(ValueError, match=f"n_stages = {n_stages} is more than "
@@ -95,9 +97,9 @@ def _accepted_specs(draw):
     f_out = f_in / total
     # up to f_out, so that the spec's own check decides which cutoffs pass
     cutoff = f_out * draw(st.floats(0.0, 1.0, exclude_min=True))
-    try:
+    try:  # a budget that no chain's Kaiser floor reaches, so the floor rejects none
         return DecimatorSpec(n_stages=n_stages, total_decim=total, f_in_hz=f_in,
-                             cutoff_hz=cutoff)
+                             cutoff_hz=cutoff, coeff_budget=2**53)
     except ValueError:
         assume(False)
 
@@ -125,9 +127,12 @@ def test_designed_chain_meets_targets(default_chain):
 
 
 def test_budget_too_small_fails_loudly():
-    spec = DecimatorSpec(coeff_budget=20)
+    # below the Kaiser floor of 214 the spec refuses the budget
+    with pytest.raises(ValueError, match="chain needs at least 214 coefficients, budget is 20"):
+        DecimatorSpec(coeff_budget=20)
+    spec = DecimatorSpec(coeff_budget=215)  # the design needs 218
     for _ in range(2):  # a failed design is not cached: it fails every time
-        with pytest.raises(FilterDesignError):
+        with pytest.raises(FilterDesignError, match="chain needs 218 coefficients, budget is 215"):
             design_decimator(spec)
 
 
@@ -137,10 +142,42 @@ def test_budget_is_checked_before_any_window_is_designed(monkeypatch):
         raise AssertionError("a window was designed")
 
     monkeypatch.setattr(decimator, "_kaiser_lowpass", no_window)
-    spec = DecimatorSpec(n_stages=1, total_decim=1000003, f_in_hz=100000300.0)
-    with pytest.raises(FilterDesignError, match=r"needs at least \d{8} coefficients, "
-                                                r"budget is 1000"):
+    with pytest.raises(ValueError, match=r"needs at least \d{8} coefficients, budget is 1000"):
+        DecimatorSpec(n_stages=1, total_decim=1000003, f_in_hz=100000300.0)
+
+
+def test_spec_refuses_a_budget_below_its_kaiser_floor():
+    # the Kaiser floor is the sum of the first tap counts design starts from
+    spec = DecimatorSpec()
+    assert [n for *_, n in spec._plan[3]] == [9, 9, 9, 11, 21, 155]
+    assert DecimatorSpec(coeff_budget=214)._plan == spec._plan
+    with pytest.raises(ValueError, match="needs at least 214 coefficients, budget is 213"):
+        DecimatorSpec(coeff_budget=213)
+
+
+def test_alias_sweep_above_the_cap_fails_before_any_window_or_band(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the chain was designed or its bands listed")
+
+    monkeypatch.setattr(decimator, "_kaiser_lowpass", forbidden)
+    monkeypatch.setattr(decimator, "_alias_bands", forbidden)
+    # ~1.07e9 alias bands of 901 points each at the 512 Hz output rate
+    spec = DecimatorSpec(total_decim=2**31, f_in_hz=2.0**40, coeff_budget=5000)
+    with pytest.raises(FilterDesignError, match=r"the alias sweep needs \d{12} points, "
+                                                r"above the cap 4194304 \(2\*\*22\)"):
         design_decimator(spec)
+
+
+def test_sweep_cap_counts_the_points_the_sweep_takes(monkeypatch):
+    # the default chain: 128 bands of 901 points, the last cut to 451
+    spec = DecimatorSpec()
+    bands = decimator._alias_bands(spec)
+    assert sum(max(int((hi - lo) / 0.1), 64) + 1 for lo, hi in bands) == 114878
+    monkeypatch.setattr(decimator, "MAX_SWEEP_POINTS", 128 * 901 - 1)
+    with pytest.raises(FilterDesignError, match="needs 115328 points, above the cap 115327"):
+        design_decimator.__wrapped__(spec)  # past the cache, which holds the default chain
+    monkeypatch.setattr(decimator, "MAX_SWEEP_POINTS", 128 * 901)
+    assert design_decimator.__wrapped__(spec)[1] == design_decimator(spec)[1]
 
 
 def test_equal_specs_share_one_design():

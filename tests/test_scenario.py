@@ -164,6 +164,8 @@ def test_out_of_domain_values_are_config_errors(text):
     ("[signal-synth]\nevent_onset_s = 1\nevent_peak_g = inf\nevent_duration_s = 1\n",
      "peak_g"),
     ("[signal-synth]\ntrigger_threshold_g = inf\n", "trigger_threshold_g"),
+    ("[signal-synth]\nevent_onset_s = inf\nevent_peak_g = 0.5\nevent_duration_s = 1\n",
+     "event onset and duration must be >= 0 and finite"),
     ("[dsp-chain]\ncoeff_budget = 0\n", "coeff_budget"),
     ("[signal-synth]\nsensitivity_v_per_g = 2\nevent_onset_s = 1\nevent_peak_g = 1e308\n"
      "event_duration_s = 1\n", "event_peak_g"),
@@ -171,8 +173,8 @@ def test_out_of_domain_values_are_config_errors(text):
     ("[dsp-chain]\nn_stages = 7\ntotal_decim = 64\n", "n_stages = 7 .* total_decim = 64"),
 ], ids=["no-peaks", "light-above-moderate", "zero-trigger", "atten-underflow",
         "ripple-underflow", "ripple-overflow", "event-peak-nan", "event-peak-inf",
-        "infinite-trigger", "zero-budget", "event-volts-overflow", "stages-100000-of-256",
-        "stages-7-of-64"])
+        "infinite-trigger", "event-onset-inf", "zero-budget", "event-volts-overflow",
+        "stages-100000-of-256", "stages-7-of-64"])
 def test_stage_domains_are_checked_at_parse(text, field):
     # the modal and trigger stages would reject these only after the
     # front end had run; a design tolerance that underflows to 0, or a
@@ -240,8 +242,16 @@ def test_percent_sign_is_literal():
 
 _FINITE = {"allow_nan": False, "allow_infinity": False}
 
+
+def _mostly(common, rare):
+    """Draws from ``common`` unless a drawn digit is 0, else from ``rare``:
+    about five draws in six, since Hypothesis draws 0 more often than 1/10."""
+    return st.integers(0, 9).flatmap(lambda i: common if i else rare)
+
+
 # A value for each key, mostly inside its domain; the odd one outside
-# (a negative seed, no decimation) gives a ConfigError.
+# (a negative seed, no decimation, a budget below the chain's Kaiser
+# floor) gives a ConfigError.
 _VALUES = {
     "label": st.text("abcXYZ019_-%", max_size=8),
     "seed": st.integers(-1, 2**32 - 1),
@@ -253,16 +263,16 @@ _VALUES = {
     "adc_bits": st.integers(1, 24),
     "vref_v": st.floats(0.5, 5.5, **_FINITE),
     "f_os_hz": st.sampled_from([12800.0, 25600.0, 51200.0]),
-    "event_onset_s": st.floats(0.0, 200.0, **_FINITE),
+    "event_onset_s": _mostly(st.floats(0.0, 10.0, **_FINITE), st.floats(0.0, 200.0, **_FINITE)),
     "event_peak_g": st.floats(0.0, 3.0, **_FINITE),
-    "event_duration_s": st.floats(0.0, 10.0, **_FINITE),
+    "event_duration_s": _mostly(st.floats(0.0, 2.0, **_FINITE), st.floats(0.0, 10.0, **_FINITE)),
     "trigger_threshold_g": st.floats(0.01, 1.0, **_FINITE),
     "n_stages": st.integers(1, 8),
-    "total_decim": st.one_of(st.sampled_from([0, 64, 128, 256]), st.integers(0, 2**53)),
+    "total_decim": _mostly(st.sampled_from([64, 128, 256]), st.integers(0, 2**53)),
     "cutoff_hz": st.floats(1.0, 25.0, **_FINITE),
     "passband_ripple_db": st.floats(0.01, 1.0, **_FINITE),
     "stopband_atten_db": st.floats(20.0, 100.0, **_FINITE),
-    "coeff_budget": st.integers(10, 5000),
+    "coeff_budget": _mostly(st.integers(300, 5000), st.integers(0, 299)),
     "max_peaks": st.integers(1, 16),
     "min_prominence": st.floats(1.0, 100.0, **_FINITE),
     "light_shift_pct": st.floats(0.1, 5.0, **_FINITE),
@@ -290,8 +300,9 @@ def _value(key):
 @st.composite
 def scenario_texts(draw, fixed=None):
     """INI text with a random subset of the table's keys.  The event keys
-    come all three or none, so that most drawn texts parse.  Each key of
-    ``fixed`` is always written, its value drawn from the strategy given."""
+    come all three or none, and ``rssi_dbm`` never with ``coverage``, so
+    that most drawn texts parse.  Each key of ``fixed`` is always written,
+    its value drawn from the strategy given."""
     fixed = fixed or {}
     with_event = draw(st.booleans())
     sections = []
@@ -303,6 +314,9 @@ def scenario_texts(draw, fixed=None):
                 continue
             if path.startswith("event."):
                 use = with_event
+            elif key == "rssi_dbm":
+                use = (not any(line.startswith("coverage =") for line in lines)
+                       and draw(st.booleans()))
             else:
                 use = key == "seed" or draw(st.booleans())
             if use:
@@ -340,9 +354,12 @@ def test_any_scenario_runs_or_fails_as_config_or_stage_error(text):
 @given(st.integers(1, 2**53), st.integers(1, 8))
 def test_any_total_decimation_parses_or_is_a_config_error(total, n_stages):
     # the input rate is the decimation itself, so the rates always divide;
-    # a decimation above the cap is rejected, one within it splits exactly
+    # a decimation above the cap is rejected, one within it splits exactly;
+    # no chain's Kaiser floor reaches the budget of 2**53 (a stage at the
+    # cap needs ~8e10 taps), so the floor rejects none
     text = MINIMAL + (f"[signal-synth]\nf_os_hz = {float(total)!r}\n[dsp-chain]\n"
-                      f"total_decim = {total}\nn_stages = {n_stages}\ncutoff_hz = 0.5\n")
+                      f"total_decim = {total}\nn_stages = {n_stages}\ncutoff_hz = 0.5\n"
+                      f"coeff_budget = {2**53}\n")
     try:
         s = parse_scenario_text(text)
     except ConfigError as e:
@@ -596,8 +613,9 @@ def test_block_size_does_not_change_the_run(tmp_path, monkeypatch, extra, block)
 
 
 @pytest.mark.parametrize("excitation", ["ambient", "dwell"])
-@pytest.mark.parametrize("onset, duration", [(179, 5), (11, 1.0001), ("inf", 1)])
+@pytest.mark.parametrize("onset, duration", [(179, 5), (11, 1.0001), ("1e305", 1)])
 def test_event_past_the_end_is_a_config_error(tmp_path, excitation, onset, duration):
+    # a finite onset of 1e305 s is past the end too: times f_os_hz, it overflows
     text = _short_run_text(tmp_path, extra=(
         f"[signal-synth]\nexcitation = {excitation}\nevent_onset_s = {onset}\n"
         f"event_peak_g = 0.5\nevent_duration_s = {duration}\n"))

@@ -130,6 +130,17 @@ def test_event_injection_peak_and_bounds():
         inject_transient(np.zeros(1000), EventSpec(0.0, 0.5, 1.0), 2.807)  # too long
 
 
+@pytest.mark.parametrize("onset, duration", [
+    (float("nan"), 1.0), (float("inf"), 1.0), (0.5, float("nan")), (0.5, float("inf")),
+    (-1.0, 1.0), (0.5, -1.0),
+])
+def test_event_onset_and_duration_must_be_finite_and_non_negative(onset, duration):
+    # inject_transient would fail on them only after the record's synthesis,
+    # with a float-to-int conversion error
+    with pytest.raises(ValueError, match="event onset and duration must be >= 0 and finite"):
+        EventSpec(onset_s=onset, peak_g=0.5, duration_s=duration)
+
+
 @pytest.mark.parametrize("carrier_hz", [2.284, 2.807, 8.379])
 def test_event_burst_rings_at_its_carrier(carrier_hz):
     ev = EventSpec(onset_s=0.5, peak_g=0.8, duration_s=2.0)
