@@ -147,6 +147,12 @@ class DecimatorSpec:
         # Kaiser-windowed sinc: passband and stopband deviations are equal,
         # so size the window for whichever requirement is tighter.
         atten_design = -20.0 * math.log10(min(deviations))
+        beta = _kaiser_beta(atten_design)
+        try:
+            _i0(beta)           # the window's normaliser; every tap's I0 is below it
+        except OverflowError:
+            raise ValueError(f"stopband_atten_db = {self.stopband_atten_db!r} is out of "
+                             f"range: its Kaiser beta {beta} overflows I0(beta)") from None
         # Each stage's design starts from Kaiser's length estimate and only
         # grows, so the estimates' sum bounds the chain from below: a chain
         # that cannot fit the budget is refused before any window is designed;
@@ -167,7 +173,7 @@ class DecimatorSpec:
         # target in dB, Kaiser's beta, and each stage's (input rate,
         # decimation, stop edge, first tap count)
         object.__setattr__(self, "_plan", (pp_budget, atten_target,
-                                           _kaiser_beta(atten_design), tuple(plan)))
+                                           beta, tuple(plan)))
 
     @property
     def f_out_hz(self) -> float:

@@ -57,6 +57,27 @@ def test_run_tolerance_that_underflows_is_a_config_error(tmp_path, capsys, key, 
     assert err.startswith("config error: ") and key in err
 
 
+def test_run_attenuation_whose_kaiser_beta_overflows_is_a_config_error(tmp_path, capsys):
+    # the spec accepts the denormal stopband deviation; its window would not fit a float
+    path = _write(tmp_path, GOOD + "[dsp-chain]\nstopband_atten_db = 6455\n"
+                  "coeff_budget = 100000\n")
+    t0 = time.perf_counter()
+    assert main(["run", path, "--outputs", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("config error: stopband_atten_db = 6455.0 is out of range: ")
+    assert err.endswith(" overflows I0(beta)\n")
+
+
+def test_run_plan_whose_daily_energy_overflows_is_a_config_error(tmp_path, capsys):
+    path = _write(tmp_path, GOOD + "k_acq = 1e308\n")
+    t0 = time.perf_counter()
+    assert main(["run", path, "--outputs", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert time.perf_counter() - t0 < 1.0
+    assert capsys.readouterr().err == "config error: plan's daily energy inf J is not finite\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_run_filter_design_failure_is_a_stage_error(tmp_path, capsys):
     # above the chain's Kaiser floor of 214, below the 218 its design needs
     path = _write(tmp_path, GOOD + "[dsp-chain]\ncoeff_budget = 215\n")
@@ -200,6 +221,14 @@ def test_lifetime_command(capsys):
                  "--battery", "VL34570"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "3.16" in out or "1154" in out
+
+
+def test_lifetime_of_a_plan_whose_daily_energy_overflows_is_a_config_error(capsys):
+    assert main(["lifetime", "--tacq", "60", "--sessions", "6",
+                 "--k-acq", "1e306"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: plan's daily energy inf J is not finite\n"
 
 
 def test_run_directory_is_a_config_error(tmp_path, capsys):

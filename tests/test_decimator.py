@@ -155,6 +155,18 @@ def test_spec_refuses_a_budget_below_its_kaiser_floor():
         DecimatorSpec(coeff_budget=213)
 
 
+def test_spec_refuses_an_attenuation_whose_kaiser_beta_overflows_i0():
+    # the stopband deviation is a denormal here, so beta moves in steps:
+    # 6446 dB takes the last beta below exp's overflow at log(DBL_MAX),
+    # 6447 dB the first above it
+    limit = math.log(np.finfo(float).max)
+    below = DecimatorSpec(stopband_atten_db=6446.0, coeff_budget=100000)
+    assert limit - 0.04 < below._plan[2] < limit
+    with pytest.raises(ValueError, match=r"stopband_atten_db = 6447.0 is out of range: its "
+                                         r"Kaiser beta 709\.89\d* overflows I0\(beta\)"):
+        DecimatorSpec(stopband_atten_db=6447.0, coeff_budget=100000)
+
+
 def test_alias_sweep_above_the_cap_fails_before_any_window_or_band(monkeypatch):
     def forbidden(*args):
         raise AssertionError("the chain was designed or its bands listed")

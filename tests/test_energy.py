@@ -112,6 +112,12 @@ def test_overcommitted_day_rejected():
         energy_day(SessionPlan(n_sessions_per_day=6, t_acq_s=14400.0))
 
 
+def test_day_whose_energy_overflows_rejected():
+    assert math.isfinite(energy_day(SessionPlan(k_acq=1e300)).e_day_j)
+    with pytest.raises(ValueError, match="daily energy inf J is not finite"):
+        energy_day(SessionPlan(k_acq=1e306))
+
+
 def test_reference_lifetime():
     assert battery_life_days(TABLE3_PLAN, VL34570) / DAYS_PER_YEAR == pytest.approx(3.18, rel=0.02)
     assert battery_life_days(TEN_YEAR_PLAN, LS336000) / DAYS_PER_YEAR >= 10.0
@@ -321,6 +327,49 @@ def test_power_trace_equals_the_boolean_mask_reference():
                     assert p.tobytes() == rp.tobytes()
 
 
+@settings(max_examples=300, deadline=None)
+@given(k=st.integers(1, 10**7), off=st.sampled_from(["on", "below", "above", "half"]))
+def test_arange_length_is_the_ceil_of_its_span_over_its_step(k, off):
+    # energy._trace_grid sizes its views by this rule instead of calling arange
+    stop = k * 0.01
+    stop = {"on": stop, "below": np.nextafter(stop, 0.0), "above": np.nextafter(stop, np.inf),
+            "half": stop + 0.005}[off]
+    assert np.arange(0.0, stop, 0.01).size == math.ceil((stop - 0.0) / 0.01)
+
+
+@settings(max_examples=40, deadline=None)
+@given(windows=st.lists(st.floats(111.0, 1e4), min_size=1, max_size=6))
+def test_power_trace_grid_is_the_arange_of_any_window_in_any_order(windows):
+    # the kept grid grows and is sliced shorter again as the windows come
+    for window_s in windows:
+        t, p = simulate_power_trace(VALIDATION_PLAN, window_s=window_s)
+        assert t.tobytes() == np.arange(0.0, window_s + 0.005, 0.01).tobytes()
+        assert not t.flags.writeable and p.flags.writeable and p.shape == t.shape
+
+
+def test_power_trace_grid_cannot_be_changed_through_a_returned_t():
+    t, _ = simulate_power_trace(VALIDATION_PLAN, window_s=500.0)
+    with pytest.raises(ValueError, match="read-only"):
+        t[0] = 1.0
+    with pytest.raises(ValueError):
+        t.flags.writeable = True
+    mine = t.copy()
+    mine[:] = -1.0
+    t, _ = simulate_power_trace(VALIDATION_PLAN, window_s=500.0)
+    assert t.tobytes() == np.arange(0.0, 500.005, 0.01).tobytes()
+
+
+def test_a_repeat_power_trace_allocates_only_its_power_array():
+    simulate_power_trace(VALIDATION_PLAN, window_s=1500.0)
+    tracemalloc.start()
+    try:
+        _, p = simulate_power_trace(VALIDATION_PLAN, window_s=1200.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert p.size == 120_001 and peak < 1.1 * p.nbytes
+
+
 def _reference_integral(t, p):
     """validate_window's trace checks and integral as plain numpy calls."""
     dt = np.diff(t)
@@ -372,6 +421,7 @@ def test_window_integral_equals_the_plain_reference(n, kind, t0, seed):
 ])
 def test_window_rejects_non_finite_traces(array, index, value, match):
     t, p = simulate_power_trace(VALIDATION_PLAN)
+    t = t.copy()                        # the returned t is a read-only view
     {"t": t, "p": p}[array][index] = value
     with pytest.raises(ValueError, match=match):
         validate_window(t, p, VALIDATION_PLAN)
