@@ -3,12 +3,14 @@
 Subcommands: run a scenario file, reproduce a published artifact, design
 and inspect the decimation chain, or query battery lifetime for a plan.
 Exit codes: 0 success, 2 configuration error, 3 pipeline stage failure,
-4 reproduction check failure.
+4 reproduction check failure, and 1, with no traceback, when standard
+output is a pipe that its reader closed early (``shmtwin repro all | head``).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
@@ -20,6 +22,7 @@ from .repro import TARGETS, run_repro
 from .scenario import ConfigError, StageError, load_scenario, run_scenario, stage
 
 EXIT_OK = 0
+EXIT_PIPE = 1
 EXIT_CONFIG = 2
 EXIT_STAGE = 3
 EXIT_ACCEPT = 4
@@ -124,13 +127,20 @@ def main(argv=None) -> int:
     }
     # a ValueError no stage wrapped comes from a bad argument
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()  # so a closed pipe shows here, not at exit
+        return code
     except (ConfigError, ValueError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except StageError as e:
         print(f"stage failure: {e}", file=sys.stderr)
         return EXIT_STAGE
+    except BrokenPipeError:
+        # stdout's reader is gone: point stdout at devnull so the flush at
+        # exit does not raise again ("Note on SIGPIPE", Python's signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
 
 
 if __name__ == "__main__":

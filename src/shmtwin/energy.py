@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .radio import SAMPLES_PER_PACKET, CoverageClass, EnergyParams, session_energy_j
+from .radio import COVERAGE_MULT, SAMPLES_PER_PACKET, CoverageClass, EnergyParams
 
 SECONDS_PER_DAY = 86400.0
 DAYS_PER_YEAR = 365.25
@@ -42,6 +42,10 @@ class SessionPlan:
             raise ValueError("session count cannot be negative")
         if not all(0 < v < math.inf for v in (self.t_acq_s, self.f_s_hz, self.k_acq)):
             raise ValueError("t_acq_s, f_s_hz and k_acq must be positive and finite")
+        samples = self.t_acq_s * self.f_s_hz
+        if samples == math.inf or round(samples) < 1:
+            raise ValueError(f"a session acquires t_acq_s * f_s_hz = {samples:.3g} samples; "
+                             "it needs at least one and a finite count")
 
     @property
     def samples_per_session(self) -> int:
@@ -100,11 +104,21 @@ def harvest_day_wh() -> float:
 # ---------------------------------------------------------------------------
 # per-session and per-day energies
 
-def energy_acquisition_j(plan: SessionPlan, params: EnergyParams = EnergyParams()) -> float:
-    """Acquire-and-store energy for one session: per-packet sampling
-    activity billed at k_acq seconds plus one flash write."""
+def session(
+    plan: SessionPlan,
+    coverage: CoverageClass = CoverageClass.GOOD,
+    params: EnergyParams = EnergyParams(),
+) -> tuple[float, float, float, float]:
+    """A session's schedule and deterministic bill, and the only code that
+    works one out: (acquisition s, radio s, acquisition J, radio J).  The n
+    packets' blocks come first, then the radio window; each packet bills
+    k_acq seconds of acquisition activity plus one flash write."""
     n = plan.n_packets
-    return n * (plan.k_acq * params.e_acq_1s_mj + params.e_sd_write_mj) * 1e-3
+    mj = (params.e_connect_first_tx_mj + params.e_session_tail_mj
+          + (n - 1) * params.e_packet_tx_mj)
+    return (n * plan.block_s, params.radio_window_s(n, coverage),
+            n * (plan.k_acq * params.e_acq_1s_mj + params.e_sd_write_mj) * 1e-3,
+            COVERAGE_MULT[coverage] * mj * 1e-3)
 
 
 def session_active_s(
@@ -112,10 +126,9 @@ def session_active_s(
     coverage: CoverageClass = CoverageClass.GOOD,
     params: EnergyParams = EnergyParams(),
 ) -> float:
-    """Wall-clock active seconds per session: acquisition blocks plus the
-    radio window (connect plus per-packet airtime, repetitions included)."""
-    n = plan.n_packets
-    return n * plan.block_s + params.radio_window_s(n, coverage)
+    """Wall-clock active seconds per session: acquisition plus radio window."""
+    t_acq, t_radio, _, _ = session(plan, coverage, params)
+    return t_acq + t_radio
 
 
 @dataclass(frozen=True)
@@ -159,13 +172,10 @@ def energy_day(
     if plan.n_sessions_per_day == 0:
         sleep_j = SECONDS_PER_DAY * params.sleep_power_w
         return EnergyBreakdown(plan, 0.0, 0.0, 0.0, sleep_j, sleep_j)
-    e_acq = energy_acquisition_j(plan, params)
-    e_tx = session_energy_j(plan.n_packets, coverage, params)
-    t_active = plan.n_sessions_per_day * session_active_s(plan, coverage, params)
+    t_acq, t_radio, e_acq, e_tx = session(plan, coverage, params)
+    t_active = plan.n_sessions_per_day * (t_acq + t_radio)
     if t_active > SECONDS_PER_DAY:
-        raise ValueError(
-            f"plan needs {t_active:.0f} s of activity, more than one day"
-        )
+        raise ValueError(f"plan needs {t_active:.6g} s of activity, more than one day")
     e_sleep = (SECONDS_PER_DAY - t_active) * params.sleep_power_w
     e_day = plan.n_sessions_per_day * (e_acq + e_tx) + e_sleep
     if not math.isfinite(e_day):  # a finite but huge k_acq
@@ -190,17 +200,18 @@ def battery_life_days_sim(
     coverage: CoverageClass = CoverageClass.GOOD,
     params: EnergyParams = EnergyParams(),
 ) -> float:
-    """Battery lifetime from a day billed session by session from the radio
-    model.  Cross-check for the closed form, deliberately not routed
-    through energy_day."""
-    n = plan.n_packets
-    t_active = plan.n_sessions_per_day * session_active_s(plan, coverage, params)
+    """Battery lifetime from a day billed session by session.  Cross-check
+    for the closed form, deliberately not routed through energy_day: it
+    adds the one session's bill once per session instead of multiplying."""
+    t_acq, t_radio, e_acq, e_radio = session(plan, coverage, params)
+    t_active = plan.n_sessions_per_day * (t_acq + t_radio)
     if t_active > SECONDS_PER_DAY:
         raise ValueError("plan exceeds one day of activity")
     spent = (SECONDS_PER_DAY - t_active) * params.sleep_power_w
     for _ in range(plan.n_sessions_per_day):
-        spent += session_energy_j(n, coverage, params)
-        spent += n * (plan.k_acq * params.e_acq_1s_mj + params.e_sd_write_mj) * 1e-3
+        spent = spent + e_radio + e_acq
+    if not math.isfinite(spent):
+        raise ValueError(f"plan's daily energy {spent} J is not finite")
     return battery.usable_j / spent
 
 
@@ -269,14 +280,12 @@ def simulate_power_trace(
     lead_s = 20.0
     if not math.isfinite(window_s):
         raise ValueError(f"window_s must be finite, got {window_s}")
-    n = plan.n_packets
-    t_blocks = n * plan.block_s
-    t_radio = params.radio_window_s(n, coverage)
+    t_blocks, t_radio, e_acq, e_radio = session(plan, coverage, params)
     t_sess = t_blocks + t_radio
     if t_sess > window_s - lead_s:
-        raise ValueError(f"a {t_sess:.0f} s session does not fit in a {window_s} s window")
-    p_acq = energy_acquisition_j(plan, params) / t_blocks
-    p_radio = session_energy_j(n, coverage, params) / t_radio
+        raise ValueError(f"a {t_sess:.6g} s session does not fit in a {window_s} s window")
+    p_acq = e_acq / t_blocks
+    p_radio = e_radio / t_radio
 
     t = _trace_grid(window_s)
     # t is sorted, so sleep, each plateau lead <= t < end, and sleep again
@@ -378,10 +387,9 @@ def validate_window(
         raise ValueError(f"trace power samples must be finite; they integrate to {e_measured}")
 
     window_s = float(t[-1] - t[0])
-    e_sess = (energy_acquisition_j(plan, params)
-              + session_energy_j(plan.n_packets, coverage, params))
-    t_active = session_active_s(plan, coverage, params)
+    t_acq, t_radio, e_acq, e_radio = session(plan, coverage, params)
+    t_active = t_acq + t_radio
     if t_active > window_s:
         raise ValueError("active time exceeds the window")
-    e_model = e_sess + (window_s - t_active) * params.sleep_power_w
+    e_model = (e_acq + e_radio) + (window_s - t_active) * params.sleep_power_w
     return WindowValidation(e_measured_j=e_measured, e_model_j=e_model)

@@ -80,8 +80,9 @@ class EnergyParams:
     def sleep_power_w(self) -> float:
         return self.v_supply_v * self.i_sleep_ua * 1e-6
 
-    def radio_window_s(self, n_packets: int, coverage: CoverageClass) -> float:
-        """Connect time plus n packets of airtime, each repeated 2**ecl times."""
+    def radio_window_s(self, n_packets: int | np.ndarray, coverage: CoverageClass):
+        """Connect time plus n packets of airtime, each repeated 2**ecl times;
+        elementwise, in the same operations, for an integer array of n."""
         return self.t_connect_s + n_packets * self.t_packet_s * 2 ** COVERAGE_ECL[coverage]
 
 
@@ -136,7 +137,7 @@ DEFAULT_DISPERSION_SIGMA = 1.645 - math.sqrt(1.645**2 - 2.0 * math.log(2.0))
 class PacketTx(NamedTuple):
     seq: int
     energy_j: float
-    t_s: float  # airtime start, from the start of the session
+    t_s: float  # airtime start, from the radio window's start (the connect)
 
 
 @dataclass(frozen=True)
@@ -190,30 +191,11 @@ def uplink_session(
     else:
         energies = means_j
 
-    # each airtime start is radio_window_s(i, coverage), written out in the
-    # same order of operations so the bits match, with one class lookup
-    t_connect, t_packet = params.t_connect_s, params.t_packet_s
-    reps = 2 ** COVERAGE_ECL[coverage]
-    txs = tuple(map(PacketTx, [p.seq for p in packets], energies,
-                    [t_connect + i * t_packet * reps for i in range(n)]))
-    return UplinkRecord(session_id=packets[0].session_id, packets=txs,
-                        duration_s=params.radio_window_s(n, coverage))
-
-
-def session_energy_j(
-    n_packets: int,
-    coverage: CoverageClass = CoverageClass.GOOD,
-    params: EnergyParams = EnergyParams(),
-) -> float:
-    """Closed-form deterministic session energy for n packets, joules."""
-    if n_packets < 0:
-        raise ValueError("packet count cannot be negative")
-    if n_packets == 0:
-        return 0.0
-    mult = COVERAGE_MULT[coverage]
-    mj = (params.e_connect_first_tx_mj + params.e_session_tail_mj
-          + (n_packets - 1) * params.e_packet_tx_mj)
-    return mult * mj * 1e-3
+    # packet i starts when a window of i packets would end; the window of
+    # all n is the record's duration
+    edges = params.radio_window_s(np.arange(n + 1), coverage).tolist()
+    txs = tuple(map(PacketTx, [p.seq for p in packets], energies, edges[:n]))
+    return UplinkRecord(session_id=packets[0].session_id, packets=txs, duration_s=edges[n])
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +226,9 @@ EVENT_LOG_FIELDS = ["timestamp_s", "node_id", "session_id", "seq", "energy_j", "
 
 def event_rows(record: UplinkRecord, sink: SinkReport) -> dict[str, list]:
     """The event log's columns, in EVENT_LOG_FIELDS order: one entry per
-    packet transmission of node 1, stamped at its airtime start from the
-    start of the session, with whether the sink got it."""
+    packet transmission of node 1, stamped at its airtime start, counted
+    from the start of the radio window (the connect, which follows the
+    session's acquisition blocks), with whether the sink got it."""
     txs = record.packets
     n = len(txs)
     missing = set(sink.missing_seqs)

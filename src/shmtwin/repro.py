@@ -22,7 +22,6 @@ from .energy import (
     VL34570,
     SessionPlan,
     battery_life_days,
-    energy_acquisition_j,
     energy_day,
     energy_neutral,
     harvest_day_wh,
@@ -35,7 +34,6 @@ from .radio import (
     CoverageClass,
     EnergyParams,
     epb_uj_per_bit,
-    session_energy_j,
 )
 from .scenario import parse_scenario_text, run_scenario
 from .seriesio import write_csv_rows
@@ -84,12 +82,11 @@ def repro_table2_check(outdir=None) -> list[ReproRow]:
         for name, pub in presets.ENERGY_CONTRIBUTIONS_MJ.items()
     ]
     plan = presets.TABLE3_PLAN
-    e_tx = session_energy_j(plan.n_packets)
-    e_acq = energy_acquisition_j(plan)
+    bd = energy_day(plan)
+    e_tx, e_acq = bd.e_tx_session_j, bd.e_acq_session_j
     rows.append(_pct_row("e_tx_10pkt_j", presets.TABLE3_PUBLISHED["e_tx_j"], e_tx, 0.1))
     rows.append(_pct_row("e_acq_10pkt_j", presets.TABLE3_PUBLISHED["e_acq_j"], e_acq, 0.1))
-    rows.append(_abs_row("e_tot_identity_j", e_tx + e_acq,
-                         energy_day(plan).e_session_j, 0.0))
+    rows.append(_abs_row("e_tot_identity_j", e_tx + e_acq, bd.e_session_j, 0.0))
     return rows
 
 

@@ -1,10 +1,13 @@
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from shmtwin import scenario
-from shmtwin.cli import EXIT_ACCEPT, EXIT_CONFIG, EXIT_OK, EXIT_STAGE, main
+from shmtwin.cli import EXIT_ACCEPT, EXIT_CONFIG, EXIT_OK, EXIT_PIPE, EXIT_STAGE, main
 from shmtwin.repro import TARGETS, ReproRow
 
 GOOD = """\
@@ -253,3 +256,54 @@ def test_repro_outdir_that_is_a_file_is_a_stage_error(tmp_path, capsys):
 def test_design_filter_save_to_a_directory_is_a_stage_error(tmp_path, capsys):
     assert main(["design-filter", "--save", str(tmp_path)]) == EXIT_STAGE
     assert "stage failure: stage write" in capsys.readouterr().err
+
+
+PLAN_MESSAGE = "a session acquires t_acq_s * f_s_hz = {} samples; it needs at least one and a finite count"
+
+
+@pytest.mark.parametrize("tacq, samples", [("1e308", "inf"), ("0.001", "0.1")])
+def test_lifetime_of_a_plan_that_overflows_or_samples_nothing_is_a_config_error(
+        capsys, tacq, samples):
+    t0 = time.perf_counter()
+    assert main(["lifetime", "--tacq", tacq, "--sessions", "1"]) == EXIT_CONFIG
+    assert time.perf_counter() - t0 < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {PLAN_MESSAGE.format(samples)}\n"
+
+
+@pytest.mark.parametrize("t_acq, err", [
+    ("1e307", f"config error: {PLAN_MESSAGE.format('inf')}\n"),
+    ("1e300", "config error: plan needs 7.84615e+300 s of activity, more than one day\n"),
+], ids=["1e307", "1e300"])
+def test_run_plan_that_overflows_is_a_short_config_error(tmp_path, capsys, t_acq, err):
+    path = _write(tmp_path, GOOD.replace("t_acq_s = 45", f"t_acq_s = {t_acq}"))
+    t0 = time.perf_counter()
+    assert main(["run", path, "--outputs", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert time.perf_counter() - t0 < 1.0
+    assert capsys.readouterr().err == err
+
+
+def test_run_loss_probability_of_one_is_a_config_error(tmp_path, capsys):
+    path = _write(tmp_path, GOOD + "[nbiot-sim]\nloss_prob = 1.0\n")
+    assert main(["run", path, "--outputs", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: loss_prob must be in [0, 1), got 1.0\n"
+
+
+@pytest.mark.parametrize("argv", [["lifetime", "--tacq", "60", "--sessions", "6"],
+                                  ["repro", "table1", "--outdir", "{tmp}"]],
+                         ids=["lifetime", "repro"])
+def test_a_closed_stdout_pipe_exits_1_without_a_traceback(tmp_path, argv):
+    # the reader is gone before the first write, as when `| head -1` has
+    # read its line, so every write meets a broken pipe
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    try:
+        done = subprocess.run([sys.executable, "-m", "shmtwin",
+                               *[a.format(tmp=tmp_path) for a in argv]],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert done.returncode == EXIT_PIPE
+    assert done.stderr == b""

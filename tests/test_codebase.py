@@ -126,3 +126,37 @@ def test_every_setting_is_a_key_a_derived_rate_or_varied_by_a_preset():
             instances = named.get(f.name, [getattr(scenario.Scenario, f.name)])
             walk(cls, f.name, [obj for obj in instances if obj is not None])
     assert constant == set()
+
+
+def _attribute_readers(source: str, attrs: set[str]) -> dict[str, set[str]]:
+    """attr -> the innermost functions of a module that read it as an
+    attribute ("<module>" for a read outside any function); a definition,
+    a field or a property, is not a read."""
+    readers: dict[str, set[str]] = {a: set() for a in attrs}
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Attribute) and child.attr in attrs
+                    and isinstance(child.ctx, ast.Load)):
+                readers[child.attr].add(where)
+            inner = (child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+                     else where)
+            visit(child, inner)
+
+    visit(ast.parse(source), "<module>")
+    return readers
+
+
+def test_each_session_constant_has_one_reader():
+    # energy.session is the one schedule of a session: it alone reads the
+    # block length, and the radio window alone reads the connect and
+    # per-packet times
+    readers: dict[str, set[str]] = {}
+    for p in sorted((ROOT / "src" / "shmtwin").glob("*.py")):
+        found = _attribute_readers(p.read_text(encoding="utf-8"),
+                                   {"t_connect_s", "t_packet_s", "block_s"})
+        for attr, where in found.items():
+            readers.setdefault(attr, set()).update(f"{p.stem}.{w}" for w in where)
+    assert readers == {"t_connect_s": {"radio.radio_window_s"},
+                       "t_packet_s": {"radio.radio_window_s"},
+                       "block_s": {"energy.session"}}

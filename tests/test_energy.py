@@ -20,10 +20,10 @@ from shmtwin.energy import (
     SessionPlan,
     battery_life_days,
     battery_life_days_sim,
-    energy_acquisition_j,
     energy_day,
     energy_neutral,
     harvest_day_wh,
+    session,
     session_active_s,
     simulate_power_trace,
     validate_window,
@@ -34,7 +34,7 @@ from shmtwin.presets import (
     TEN_YEAR_PLAN,
     VALIDATION_PLAN,
 )
-from shmtwin.radio import CoverageClass, EnergyParams, session_energy_j
+from shmtwin.radio import COVERAGE_ECL, COVERAGE_MULT, CoverageClass, EnergyParams
 
 SLEEP_W = 34e-6 * 3.3
 
@@ -49,6 +49,8 @@ def test_plan_derived_quantities():
         SessionPlan(n_sessions_per_day=-1)
     with pytest.raises(ValueError):
         SessionPlan(t_acq_s=0.0)
+    assert SessionPlan(t_acq_s=0.015).samples_per_session == 2        # 1.5 rounds to 2
+    assert SessionPlan(t_acq_s=1e300).n_packets > 0
 
 
 @pytest.mark.parametrize("field", ["t_acq_s", "k_acq"])
@@ -75,13 +77,48 @@ def test_harvester_daily_energy():
 
 
 def test_session_energies_match_hand_arithmetic():
-    assert energy_acquisition_j(TABLE3_PLAN) == pytest.approx(3.440556, abs=1e-9)
-    assert energy_acquisition_j(VALIDATION_PLAN) == pytest.approx(3.177576, abs=1e-9)
-    assert session_energy_j(TABLE3_PLAN.n_packets) == pytest.approx(5.33416, abs=1e-9)
+    _, _, e_acq, e_radio = session(TABLE3_PLAN)
+    assert e_acq == pytest.approx(3.440556, abs=1e-9)
+    assert e_radio == pytest.approx(5.33416, abs=1e-9)
+    assert session(VALIDATION_PLAN)[2] == pytest.approx(3.177576, abs=1e-9)
+
+
+_PARAMS = [EnergyParams(), EnergyParams(t_connect_s=0.7, t_packet_s=0.1, e_packet_tx_mj=3.3),
+           EnergyParams(e_acq_1s_mj=0.1, e_sd_write_mj=7.0, e_session_tail_mj=1e-3),
+           EnergyParams(t_connect_s=1e-3, t_packet_s=3.3, e_connect_first_tx_mj=1e4)]
+
+
+def test_session_keeps_the_bits_of_each_expression_it_replaced():
+    # the schedule and bill each reader used to work out for itself, as
+    # they were written, in the same order
+    for params in _PARAMS:
+        for coverage in CoverageClass:
+            for t_acq in (0.01, 6.5, 13.0001, 60.0, 422.5, 1200.0, 3600.0, 1e5):
+                for k_acq in (6.0, 6.5, 0.37):
+                    plan = SessionPlan(t_acq_s=t_acq, k_acq=k_acq)
+                    n = plan.n_packets
+                    old = (n * plan.block_s,
+                           params.t_connect_s + n * params.t_packet_s * 2 ** COVERAGE_ECL[coverage],
+                           n * (plan.k_acq * params.e_acq_1s_mj + params.e_sd_write_mj) * 1e-3,
+                           COVERAGE_MULT[coverage] * (params.e_connect_first_tx_mj
+                                                      + params.e_session_tail_mj
+                                                      + (n - 1) * params.e_packet_tx_mj) * 1e-3)
+                    assert session(plan, coverage, params) == old
+                    assert session_active_s(plan, coverage, params) == old[0] + old[1]
+
+
+@pytest.mark.parametrize("kwargs", [dict(t_acq_s=0.001), dict(t_acq_s=0.005),
+                                    dict(t_acq_s=1.0, f_s_hz=1e-3), dict(t_acq_s=1e307),
+                                    dict(t_acq_s=1e200, f_s_hz=1e200)])
+def test_plan_that_samples_nothing_or_overflows_is_refused(kwargs):
+    # 0.1 and 0.5 samples round to none; 1e309 and 1e400 samples are not finite
+    with pytest.raises(ValueError, match="at least one and a finite count"):
+        SessionPlan(**kwargs)
 
 
 def test_active_time_is_physical_not_billing():
     # 10 blocks of 6.5 s plus 6 s connect plus 20 s airtime
+    assert session(TABLE3_PLAN)[:2] == (65.0, 26.0)
     assert session_active_s(TABLE3_PLAN) == pytest.approx(91.0)
     # the acquisition billing constant must not move wall-clock time
     assert session_active_s(VALIDATION_PLAN) == pytest.approx(91.0)
@@ -108,8 +145,15 @@ def test_sleep_only_floor():
 
 
 def test_overcommitted_day_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="plan needs 113052 s of activity, more than one day"):
         energy_day(SessionPlan(n_sessions_per_day=6, t_acq_s=14400.0))
+
+
+def test_overcommitted_day_message_stays_short():
+    # a huge but finite acquisition prints its activity compactly
+    with pytest.raises(ValueError, match="more than one day") as e:
+        energy_day(SessionPlan(t_acq_s=1e300))
+    assert len(str(e.value)) < 60, str(e.value)
 
 
 def test_day_whose_energy_overflows_rejected():
@@ -211,17 +255,29 @@ def test_sim_agrees_with_closed_form():
 
 
 def test_sim_bills_the_day_once(monkeypatch):
-    real = energy.session_energy_j
+    real = energy.session
     calls = []
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(energy, "session_energy_j", counting)
+    monkeypatch.setattr(energy, "session", counting)
     days = battery_life_days_sim(TABLE3_PLAN, VL34570)
     assert days > 1
-    assert len(calls) <= TABLE3_PLAN.n_sessions_per_day
+    assert len(calls) == 1
+
+
+def test_sim_raises_as_the_closed_form_does_on_an_overflowing_day():
+    plan = SessionPlan(k_acq=1e306)
+    for f in (battery_life_days, battery_life_days_sim):
+        with pytest.raises(ValueError, match="plan's daily energy inf J is not finite"):
+            f(plan, VL34570)
+
+
+def test_sim_rejects_a_plan_that_exceeds_one_day():
+    with pytest.raises(ValueError, match="plan exceeds one day of activity"):
+        battery_life_days_sim(SessionPlan(n_sessions_per_day=6, t_acq_s=14400.0), VL34570)
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -305,9 +361,9 @@ def _reference_trace(plan, params, window_s, coverage):
     t_sess = t_blocks + t_radio
     t = np.arange(0.0, window_s + 0.01 / 2, 0.01)
     p = np.full_like(t, params.sleep_power_w)
-    p[(t >= lead_s) & (t < lead_s + t_blocks)] = energy_acquisition_j(plan, params) / t_blocks
-    p[(t >= lead_s + t_blocks) & (t < lead_s + t_sess)] = (
-        session_energy_j(n, coverage, params) / t_radio)
+    _, _, e_acq, e_radio = session(plan, coverage, params)
+    p[(t >= lead_s) & (t < lead_s + t_blocks)] = e_acq / t_blocks
+    p[(t >= lead_s + t_blocks) & (t < lead_s + t_sess)] = e_radio / t_radio
     return t, p
 
 

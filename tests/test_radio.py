@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shmtwin.energy import SessionPlan, session
 from shmtwin.presets import PAYLOAD_EPB_ROWS
 from shmtwin.radio import (
     COVERAGE_ECL,
@@ -21,7 +22,6 @@ from shmtwin.radio import (
     event_rows,
     packetize,
     reassemble,
-    session_energy_j,
     uplink_session,
     write_event_log,
 )
@@ -91,14 +91,19 @@ def test_reassemble_orders_by_seq():
     assert np.array_equal(reassemble(list(reversed(pkts))), x)
 
 
+def _radio_j(n_packets, coverage=CoverageClass.GOOD):
+    """The deterministic radio bill of a session of n full packets."""
+    _, _, _, e_radio = session(SessionPlan(t_acq_s=6.5 * n_packets), coverage)
+    return e_radio
+
+
 def test_session_energy_reference_points():
-    assert session_energy_j(1) == pytest.approx(1.27669, abs=1e-9)
-    assert session_energy_j(10) == pytest.approx(5.33416, abs=1e-9)
-    assert session_energy_j(65) == pytest.approx(30.12981, abs=1e-9)
-    assert session_energy_j(0) == 0.0
-    bad = session_energy_j(10, CoverageClass.BAD)
+    assert _radio_j(1) == pytest.approx(1.27669, abs=1e-9)
+    assert _radio_j(10) == pytest.approx(5.33416, abs=1e-9)
+    assert _radio_j(65) == pytest.approx(30.12981, abs=1e-9)
+    bad = _radio_j(10, CoverageClass.BAD)
     assert bad == pytest.approx(3.8 * 5.33416, rel=1e-12)
-    med = session_energy_j(10, CoverageClass.MEDIUM)
+    med = _radio_j(10, CoverageClass.MEDIUM)
     assert bad / med == pytest.approx(2.8, rel=1e-12)
 
 
@@ -106,7 +111,7 @@ def test_uplink_deterministic_matches_closed_form():
     for n in (1, 2, 10, 65):
         pkts = packetize(np.zeros(650 * n, dtype=np.int16))
         rec = uplink_session(pkts)
-        assert rec.energy_j == pytest.approx(session_energy_j(n), rel=1e-12)
+        assert rec.energy_j == pytest.approx(_radio_j(n), rel=1e-12)
         assert rec.duration_s == 6.0 + 2.0 * n
     rec = uplink_session(packetize(np.zeros(6500, dtype=np.int16)),
                          coverage=CoverageClass.BAD)
@@ -232,3 +237,32 @@ def test_event_log_stamps_come_from_the_session_params():
     stamps = event_rows(rec, deliver(pkts, loss_prob=0.0))["timestamp_s"]
     assert stamps[0] == 3.0                     # the record's own connect time
     assert all(t < rec.duration_s for t in stamps)
+
+
+@pytest.mark.parametrize("params", [EnergyParams(), EnergyParams(t_connect_s=0.7, t_packet_s=0.1),
+                                    EnergyParams(t_connect_s=1e-3, t_packet_s=3.3)])
+@pytest.mark.parametrize("coverage", list(CoverageClass))
+def test_radio_window_over_an_array_is_the_scalar_window_bit_for_bit(params, coverage):
+    # uplink_session takes every airtime start and its duration from one
+    # array call; each must be the window of that many packets
+    n = np.arange(2000)
+    edges = params.radio_window_s(n, coverage).tolist()
+    assert edges == [params.radio_window_s(i, coverage) for i in range(2000)]
+    rec = uplink_session(packetize(np.zeros(650 * 37, dtype=np.int16)), coverage, params)
+    assert [tx.t_s for tx in rec.packets] == edges[:37]
+    assert rec.duration_s == edges[37]
+    assert all(type(tx.t_s) is float for tx in rec.packets) and type(rec.duration_s) is float
+
+
+def test_energy_per_bit_rejects_an_empty_payload_and_negative_energy():
+    with pytest.raises(ValueError, match="payload must be positive, got 0"):
+        epb_uj_per_bit(0, 1.0)
+    with pytest.raises(ValueError, match="energy cannot be negative"):
+        epb_uj_per_bit(100, -1e-9)
+
+
+@pytest.mark.parametrize("loss_prob", [-0.1, 1.0, float("nan"), float("inf")])
+def test_deliver_rejects_a_loss_probability_outside_0_1(loss_prob):
+    pkts = packetize(np.arange(1300, dtype=np.int16))
+    with pytest.raises(ValueError, match=r"loss probability must be in \[0, 1\)"):
+        deliver(pkts, loss_prob=loss_prob)

@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 
 from shmtwin import decimator, presets, scenario
 from shmtwin.decimator import ChainState, DecimatorSpec, design_decimator, run_chain
-from shmtwin.energy import LS336000, SessionPlan
+from shmtwin.energy import LS336000, SessionPlan, session
 from shmtwin.modal import ModalSpec, Verdict, compute_spectrum
-from shmtwin.radio import CoverageClass, session_energy_j
+from shmtwin.radio import CoverageClass
 from shmtwin.signals import (
     AdcSpec,
     SensorSpec,
@@ -547,8 +547,9 @@ def test_stochastic_uplink_scenario_runs(tmp_path):
     s = parse_scenario_text(text)
     r = run_scenario(s, write=False)
     # the lognormal draw reached the record: not the class-mean session bill
-    assert r.uplink.energy_j != pytest.approx(session_energy_j(len(r.uplink.packets),
-                                                               s.coverage))
+    assert len(r.uplink.packets) == s.plan.n_packets
+    _, _, _, e_radio = session(s.plan, s.coverage)
+    assert r.uplink.energy_j != pytest.approx(e_radio)
 
 
 def test_dwell_peak_memory_flat_in_record_length(tmp_path):
