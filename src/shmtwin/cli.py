@@ -14,9 +14,8 @@ import os
 import sys
 from dataclasses import replace
 
-from . import presets
 from .decimator import DecimatorSpec, design_decimator, save_stages
-from .energy import DAYS_PER_YEAR, SessionPlan, battery_life_days, energy_day
+from .energy import BATTERIES, DAYS_PER_YEAR, SessionPlan, battery_life_days, energy_day
 from .radio import CoverageClass
 from .repro import TARGETS, run_repro
 from .scenario import ConfigError, StageError, load_scenario, run_scenario, stage
@@ -50,7 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_life = sub.add_parser("lifetime", help="battery lifetime for an acquisition plan")
     p_life.add_argument("--tacq", type=float, required=True, help="seconds of acquisition per session")
     p_life.add_argument("--sessions", type=int, required=True, help="sessions per day")
-    p_life.add_argument("--battery", choices=sorted(presets.BATTERIES), default="LS336000")
+    p_life.add_argument("--battery", choices=sorted(BATTERIES), default="LS336000")
     p_life.add_argument("--k-acq", type=float, default=SessionPlan.k_acq, dest="k_acq")
     p_life.add_argument("--coverage", choices=[c.name for c in CoverageClass], default="GOOD")
     return ap
@@ -106,7 +105,7 @@ def _cmd_design_filter(args) -> int:
 def _cmd_lifetime(args) -> int:
     plan = SessionPlan(n_sessions_per_day=args.sessions, t_acq_s=args.tacq,
                        k_acq=args.k_acq)
-    battery = presets.BATTERIES[args.battery]
+    battery = BATTERIES[args.battery]
     coverage = CoverageClass[args.coverage]
     bd = energy_day(plan, coverage)
     days = battery_life_days(plan, battery, coverage)

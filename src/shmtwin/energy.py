@@ -12,10 +12,12 @@ independent cross-checks.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import presets
 from .radio import COVERAGE_MULT, SAMPLES_PER_PACKET, CoverageClass, EnergyParams
 
 SECONDS_PER_DAY = 86400.0
@@ -40,6 +42,8 @@ class SessionPlan:
     def __post_init__(self):
         if self.n_sessions_per_day < 0:
             raise ValueError("session count cannot be negative")
+        if self.n_sessions_per_day > sys.float_info.max:  # exact; the int is not converted
+            raise ValueError(f"session count must be at most {sys.float_info.max:.6g}")
         if not all(0 < v < math.inf for v in (self.t_acq_s, self.f_s_hz, self.k_acq)):
             raise ValueError("t_acq_s, f_s_hz and k_acq must be positive and finite")
         samples = self.t_acq_s * self.f_s_hz
@@ -82,10 +86,10 @@ class BatterySpec:
         return self.capacity_j * self.derating
 
 
-# D-size cells used throughout: a primary Li-SOCl2 cell and a secondary
-# Li-ion of the same footprint.  17 Ah and 5.4 Ah at 3.7 V nominal.
-LS336000 = BatterySpec("LS336000", 226440.0)
-VL34570 = BatterySpec("VL34570", 71928.0)
+# The two D-size cells of presets.CELL_ENERGY_J, by name.
+LS336000 = BatterySpec("LS336000", presets.CELL_ENERGY_J["LS336000"])
+VL34570 = BatterySpec("VL34570", presets.CELL_ENERGY_J["VL34570"])
+BATTERIES = {b.name: b for b in (LS336000, VL34570)}
 
 
 # The node's solar panel, 120 mm x 60 mm to fit the board, and the share its
@@ -331,7 +335,7 @@ def validate_window(
     model of a window holding one session.
 
     The model bills acquisition at the plan's k_acq seconds of activity
-    per packet (6 in ``presets.VALIDATION_PLAN``, the calibration that
+    per packet (6 in ``repro.VALIDATION_PLAN``, the calibration that
     matches bench measurements of this window), transmission at the
     deterministic session energy, and sleep over the remainder of the
     window after physical active time.

@@ -151,15 +151,14 @@ def _local_maxima(x: np.ndarray) -> np.ndarray:
 
 def _parabolic_refine(mags: np.ndarray, k: int) -> float:
     """Bin of the vertex of the parabola through the log-magnitudes at
-    (k-1, k, k+1)."""
+    (k-1, k, k+1), where k is a local maximum: a flat top stays at k."""
     a, b, c = np.log10(np.maximum(mags[k - 1:k + 2], 1e-300))
     denom = a - 2.0 * b + c
     if denom == 0.0:
         return float(k)
-    delta = 0.5 * (a - c) / denom
-    if not -1.0 < delta < 1.0:
-        return float(k)
-    return k + delta
+    # a <= b and c <= b, so |a - c| <= |denom|: the vertex moves at most half
+    # a bin, up to rounding
+    return k + 0.5 * (a - c) / denom
 
 
 def _under_skirt(mags: np.ndarray, spectrum: Spectrum, k: int, k_stronger: int) -> bool:

@@ -22,6 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import presets
 from .seriesio import write_csv_columns
 
 
@@ -42,15 +43,16 @@ def classify_coverage(rssi_dbm: float) -> CoverageClass:
     return CoverageClass.BAD
 
 
-# Session energy in BAD coverage measures 3.8x GOOD and 2.8x MEDIUM, which
-# pins MEDIUM at 3.8/2.8 of GOOD.
+# Session energy over GOOD's.  BAD measures BAD_OVER_GOOD (3.8) times GOOD
+# and BAD_OVER_MEDIUM (2.8) times MEDIUM, which pins MEDIUM at their ratio.
 COVERAGE_MULT = {
     CoverageClass.GOOD: 1.0,
-    CoverageClass.MEDIUM: 3.8 / 2.8,
-    CoverageClass.BAD: 3.8,
+    CoverageClass.MEDIUM: presets.BAD_OVER_GOOD / presets.BAD_OVER_MEDIUM,
+    CoverageClass.BAD: presets.BAD_OVER_GOOD,
 }
 # Extended-coverage level: each packet's airtime repeats 2**ecl times.
 COVERAGE_ECL = {CoverageClass.GOOD: 0, CoverageClass.MEDIUM: 1, CoverageClass.BAD: 2}
+_MJ = presets.ENERGY_CONTRIBUTIONS_MJ
 
 
 @dataclass(frozen=True)
@@ -60,11 +62,11 @@ class EnergyParams:
     Energies are in millijoules as measured; helpers hand out joules.
     """
 
-    e_acq_1s_mj: float = 52.596          # one second of acquisition activity
-    e_sd_write_mj: float = 2.1816        # storing one packet's samples
-    e_connect_first_tx_mj: float = 659.72
-    e_packet_tx_mj: float = 450.83
-    e_session_tail_mj: float = 616.97    # connected-eDRX wind-down and release
+    e_acq_1s_mj: float = _MJ["e_acq_1s_mj"]          # one second of acquisition activity
+    e_sd_write_mj: float = _MJ["e_sd_write_mj"]      # storing one packet's samples
+    e_connect_first_tx_mj: float = _MJ["e_connect_first_tx_mj"]
+    e_packet_tx_mj: float = _MJ["e_packet_tx_mj"]
+    e_session_tail_mj: float = _MJ["e_session_tail_mj"]  # connected-eDRX wind-down and release
     i_sleep_ua: float = 34.0
     v_supply_v: float = 3.3
     t_connect_s: float = 6.0             # with per-packet time: 26 s radio for
@@ -130,8 +132,8 @@ def reassemble(packets: list[Packet]) -> np.ndarray:
 # uplink sessions
 
 # Lognormal dispersion such that the 95th percentile of per-packet energy
-# is twice its mean: solve 1.645*s - s^2/2 = ln 2.
-DEFAULT_DISPERSION_SIGMA = 1.645 - math.sqrt(1.645**2 - 2.0 * math.log(2.0))
+# is GOOD_P95_OVER_MEAN (2) times its mean: solve 1.645*s - s^2/2 = ln 2.
+DEFAULT_DISPERSION_SIGMA = 1.645 - math.sqrt(1.645**2 - 2.0 * math.log(presets.GOOD_P95_OVER_MEAN))
 
 
 class PacketTx(NamedTuple):

@@ -37,6 +37,7 @@ from .decimator import (
     run_chain,
 )
 from .energy import (
+    BATTERIES,
     DAYS_PER_YEAR,
     BatterySpec,
     EnergyBreakdown,
@@ -130,7 +131,7 @@ class Scenario:
     uplink_mode: str = "deterministic"
     loss_prob: float = 0.0
     plan: SessionPlan = SessionPlan(t_acq_s=180.0)
-    battery: BatterySpec = presets.BATTERIES["LS336000"]
+    battery: BatterySpec = BATTERIES["LS336000"]
     harvester: bool = False
     event: EventSpec | None = None
     trigger_threshold_g: float | None = None
@@ -234,7 +235,7 @@ _NAMES = {
     "excitation": {n: n for n in ("ambient", "dwell")},
     "coverage": CoverageClass.__members__,
     "mode": {n: n for n in ("deterministic", "stochastic")},
-    "battery": presets.BATTERIES,
+    "battery": BATTERIES,
     "harvester": {"none": False, "default": True},
 }
 

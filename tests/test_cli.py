@@ -1,3 +1,5 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -5,6 +7,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from shmtwin import scenario
 from shmtwin.cli import EXIT_ACCEPT, EXIT_CONFIG, EXIT_OK, EXIT_PIPE, EXIT_STAGE, main
@@ -282,6 +286,52 @@ def test_run_plan_that_overflows_is_a_short_config_error(tmp_path, capsys, t_acq
     assert main(["run", path, "--outputs", str(tmp_path / "o")]) == EXIT_CONFIG
     assert time.perf_counter() - t0 < 1.0
     assert capsys.readouterr().err == err
+
+
+COUNT_MESSAGE = "config error: session count must be at most 1.79769e+308\n"
+HUGE_COUNT = "1" + "0" * 400
+
+
+def test_lifetime_session_count_too_large_for_a_float_is_a_config_error(capsys):
+    t0 = time.perf_counter()
+    assert main(["lifetime", "--tacq", "60", "--sessions", HUGE_COUNT]) == EXIT_CONFIG
+    assert time.perf_counter() - t0 < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == COUNT_MESSAGE
+
+
+def test_run_session_count_too_large_for_a_float_is_a_config_error(tmp_path, capsys):
+    path = _write(tmp_path, GOOD + f"n_sessions_per_day = {HUGE_COUNT}\n")
+    t0 = time.perf_counter()
+    assert main(["run", path, "--outputs", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert time.perf_counter() - t0 < 1.0
+    assert capsys.readouterr().err == COUNT_MESSAGE
+
+
+def _signed(magnitudes):
+    return st.tuples(st.booleans(), magnitudes).map(lambda t: -t[1] if t[0] else t[1])
+
+
+# Every float: zero, both infinities, NaN and subnormals, and magnitudes of
+# either sign drawn log-uniformly from the least subnormal to the largest float.
+_REALS = st.one_of(st.floats(), _signed(st.floats(-1074.0, 1024.0, exclude_max=True)
+                                        .map(lambda e: 2.0 ** e)))
+# Counts of either sign with up to 2000 bits, far past 2**63 and the largest float.
+_COUNTS = _signed(st.integers(0, 2000).flatmap(lambda bits: st.integers(0, 2 ** bits)))
+
+
+@settings(max_examples=200, deadline=1000)
+@example(tacq=60.0, k_acq=6.5, sessions=int(HUGE_COUNT), battery="LS336000", coverage="GOOD")
+@given(tacq=_REALS, k_acq=_REALS, sessions=_COUNTS,
+       battery=st.sampled_from(["LS336000", "VL34570"]),
+       coverage=st.sampled_from(["GOOD", "MEDIUM", "BAD"]))
+def test_lifetime_over_every_input_exits_0_or_2(tacq, k_acq, sessions, battery, coverage):
+    # "--flag=value", so that argparse takes "-inf" as a value, not a flag
+    argv = ["lifetime", f"--tacq={tacq!r}", f"--k-acq={k_acq!r}", f"--sessions={sessions}",
+            f"--battery={battery}", f"--coverage={coverage}"]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) in (EXIT_OK, EXIT_CONFIG)
 
 
 def test_run_loss_probability_of_one_is_a_config_error(tmp_path, capsys):

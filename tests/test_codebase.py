@@ -160,3 +160,27 @@ def test_each_session_constant_has_one_reader():
     assert readers == {"t_connect_s": {"radio.radio_window_s"},
                        "t_packet_s": {"radio.radio_window_s"},
                        "block_s": {"energy.session"}}
+
+
+# The published figures that the model reads: the five energy contributions,
+# the two coverage multipliers and the two cells' energies.
+_MODEL_FIGURES = {52.596, 2.1816, 659.72, 450.83, 616.97, 3.8, 2.8, 226440.0, 71928.0}
+
+
+def test_each_figure_the_model_reads_is_written_once_in_presets():
+    written: dict[float, list[str]] = {f: [] for f in _MODEL_FIGURES}
+    for p in sorted((ROOT / "src" / "shmtwin").glob("*.py")):
+        for node in ast.walk(ast.parse(p.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Constant) and type(node.value) in (int, float)
+                    and node.value in written):
+                written[node.value].append(p.name)
+    assert written == {f: ["presets.py"] for f in _MODEL_FIGURES}
+
+
+def test_presets_imports_only_signals():
+    # every module that holds a model reads presets, so presets reads none of them
+    tree = ast.parse((ROOT / "src" / "shmtwin" / "presets.py").read_text(encoding="utf-8"))
+    imported = {(node.level, node.module) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)}
+    assert not any(isinstance(node, ast.Import) for node in ast.walk(tree))
+    assert imported == {(0, "__future__"), (1, "signals")}

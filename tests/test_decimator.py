@@ -459,3 +459,10 @@ def test_oversampling_law_half_bit_per_octave():
         enobs.append(measure_enob(stages)[1])
     deltas = np.diff(enobs)
     assert np.all(deltas > 0.35) and np.all(deltas < 0.65)
+
+
+def test_stage_without_coefficients_or_decimation_rejected():
+    with pytest.raises(ValueError, match="stage needs a non-empty 1-D coefficient vector"):
+        FilterStage(np.zeros(0), 2)
+    with pytest.raises(ValueError, match="decimation factor must be >= 1, got 0"):
+        FilterStage(np.ones(3), 0)

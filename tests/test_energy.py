@@ -28,13 +28,8 @@ from shmtwin.energy import (
     simulate_power_trace,
     validate_window,
 )
-from shmtwin.presets import (
-    DRAIN_PLAN,
-    TABLE3_PLAN,
-    TEN_YEAR_PLAN,
-    VALIDATION_PLAN,
-)
 from shmtwin.radio import COVERAGE_ECL, COVERAGE_MULT, CoverageClass, EnergyParams
+from shmtwin.repro import DRAIN_PLAN, TABLE3_PLAN, TEN_YEAR_PLAN, VALIDATION_PLAN
 
 SLEEP_W = 34e-6 * 3.3
 

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shmtwin.modal import (
+    _local_maxima,
+    _parabolic_refine,
     ModalSpec,
     Verdict,
     compare_modes,
@@ -118,3 +122,25 @@ def test_verdict_line_format():
     line = verdict_line(compare_modes((10.0,), (9.9,)))
     assert line.startswith("verdict=")
     assert "worst_shift_pct=" in line and "matched=1" in line
+
+
+def test_a_flat_top_is_refined_to_its_middle_bin():
+    mags = np.array([0.1, 1.0, 2.0, 2.0, 2.0, 1.0, 0.1])
+    assert _local_maxima(mags).tolist() == [3]
+    assert _parabolic_refine(mags, 3) == 3.0
+
+
+# few distinct levels, so that ties and plateaus are common, or magnitudes
+# over the whole range, zero and the log floor included
+_MAGS = st.one_of(
+    st.lists(st.integers(0, 6), min_size=3, max_size=60).map(lambda v: np.array(v) * 0.37),
+    st.lists(st.floats(0.0, 1e300), min_size=3, max_size=60).map(np.array))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_MAGS)
+def test_refinement_keeps_each_local_maximum_within_its_neighbours(mags):
+    # detect_peaks refines only local maxima, where the vertex lies within
+    # half a bin in exact arithmetic; refinement has no clamp to one bin
+    for k in _local_maxima(mags).tolist():
+        assert abs(_parabolic_refine(mags, k) - k) < 1.0

@@ -171,10 +171,13 @@ def test_out_of_domain_values_are_config_errors(text):
      "event_duration_s = 1\n", "event_peak_g"),
     ("[dsp-chain]\nn_stages = 100000\n", "n_stages = 100000 .* total_decim = 256"),
     ("[dsp-chain]\nn_stages = 7\ntotal_decim = 64\n", "n_stages = 7 .* total_decim = 64"),
+    ("[signal-synth]\nadc_bits = 25\n", "ADC bits out of range: 25"),
+    ("[signal-synth]\nevent_onset_s = 2\n",
+     "event needs all of event_onset_s, event_peak_g, event_duration_s"),
 ], ids=["no-peaks", "light-above-moderate", "zero-trigger", "atten-underflow",
         "ripple-underflow", "ripple-overflow", "event-peak-nan", "event-peak-inf",
         "infinite-trigger", "event-onset-inf", "zero-budget", "event-volts-overflow",
-        "stages-100000-of-256", "stages-7-of-64"])
+        "stages-100000-of-256", "stages-7-of-64", "adc-bits-25", "event-onset-only"])
 def test_stage_domains_are_checked_at_parse(text, field):
     # the modal and trigger stages would reject these only after the
     # front end had run; a design tolerance that underflows to 0, or a
@@ -758,3 +761,13 @@ def test_stage_failing_on_its_third_block_names_its_stage(tmp_path, monkeypatch,
     assert "fails on block 3" in str(exc.value)
     assert len(calls) >= 3
     assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("text, message", [
+    ("seed = 1\n", "cannot parse scenario: File contains no section headers"),
+    (MINIMAL + "seed = 2\n",
+     "cannot parse scenario: .* option 'seed' in section 'scenario' already exists"),
+], ids=["no-section", "duplicate-key"])
+def test_text_configparser_cannot_read_is_a_config_error(text, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_scenario_text(text)

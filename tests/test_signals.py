@@ -287,3 +287,10 @@ def test_front_end_stages_leave_their_inputs_unchanged(default_chain):
     codes_before = codes.copy()
     run_chain(codes, stages, AdcSpec(), SensorSpec(), ChainState(stages, len(codes)))
     assert np.array_equal(codes, codes_before)
+
+
+def test_synthesis_outside_the_record_or_a_block_of_ambient_rejected():
+    with pytest.raises(ValueError, match=r"samples \[50, 101\) are not within a record of 100"):
+        synth_structure_response(FOUR_MODES, 1.0, 100.0, excitation="dwell", start=50, stop=101)
+    with pytest.raises(ValueError, match="ambient synthesis returns only the whole record"):
+        synth_structure_response(FOUR_MODES, 1.0, 100.0, excitation="ambient", stop=50)
