@@ -70,8 +70,10 @@ SURVIVORS = {
     ),
     # a plan or curve read only through a floor, a band or a curve's shape;
     # the validation window bills one session of 10 packets whatever the
-    # day's count, and 63 s still fills 10 packets
+    # day's count; a session bills whole 650-sample packets, and 63 s still
+    # fills the 10 that the table-3 and validation plans' 60 s fill
     "a plan or curve grid": (
+        "TABLE3_PUBLISHED['t_acq_s']",
         "PLANS['validation']['n_sessions_per_day']", "PLANS['validation']['t_acq_s']",
         "PLANS['ten_year']['k_acq']", "PLANS['drain']['n_sessions_per_day']",
         "PLANS['drain']['t_acq_s']", "PLANS['drain']['k_acq']",

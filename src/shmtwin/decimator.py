@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .seriesio import write_text
-from .signals import AdcSpec, SensorSpec, apply_sensor, quantize
+from .signals import AdcSpec, SensorSpec
 
 
 class FilterDesignError(RuntimeError):
@@ -367,7 +367,7 @@ def design_decimator(
     report = measure_response(stages, spec)
     if report.passband_ripple_db > spec.passband_ripple_db:
         raise FilterDesignError(
-            f"composite ripple {report.passband_ripple_db:.4f} dB exceeds "
+            f"composite ripple {report.passband_ripple_db:.6g} dB exceeds "
             f"{spec.passband_ripple_db} dB"
         )
     if any(d > 1 for d in spec.stage_decims) and report.stopband_atten_db < spec.stopband_atten_db:
@@ -573,21 +573,6 @@ def cascade(x: np.ndarray, stages: Sequence[FilterStage]) -> np.ndarray:
     return ChainState(stages, len(x)).push(x)
 
 
-def _output_counts(
-    codes: np.ndarray,
-    stages: Sequence[FilterStage],
-    adc: AdcSpec,
-    sensor: SensorSpec,
-    state: ChainState,
-) -> np.ndarray:
-    """Decimate the next block of ADC codes to float output counts, unrounded."""
-    if state.stages != tuple(stages):
-        raise ValueError("the chain state was built for other stages")
-    y = state.push(np.subtract(codes, adc.midscale, dtype=float))
-    lsb_to_g = adc.vref_v / adc.n_codes / sensor.sensitivity_v_per_g
-    return y * lsb_to_g * (32768.0 / sensor.full_scale_g)
-
-
 def run_chain(
     codes: np.ndarray,
     stages: Sequence[FilterStage],
@@ -595,77 +580,28 @@ def run_chain(
     sensor: SensorSpec,
     state: ChainState,
 ) -> np.ndarray:
-    """Decimate raw ADC codes to a signed 16-bit series at the output rate.
+    """Decimate raw ADC codes to output counts at the output rate, unrounded.
 
     Midscale is subtracted first, so a rail-to-rail-centered input maps to
     zero and the output is signed acceleration: full scale +/-32768 counts
-    corresponds to +/-sensor.full_scale_g.
+    corresponds to +/-sensor.full_scale_g.  ``int16_output`` rounds the
+    counts to the 16-bit output word.
 
     The codes are the next block of the record ``state`` was built for, over
     these same stage objects; the state carries each stage's held inputs
     between calls, and the blocks' outputs concatenate to the whole
     record's.  A whole record is one block.
     """
-    return _int16(_output_counts(codes, stages, adc, sensor, state))
+    if state.stages != tuple(stages):
+        raise ValueError("the chain state was built for other stages")
+    y = state.push(np.subtract(codes, adc.midscale, dtype=float))
+    lsb_to_g = adc.vref_v / adc.n_codes / sensor.sensitivity_v_per_g
+    return y * lsb_to_g * (32768.0 / sensor.full_scale_g)
 
 
-def _int16(counts: np.ndarray) -> np.ndarray:
+def int16_output(counts: np.ndarray) -> np.ndarray:
     """Output counts rounded to the signed 16-bit output word, saturating."""
     return np.clip(np.rint(counts), -32768, 32767).astype(np.int16)
-
-
-def measure_enob(stages: Sequence[FilterStage]) -> tuple[float, float]:
-    """Effective bits of the quantize-and-decimate chain, (SINAD - 1.76)/6.02.
-
-    Drives a 40 s full-scale 10 Hz sine (amplitude = sensor full scale)
-    through the sensor model, the default ADC and the chain, then takes SINAD
-    from an FFT of the steady-state output.  Everything that is not the
-    fundamental or DC counts as noise-plus-distortion, spurs included.
-
-    Returns two figures from the one pass: the effective bits of the int16
-    series ``run_chain`` emits, and those of the float counts before that
-    rounding.  The float figure shows the oversampling law, which the fixed
-    output word length otherwise masks.
-
-    The record is cut to whole tone periods, so the tone lands on a bin
-    with no window; an output rate that is not a multiple of 10 Hz raises
-    ValueError.
-
-    The sensor noise is set to 2 ug/rtHz, a fraction of an LSB over the
-    oversampled band: enough to decorrelate quantization error, small
-    enough not to dominate the decimated noise floor.
-    """
-    f_tone = 10.0
-    adc, sensor = AdcSpec(), SensorSpec(noise_density_ug_sqrthz=2.0)
-    total_decim = math.prod(st.decim for st in stages)
-    fs_out = adc.f_os_hz / total_decim
-    period = fs_out / f_tone
-    if abs(period - round(period)) >= 1e-9:
-        raise ValueError(f"a {f_tone} Hz tone is not coherent at the {fs_out} Hz output rate")
-    n = int(round(40.0 * adc.f_os_hz))
-    t = np.arange(n) / adc.f_os_hz
-    accel = sensor.full_scale_g * np.sin(2.0 * np.pi * f_tone * t)
-    volts = apply_sensor(accel, sensor, adc.f_os_hz, seed=1)
-    codes, _ = quantize(volts, adc)
-    counts = _output_counts(codes, stages, adc, sensor, ChainState(stages, len(codes)))
-
-    skip = int(math.ceil(warmup_input_samples(stages) / total_decim)) * 2 + 8
-    if len(counts) - skip < 256:
-        raise ValueError("record too short for a meaningful SINAD estimate")
-    p = int(round(period))
-
-    def enob(out: np.ndarray) -> float:
-        x = out[skip:]
-        x = x[: (len(x) // p) * p]
-        spec_mag2 = np.abs(np.fft.rfft(x)) ** 2
-        k0 = int(round(f_tone / (fs_out / len(x))))
-        p_fund = float(np.sum(spec_mag2[max(k0 - 1, 0):k0 + 2]))
-        p_dc = float(np.sum(spec_mag2[:2]))
-        p_total = float(np.sum(spec_mag2))
-        p_nd = max(p_total - p_fund - p_dc, 1e-300)
-        return float((10.0 * np.log10(p_fund / p_nd) - 1.76) / 6.02)
-
-    return enob(_int16(counts).astype(float)), enob(counts)
 
 
 # ---------------------------------------------------------------------------

@@ -33,8 +33,11 @@ from .decimator import (
     ChainState,
     DecimatorSpec,
     FilterReport,
+    FilterStage,
     design_decimator,
+    int16_output,
     run_chain,
+    warmup_input_samples,
 )
 from .energy import (
     BATTERIES,
@@ -383,47 +386,135 @@ class RunResult:
 _BLOCK = 65536
 
 
-def _sense(s: Scenario, n: int, chain: ChainState) -> tuple[np.ndarray, int, int | None]:
-    """Synthesize, sense, quantize and decimate the record block by block.
+def _sense(synth, n: int, sensor: SensorSpec, adc: AdcSpec, noise: np.random.Generator,
+           chain: ChainState) -> tuple[np.ndarray, int]:
+    """Sense, quantize and decimate a record of ``n`` samples block by block.
 
-    The blocks run through a two-stage pipeline, one block ahead.  The
-    calling thread synthesizes each block, injects the event, runs the
-    trigger search, and hands the block to a worker thread.  The worker
-    draws the block's sensor noise from the run's one Generator, applies
-    the sensor and quantizes; meanwhile the calling thread synthesizes the
-    next block and runs the chain, whose held stage inputs it carries, over
-    the codes of the block before.  The worker alone draws noise, in block
-    order, and the chain sees its blocks in order, so the output is the
-    same, bit for bit, as running the blocks one after the other.  Both
-    threads spend most of their time in numpy calls that release the GIL,
-    so they overlap.  The worker is joined before this returns or raises.
+    ``synth(i0, i1)`` returns the acceleration of samples [i0, i1), called
+    once per block in record order.  The blocks run through a two-stage
+    pipeline, one block ahead.  The calling thread synthesizes each block
+    and hands it to a worker thread.  The worker draws the block's sensor
+    noise from ``noise``, applies the sensor and quantizes; meanwhile the
+    calling thread synthesizes the next block and runs the chain, whose
+    held stage inputs it carries, over the codes of the block before.  The
+    worker alone draws noise, in block order, and the chain sees its blocks
+    in order, so the output is the same, bit for bit, as running the blocks
+    one after the other.  Both threads spend most of their time in numpy
+    calls that release the GIL, so they overlap.  The worker is joined
+    before this returns or raises.
 
-    ``chain`` is a fresh state over the record's ``n`` input samples.
-    Dwell tones are synthesized per block.  Ambient modes are normalized
-    over the whole record, so that record is synthesized in one pass and
-    read in block slices.  Only the output series is a whole-record
-    array.  Returns the output samples, the saturated-code count and the
-    trigger sample.
+    ``chain`` is a fresh state over the record.  Only the output series is
+    a whole-record array.  Returns the output counts, unrounded, and the
+    saturated-code count.
     """
+    out, n_sat = [], 0
+
+    def sense(accel: np.ndarray) -> tuple[np.ndarray, int]:
+        # Runs in the worker thread, which alone draws from ``noise``.
+        return quantize(apply_sensor(accel, sensor, f_os_hz=adc.f_os_hz, seed=noise), adc)
+
+    def decimate(sensed) -> None:
+        nonlocal n_sat
+        with stage("synth"):
+            codes, sat = sensed.result()
+        n_sat += sat
+        with stage("dsp"):
+            out.append(run_chain(codes, chain.stages, adc, sensor, chain))
+
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        behind = None  # the block before, being sensed
+        for i0 in range(0, n, _BLOCK):
+            with stage("synth"):
+                ahead = worker.submit(sense, synth(i0, min(i0 + _BLOCK, n)))
+            if behind is not None:
+                decimate(behind)
+            behind = ahead
+        decimate(behind)
+    return np.concatenate(out), n_sat
+
+
+def measure_enob(stages: tuple[FilterStage, ...]) -> tuple[float, float]:
+    """Effective bits of the quantize-and-decimate chain, (SINAD - 1.76)/6.02.
+
+    Drives a 40 s full-scale 10 Hz sine (amplitude = sensor full scale)
+    through ``_sense``, with the default ADC and the chain, then takes SINAD
+    from an FFT of the steady-state output.  Everything that is not the
+    fundamental or DC counts as noise-plus-distortion, spurs included.
+
+    Returns two figures from the one pass: the effective bits of the int16
+    series ``int16_output`` rounds, and those of the counts before that
+    rounding.  The float figure shows the oversampling law, which the fixed
+    output word length otherwise masks.
+
+    The record is cut to whole tone periods, so the tone lands on a bin
+    with no window.  An output rate that is not a multiple of 10 Hz, or a
+    warm-up that leaves fewer than 256 output samples, raises ValueError.
+
+    The sensor noise is set to 2 ug/rtHz, a fraction of an LSB over the
+    oversampled band: enough to decorrelate quantization error, small
+    enough not to dominate the decimated noise floor.
+    """
+    f_tone = 10.0
+    adc, sensor = AdcSpec(), SensorSpec(noise_density_ug_sqrthz=2.0)
+    total_decim = math.prod(st.decim for st in stages)
+    fs_out = adc.f_os_hz / total_decim
+    period = fs_out / f_tone
+    if abs(period - round(period)) >= 1e-9:
+        raise ValueError(f"a {f_tone} Hz tone is not coherent at the {fs_out} Hz output rate")
+    n = int(round(40.0 * adc.f_os_hz))
+    skip = int(math.ceil(warmup_input_samples(stages) / total_decim)) * 2 + 8
+    if -(-n // total_decim) - skip < 256:
+        raise ValueError("record too short for a meaningful SINAD estimate")
+
+    def tone(i0: int, i1: int) -> np.ndarray:
+        t = np.arange(i0, i1) / adc.f_os_hz
+        return sensor.full_scale_g * np.sin(2.0 * np.pi * f_tone * t)
+
+    counts, _ = _sense(tone, n, sensor, adc, np.random.default_rng(1), ChainState(stages, n))
+    p = int(round(period))
+
+    def enob(out: np.ndarray) -> float:
+        x = out[skip:]
+        x = x[: (len(x) // p) * p]
+        spec_mag2 = np.abs(np.fft.rfft(x)) ** 2
+        k0 = int(round(f_tone / (fs_out / len(x))))
+        p_fund = float(np.sum(spec_mag2[max(k0 - 1, 0):k0 + 2]))
+        p_dc = float(np.sum(spec_mag2[:2]))
+        p_total = float(np.sum(spec_mag2))
+        p_nd = max(p_total - p_fund - p_dc, 1e-300)
+        return float((10.0 * np.log10(p_fund / p_nd) - 1.76) / 6.02)
+
+    return enob(int16_output(counts).astype(float)), enob(counts)
+
+
+def run_scenario(s: Scenario, write: bool = True) -> RunResult:
+    """Run the pipeline, and write the bundle if ``write``.  The front end is
+    ``_sense`` over this scenario's synthesis, event and trigger search; its
+    output counts are rounded to the int16 word once, over the whole record."""
+    params = EnergyParams()
     f_os = s.adc.f_os_hz
-    noise = np.random.default_rng(s.seed + 1)
+
+    with stage("synth"):
+        n = record_samples(s.structure, s.plan.t_acq_s, f_os, s.excitation)
+
+    with stage("dsp"):
+        stages, filt_report = design_decimator(s.decimator)
+        chain = ChainState(stages, n)
+
     with stage("synth"):
         ambient = (synth_structure_response(s.structure, s.plan.t_acq_s, f_os_hz=f_os,
                                             seed=s.seed, excitation=s.excitation)
                    if s.excitation == "ambient" else None)
-    out = []
-    n_sat = 0
     trig = None
 
-    def synth(i0: int) -> np.ndarray:
+    def synth(i0: int, i1: int) -> np.ndarray:
         nonlocal trig
         if ambient is None:
-            accel = synth_structure_response(
-                s.structure, s.plan.t_acq_s, f_os_hz=f_os, seed=s.seed,
-                excitation=s.excitation, start=i0, stop=min(i0 + _BLOCK, n),
-            )
+            accel = synth_structure_response(s.structure, s.plan.t_acq_s, f_os_hz=f_os,
+                                             seed=s.seed, excitation=s.excitation,
+                                             start=i0, stop=i1)
         else:
-            accel = ambient[i0:i0 + _BLOCK]
+            accel = ambient[i0:i1]
         if s.event is not None:
             accel = inject_transient(accel, s.event, s.structure.freqs[0],
                                      f_os_hz=f_os, start=i0, record_len=n)
@@ -432,41 +523,8 @@ def _sense(s: Scenario, n: int, chain: ChainState) -> tuple[np.ndarray, int, int
             trig = None if hit is None else i0 + hit
         return accel
 
-    def sense(accel: np.ndarray) -> tuple[np.ndarray, int]:
-        # Runs in the worker thread, which alone draws from ``noise``.
-        return quantize(apply_sensor(accel, s.sensor, f_os_hz=f_os, seed=noise), s.adc)
-
-    def decimate(sensed) -> None:
-        nonlocal n_sat
-        with stage("synth"):
-            codes, sat = sensed.result()
-        n_sat += sat
-        with stage("dsp"):
-            out.append(run_chain(codes, chain.stages, s.adc, s.sensor, chain))
-
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        behind = None  # the block before, being sensed
-        for i0 in range(0, n, _BLOCK):
-            with stage("synth"):
-                ahead = worker.submit(sense, synth(i0))
-            if behind is not None:
-                decimate(behind)
-            behind = ahead
-        decimate(behind)
-    return np.concatenate(out), n_sat, trig
-
-
-def run_scenario(s: Scenario, write: bool = True) -> RunResult:
-    params = EnergyParams()
-
-    with stage("synth"):
-        n = record_samples(s.structure, s.plan.t_acq_s, s.adc.f_os_hz, s.excitation)
-
-    with stage("dsp"):
-        stages, filt_report = design_decimator(s.decimator)
-        chain = ChainState(stages, n)
-
-    samples, n_sat, trig = _sense(s, n, chain)
+    counts, n_sat = _sense(synth, n, s.sensor, s.adc, np.random.default_rng(s.seed + 1), chain)
+    samples = int16_output(counts)
 
     with stage("uplink"):
         packets = packetize(samples, session_id=0)

@@ -357,3 +357,52 @@ def test_a_closed_stdout_pipe_exits_1_without_a_traceback(tmp_path, argv):
         os.close(write_end)
     assert done.returncode == EXIT_PIPE
     assert done.stderr == b""
+
+
+# Path text of every kind: empty, a NUL, a name that exists as a file or a
+# directory, and any other characters, "/" excepted, so that each path
+# stays inside the working directory.
+_PATHS = st.one_of(st.sampled_from(["", "\0", "a\0b", "taken", "subdir", "."]),
+                   st.text(st.characters(exclude_characters="/"), max_size=40)
+                   .filter(lambda s: s != ".."))
+
+
+@contextlib.contextmanager
+def _in_fresh_dir(tmp_path_factory):
+    """Run in a new directory holding a file ``taken`` and a directory ``subdir``."""
+    path = tmp_path_factory.mktemp("cli")
+    (path / "taken").write_text("")
+    (path / "subdir").mkdir()
+    back = os.getcwd()
+    os.chdir(path)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            yield
+    finally:
+        os.chdir(back)
+
+
+def _exits_cleanly(argv):
+    t0 = time.perf_counter()
+    code = main(argv)
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_STAGE, EXIT_ACCEPT)
+    assert code == EXIT_OK or time.perf_counter() - t0 < 1.0
+
+
+# each budget at or above the Kaiser floor designs a chain afresh, ~0.07 s
+@settings(max_examples=12, deadline=None)
+@example(budget=2 ** 64, save="taken")
+@example(budget=-(2 ** 64), save="subdir")
+@given(budget=_COUNTS, save=_PATHS)
+def test_design_filter_over_every_budget_and_save_path_exits_cleanly(
+        tmp_path_factory, budget, save):
+    with _in_fresh_dir(tmp_path_factory):
+        _exits_cleanly(["design-filter", f"--budget={budget}", f"--save={save}"])
+
+
+@settings(max_examples=40, deadline=None)
+@example(target="table1", outdir="taken")
+@given(target=st.sampled_from(["table1", "table2_check", "table3", "harvest"]), outdir=_PATHS)
+def test_repro_over_every_outdir_exits_cleanly(tmp_path_factory, target, outdir):
+    with _in_fresh_dir(tmp_path_factory):
+        _exits_cleanly(["repro", target, f"--outdir={outdir}"])

@@ -184,3 +184,29 @@ def test_presets_imports_only_signals():
                 if isinstance(node, ast.ImportFrom)}
     assert not any(isinstance(node, ast.Import) for node in ast.walk(tree))
     assert imported == {(0, "__future__"), (1, "signals")}
+
+
+def _callers(source: str, names: set[str]) -> dict[str, set[str]]:
+    """name -> the top-level functions and classes of a module whose bodies,
+    nested definitions included, call it ("<module>" for a call outside any)."""
+    callers: dict[str, set[str]] = {n: set() for n in names}
+    for top in ast.parse(source).body:
+        where = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if name in names:
+                    callers[name].add(where)
+    return callers
+
+
+def test_one_front_end_senses_quantizes_and_decimates():
+    # scenario._sense is the one sensing front end: runs and the ENOB
+    # measurement both go through it
+    found: dict[str, set[str]] = {}
+    for p in sorted((ROOT / "src" / "shmtwin").glob("*.py")):
+        for name, where in _callers(p.read_text(encoding="utf-8"),
+                                    {"apply_sensor", "quantize", "run_chain"}).items():
+            found.setdefault(name, set()).update(f"{p.stem}.{w}" for w in where)
+    assert found == {name: {"scenario._sense"} for name in ("apply_sensor", "quantize", "run_chain")}

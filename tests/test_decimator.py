@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,11 +16,12 @@ from shmtwin.decimator import (
     FilterStage,
     cascade,
     design_decimator,
-    measure_enob,
+    int16_output,
     run_chain,
     save_stages,
     warmup_input_samples,
 )
+from shmtwin.scenario import measure_enob
 from shmtwin.signals import AdcSpec, SensorSpec
 
 
@@ -349,6 +351,27 @@ def test_constant_input_settles_to_dc_gain(default_chain):
     assert np.allclose(y[settle:], 0.37, atol=1e-9)
 
 
+@pytest.mark.parametrize("spec, message", [
+    # a stage meets its ripple budget at the 512 passband points its design
+    # checks, and peaks above it between them
+    (DecimatorSpec(n_stages=1, total_decim=4, f_in_hz=400.0, cutoff_hz=45.0,
+                   passband_ripple_db=0.0015),
+     "composite ripple 0.00150162 dB exceeds 0.0015 dB"),
+    # likewise in the stopband, where near 190 dB the 3 dB design margin no
+    # longer covers what the 0.1 Hz alias sweep finds between its 2048 points
+    (DecimatorSpec(n_stages=1, total_decim=64, f_in_hz=6400.0, cutoff_hz=20.0,
+                   stopband_atten_db=190.0, coeff_budget=2000),
+     "composite attenuation 189.77 dB below 190.0 dB"),
+    # no window meets a target above the 240 dB the gain check can measure
+    (DecimatorSpec(n_stages=1, total_decim=2, f_in_hz=200.0, cutoff_hz=5.0,
+                   stopband_atten_db=250.0),
+     "stage at 200.0 Hz did not converge by 413 taps"),
+], ids=["ripple", "attenuation", "no-convergence"])
+def test_design_that_misses_its_spec_says_what_it_missed(spec, message):
+    with pytest.raises(FilterDesignError, match=f"^{re.escape(message)}$"):
+        design_decimator(spec)
+
+
 def test_identity_spec_reports_zero_margins():
     spec = DecimatorSpec(n_stages=1, total_decim=1, f_in_hz=100.0, cutoff_hz=50.0)
     _, report = design_decimator(spec)
@@ -402,12 +425,16 @@ def test_run_chain_scaling_and_dtype(default_chain):
     spec, stages, _ = default_chain
     adc, sensor = AdcSpec(), SensorSpec()
     codes = np.full(int(2 * spec.f_in_hz), adc.midscale + 64)
-    out = run_chain(codes, stages, adc, sensor, ChainState(stages, len(codes)))
+    counts = run_chain(codes, stages, adc, sensor, ChainState(stages, len(codes)))
+    assert counts.dtype == np.float64
+    out = int16_output(counts)
     assert out.dtype == np.int16
     # 64 ADC LSB above midscale = 64 * (3.3/4096) / 0.66 g = 78.1 mg;
     # output counts at 2 g full scale: 78.1 mg * 32768 / 2 = 1280.
     settle = 4 * warmup_input_samples(stages) // spec.total_decim
     assert abs(int(np.median(out[settle:])) - 1280) <= 1
+    # the word saturates at both ends and rounds half to even
+    assert int16_output(np.array([4e4, -4e4, 2.5, -0.5])).tolist() == [32767, -32768, 2, 0]
 
 
 def test_run_chain_rejects_short_input(default_chain):
@@ -447,6 +474,13 @@ def test_enob_needs_a_whole_number_of_samples_per_tone_period():
     # 25.6 kHz / 100 = 256 Hz: 25.6 output samples per 10 Hz period
     stages, _ = design_decimator(DecimatorSpec(n_stages=4, total_decim=100))
     with pytest.raises(ValueError, match="256.0 Hz"):
+        measure_enob(stages)
+
+
+def test_enob_needs_256_output_samples_past_the_warm_up():
+    # a 10 Hz output gives 400 samples; a warm-up of 70 of them skips 148
+    stages = (FilterStage(np.ones(1), 256), FilterStage(np.ones(1401), 10))
+    with pytest.raises(ValueError, match="^record too short for a meaningful SINAD estimate$"):
         measure_enob(stages)
 
 

@@ -85,6 +85,12 @@ def test_packetize_round_trip(values):
     assert np.array_equal(back, x)
 
 
+def test_a_sink_that_gets_no_packet_reassembles_an_empty_series():
+    sink = deliver(packetize(np.zeros(10)), loss_prob=0.99, seed=0)
+    assert (sink.delivered_count, sink.missing_seqs) == (0, (0,))
+    assert sink.samples.dtype == np.int16 and sink.samples.size == 0
+
+
 def test_reassemble_orders_by_seq():
     x = np.arange(1300, dtype=np.int16)
     pkts = packetize(x)

@@ -14,13 +14,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from shmtwin import decimator, presets, scenario
-from shmtwin.decimator import ChainState, DecimatorSpec, design_decimator, run_chain
+from shmtwin.decimator import ChainState, DecimatorSpec, design_decimator, int16_output, run_chain
 from shmtwin.energy import LS336000, SessionPlan, session
 from shmtwin.modal import ModalSpec, Verdict, compute_spectrum
 from shmtwin.radio import CoverageClass
 from shmtwin.signals import (
     AdcSpec,
     SensorSpec,
+    StructureModel,
     apply_sensor,
     inject_transient,
     quantize,
@@ -396,6 +397,13 @@ def test_serialize_round_trip_minimal():
     assert parse_scenario_text(serialize_scenario(s)) == s
 
 
+def test_a_structure_that_no_name_parses_to_does_not_serialize():
+    s = replace(parse_scenario_text(MINIMAL), structure=StructureModel((3.0,), "X"))
+    with pytest.raises(ValueError, match=r"^structure StructureModel\(freqs=\(3.0,\), "
+                                         r"label='X'\) has no name$"):
+        serialize_scenario(s)
+
+
 @pytest.mark.parametrize("name", sorted(p.name for p in SCENARIO_DIR.glob("*.ini")))
 def test_shipped_scenarios_round_trip(name):
     s = load_scenario(SCENARIO_DIR / name)
@@ -683,7 +691,7 @@ def _sequential_front_end(s):
         codes, sat = quantize(apply_sensor(accel, s.sensor, f_os_hz=f_os, seed=noise), s.adc)
         n_sat += sat
         out.append(run_chain(codes, stages, s.adc, s.sensor, state=chain))
-    return np.concatenate(out), n_sat, trig
+    return int16_output(np.concatenate(out)), n_sat, trig
 
 
 def test_pipelined_front_end_equals_the_sequential_composition(tmp_path):
