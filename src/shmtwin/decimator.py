@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .seriesio import write_text
-from .signals import AdcSpec, SensorSpec
+from .signals import F_OS_HZ, AdcSpec, SensorSpec
 
 
 class FilterDesignError(RuntimeError):
@@ -95,6 +95,12 @@ MAX_TOTAL_DECIM = 2**31
 # (2-vCPU Xeon VM, numpy 2.4); the default chain sweeps 114,878.
 MAX_SWEEP_POINTS = 2**22
 
+# The attenuation check counts no gain below _GAIN_FLOOR, so it reads at most
+# 240 dB; each stage aims a fixed margin above the spec, which may ask for 237.
+_GAIN_FLOOR = 1e-12
+_ATTEN_MARGIN_DB = 3.0
+MAX_STOPBAND_ATTEN_DB = -20.0 * math.log10(_GAIN_FLOOR) - _ATTEN_MARGIN_DB
+
 
 @dataclass(frozen=True)
 class DecimatorSpec:
@@ -103,7 +109,7 @@ class DecimatorSpec:
 
     n_stages: int = 6
     total_decim: int = 256
-    f_in_hz: float = AdcSpec.f_os_hz
+    f_in_hz: float = F_OS_HZ
     cutoff_hz: float = 50.0
     passband_ripple_db: float = 0.1
     stopband_atten_db: float = 60.0
@@ -132,9 +138,9 @@ class DecimatorSpec:
             raise ValueError("ripple and attenuation targets must be positive and finite")
         # Split the composite ripple evenly over the filtering stages;
         # cascaded peak-to-peak ripples add to first order.  Stopband gets a
-        # fixed 3 dB design margin.
+        # fixed design margin.
         pp_budget = self.passband_ripple_db / max(sum(d > 1 for d in self._stage_decims), 1)
-        atten_target = self.stopband_atten_db + 3.0
+        atten_target = self.stopband_atten_db + _ATTEN_MARGIN_DB
         try:
             r = 10.0 ** (pp_budget / 20.0)
             deviations = ((r - 1.0) / (r + 1.0), 10.0 ** (-atten_target / 20.0))
@@ -153,6 +159,9 @@ class DecimatorSpec:
         except OverflowError:
             raise ValueError(f"stopband_atten_db = {self.stopband_atten_db!r} is out of "
                              f"range: its Kaiser beta {beta} overflows I0(beta)") from None
+        if self.stopband_atten_db > MAX_STOPBAND_ATTEN_DB:
+            raise ValueError(f"stopband_atten_db = {self.stopband_atten_db!r} is above "
+                             f"{MAX_STOPBAND_ATTEN_DB} dB, the most the design can verify")
         # Each stage's design starts from Kaiser's length estimate and only
         # grows, so the estimates' sum bounds the chain from below: a chain
         # that cannot fit the budget is refused before any window is designed;
@@ -307,8 +316,8 @@ def _ripple_db(gain: np.ndarray) -> float:
 
 
 def _atten_db(gain: np.ndarray) -> float:
-    """Least attenuation of a gain, dB, counting no gain below 1e-12."""
-    return float(np.min(-20.0 * np.log10(np.maximum(gain, 1e-12))))
+    """Least attenuation of a gain, dB, counting no gain below ``_GAIN_FLOOR``."""
+    return float(np.min(-20.0 * np.log10(np.maximum(gain, _GAIN_FLOOR))))
 
 
 def _stage_meets(h, fs, f_pass, f_stop, pp_budget_db, atten_target_db) -> bool:

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from operator import attrgetter
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -57,26 +57,20 @@ _MJ = presets.ENERGY_CONTRIBUTIONS_MJ
 
 @dataclass(frozen=True)
 class EnergyParams:
-    """Measured energy constants of the radio module and acquisition path.
+    """The fixed, measured energy constants of the radio module and acquisition path.
 
     Energies are in millijoules as measured; helpers hand out joules.
     """
 
-    e_acq_1s_mj: float = _MJ["e_acq_1s_mj"]          # one second of acquisition activity
-    e_sd_write_mj: float = _MJ["e_sd_write_mj"]      # storing one packet's samples
-    e_connect_first_tx_mj: float = _MJ["e_connect_first_tx_mj"]
-    e_packet_tx_mj: float = _MJ["e_packet_tx_mj"]
-    e_session_tail_mj: float = _MJ["e_session_tail_mj"]  # connected-eDRX wind-down and release
-    i_sleep_ua: float = 34.0
-    v_supply_v: float = 3.3
-    t_connect_s: float = 6.0             # with per-packet time: 26 s radio for
-    t_packet_s: float = 2.0              # a 10-packet session, matching the
-                                         # measured 91 s active split 65 + 26
-
-    def __post_init__(self):
-        for f in fields(self):
-            if getattr(self, f.name) <= 0:
-                raise ValueError(f"{f.name} must be positive")
+    e_acq_1s_mj: ClassVar[float] = _MJ["e_acq_1s_mj"]  # one second of acquisition activity
+    e_sd_write_mj: ClassVar[float] = _MJ["e_sd_write_mj"]  # storing one packet's samples
+    e_connect_first_tx_mj: ClassVar[float] = _MJ["e_connect_first_tx_mj"]
+    e_packet_tx_mj: ClassVar[float] = _MJ["e_packet_tx_mj"]
+    e_session_tail_mj: ClassVar[float] = _MJ["e_session_tail_mj"]  # connected-eDRX wind-down
+    i_sleep_ua: ClassVar[float] = 34.0
+    v_supply_v: ClassVar[float] = 3.3
+    t_connect_s: ClassVar[float] = 6.0  # with 2 s per packet, 26 s of radio in a 10-packet
+    t_packet_s: ClassVar[float] = 2.0   # session: the measured 91 s active is 65 + 26
 
     @property
     def sleep_power_w(self) -> float:

@@ -85,9 +85,8 @@ def repro_table1(outdir=None) -> list[ReproRow]:
 
 def repro_table2_check(outdir=None) -> list[ReproRow]:
     """Energy contribution constants, and the session bill against the uplink's booking."""
-    p = EnergyParams()
     rows = [
-        _abs_row(f"{name}_consistency", pub, getattr(p, name), 1e-12)
+        _abs_row(f"{name}_consistency", pub, getattr(EnergyParams, name), 1e-12)
         for name, pub in presets.ENERGY_CONTRIBUTIONS_MJ.items()
     ]
     bd = energy_day(TABLE3_PLAN)

@@ -61,7 +61,6 @@ from .modal import (
 from .radio import (
     SAMPLES_PER_PACKET,
     CoverageClass,
-    EnergyParams,
     SinkReport,
     UplinkRecord,
     classify_coverage,
@@ -116,8 +115,8 @@ class Scenario:
     A field a scenario file leaves out keeps its default here, and each of
     those defaults is the one its spec dataclass gives.  The scenario's own
     choices are the dwell excitation, the NO_DAMAGE structure and a 180 s
-    record.  The three copies of the sample rate must agree: ``adc.f_os_hz``
-    is ``decimator.f_in_hz``, and ``decimator.f_out_hz`` is ``plan.f_s_hz``.
+    record.  The two copies of the output rate must agree:
+    ``decimator.f_out_hz`` is ``plan.f_s_hz``.
     """
 
     label: str
@@ -149,15 +148,17 @@ class Scenario:
         if self.trigger_threshold_g is not None and not 0 < self.trigger_threshold_g < math.inf:
             raise ConfigError("trigger_threshold_g must be in (0, inf), "
                               f"got {self.trigger_threshold_g}")
+        dec = self.decimator
+        if self.plan.f_s_hz != dec.f_out_hz:
+            raise ConfigError(f"sample rates disagree: decimator {dec.f_in_hz!r} -> "
+                              f"{dec.f_out_hz!r} Hz, plan {self.plan.f_s_hz!r} Hz")
         try:
-            energy_day(self.plan, self.coverage)
+            # a run acquires one session even where the plan bills none
+            energy_day(replace(self.plan, n_sessions_per_day=max(self.plan.n_sessions_per_day, 1)),
+                       self.coverage)
+            n_in = record_samples(self.structure, self.plan.t_acq_s, dec.f_in_hz, self.excitation)
         except ValueError as e:
             raise ConfigError(str(e)) from e
-        f_os, dec = self.adc.f_os_hz, self.decimator
-        if dec.f_in_hz != f_os or self.plan.f_s_hz != dec.f_out_hz:
-            raise ConfigError(f"sample rates disagree: ADC {f_os!r} Hz, decimator {dec.f_in_hz!r}"
-                              f" -> {dec.f_out_hz!r} Hz, plan {self.plan.f_s_hz!r} Hz")
-        n_in = round(self.plan.t_acq_s * f_os)
         # the plan bills round(t_acq_s * f_s) samples, the chain emits
         # ceil(n_in / total_decim), and the two may fall either side of a
         # packet boundary
@@ -168,7 +169,7 @@ class Scenario:
                               f"packets but its {n_out}-sample record sends {n_pkt}")
         if self.event is not None:
             # inject_transient's sample arithmetic; an infinite event never fits
-            end = (self.event.onset_s + self.event.duration_s) * f_os
+            end = (self.event.onset_s + self.event.duration_s) * dec.f_in_hz
             if not math.isfinite(end) or round(end) > n_in:
                 raise ConfigError("event extends past the end of the record")
             if not math.isfinite(self.sensor.sensitivity_v_per_g * self.event.peak_g):
@@ -195,7 +196,7 @@ _TABLE: dict[str, dict[str, str]] = {
         "supply_v": "sensor.supply_v",
         "adc_bits": "adc.bits",
         "vref_v": "adc.vref_v",
-        "f_os_hz": "adc.f_os_hz",
+        "f_os_hz": "decimator.f_in_hz",
         "event_onset_s": "event.onset_s",
         "event_peak_g": "event.peak_g",
         "event_duration_s": "event.duration_s",
@@ -318,9 +319,7 @@ def parse_scenario_text(text: str) -> Scenario:
     label = top.get("label") or top.get("structure", Scenario.structure).label
     top.update(label=label, outputs=top.get("outputs") or f"runs/{label.lower()}")
     try:
-        f_os = given.get("adc", {}).get("f_os_hz", Scenario.adc.f_os_hz)
-        top["decimator"] = replace(Scenario.decimator, f_in_hz=f_os,
-                                   **given.pop("decimator", {}))
+        top["decimator"] = replace(Scenario.decimator, **given.pop("decimator", {}))
         given.setdefault("plan", {})["f_s_hz"] = top["decimator"].f_out_hz
         for owner, values in given.items():
             top[owner] = (EventSpec(**values) if owner == "event" else
@@ -386,9 +385,9 @@ class RunResult:
 _BLOCK = 65536
 
 
-def _sense(synth, n: int, sensor: SensorSpec, adc: AdcSpec, noise: np.random.Generator,
-           chain: ChainState) -> tuple[np.ndarray, int]:
-    """Sense, quantize and decimate a record of ``n`` samples block by block.
+def _sense(synth, n: int, f_os_hz: float, sensor: SensorSpec, adc: AdcSpec,
+           noise: np.random.Generator, chain: ChainState) -> tuple[np.ndarray, int]:
+    """Sense, quantize and decimate ``n`` samples at ``f_os_hz``, block by block.
 
     ``synth(i0, i1)`` returns the acceleration of samples [i0, i1), called
     once per block in record order.  The blocks run through a two-stage
@@ -411,7 +410,7 @@ def _sense(synth, n: int, sensor: SensorSpec, adc: AdcSpec, noise: np.random.Gen
 
     def sense(accel: np.ndarray) -> tuple[np.ndarray, int]:
         # Runs in the worker thread, which alone draws from ``noise``.
-        return quantize(apply_sensor(accel, sensor, f_os_hz=adc.f_os_hz, seed=noise), adc)
+        return quantize(apply_sensor(accel, sensor, f_os_hz=f_os_hz, seed=noise), adc)
 
     def decimate(sensed) -> None:
         nonlocal n_sat
@@ -437,8 +436,8 @@ def measure_enob(stages: tuple[FilterStage, ...]) -> tuple[float, float]:
     """Effective bits of the quantize-and-decimate chain, (SINAD - 1.76)/6.02.
 
     Drives a 40 s full-scale 10 Hz sine (amplitude = sensor full scale)
-    through ``_sense``, with the default ADC and the chain, then takes SINAD
-    from an FFT of the steady-state output.  Everything that is not the
+    through ``_sense``, with the default rate and ADC and the chain, then takes
+    SINAD from an FFT of the steady-state output.  Everything that is not the
     fundamental or DC counts as noise-plus-distortion, spurs included.
 
     Returns two figures from the one pass: the effective bits of the int16
@@ -455,22 +454,22 @@ def measure_enob(stages: tuple[FilterStage, ...]) -> tuple[float, float]:
     enough not to dominate the decimated noise floor.
     """
     f_tone = 10.0
-    adc, sensor = AdcSpec(), SensorSpec(noise_density_ug_sqrthz=2.0)
+    f_os, adc, sensor = DecimatorSpec.f_in_hz, AdcSpec(), SensorSpec(noise_density_ug_sqrthz=2.0)
     total_decim = math.prod(st.decim for st in stages)
-    fs_out = adc.f_os_hz / total_decim
+    fs_out = f_os / total_decim
     period = fs_out / f_tone
     if abs(period - round(period)) >= 1e-9:
         raise ValueError(f"a {f_tone} Hz tone is not coherent at the {fs_out} Hz output rate")
-    n = int(round(40.0 * adc.f_os_hz))
+    n = int(round(40.0 * f_os))
     skip = int(math.ceil(warmup_input_samples(stages) / total_decim)) * 2 + 8
     if -(-n // total_decim) - skip < 256:
         raise ValueError("record too short for a meaningful SINAD estimate")
 
     def tone(i0: int, i1: int) -> np.ndarray:
-        t = np.arange(i0, i1) / adc.f_os_hz
+        t = np.arange(i0, i1) / f_os
         return sensor.full_scale_g * np.sin(2.0 * np.pi * f_tone * t)
 
-    counts, _ = _sense(tone, n, sensor, adc, np.random.default_rng(1), ChainState(stages, n))
+    counts, _ = _sense(tone, n, f_os, sensor, adc, np.random.default_rng(1), ChainState(stages, n))
     p = int(round(period))
 
     def enob(out: np.ndarray) -> float:
@@ -491,11 +490,8 @@ def run_scenario(s: Scenario, write: bool = True) -> RunResult:
     """Run the pipeline, and write the bundle if ``write``.  The front end is
     ``_sense`` over this scenario's synthesis, event and trigger search; its
     output counts are rounded to the int16 word once, over the whole record."""
-    params = EnergyParams()
-    f_os = s.adc.f_os_hz
-
-    with stage("synth"):
-        n = record_samples(s.structure, s.plan.t_acq_s, f_os, s.excitation)
+    f_os = s.decimator.f_in_hz
+    n = record_samples(s.structure, s.plan.t_acq_s, f_os, s.excitation)
 
     with stage("dsp"):
         stages, filt_report = design_decimator(s.decimator)
@@ -523,13 +519,13 @@ def run_scenario(s: Scenario, write: bool = True) -> RunResult:
             trig = None if hit is None else i0 + hit
         return accel
 
-    counts, n_sat = _sense(synth, n, s.sensor, s.adc, np.random.default_rng(s.seed + 1), chain)
+    counts, n_sat = _sense(synth, n, f_os, s.sensor, s.adc, np.random.default_rng(s.seed + 1),
+                           chain)
     samples = int16_output(counts)
 
     with stage("uplink"):
         packets = packetize(samples, session_id=0)
-        uplink = uplink_session(packets, s.coverage, params,
-                                mode=s.uplink_mode, seed=s.seed + 2)
+        uplink = uplink_session(packets, s.coverage, mode=s.uplink_mode, seed=s.seed + 2)
         sink = deliver(packets, s.loss_prob, seed=s.seed + 3)
 
     with stage("modal"):
@@ -538,9 +534,9 @@ def run_scenario(s: Scenario, write: bool = True) -> RunResult:
         report = compare_modes(s.baseline.freqs, estimate.peaks, s.modal)
 
     with stage("energy"):
-        breakdown = energy_day(s.plan, s.coverage, params)
-        life = battery_life_days(s.plan, s.battery, s.coverage, params)
-        margin = energy_neutral(s.plan, s.coverage, params) if s.harvester else None
+        breakdown = energy_day(s.plan, s.coverage)
+        life = battery_life_days(s.plan, s.battery, s.coverage)
+        margin = energy_neutral(s.plan, s.coverage) if s.harvester else None
 
     result = RunResult(
         scenario=s, filter_report=filt_report, samples_out=samples,

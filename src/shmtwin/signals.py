@@ -28,6 +28,8 @@ import numpy as np
 # in g; a dwell tone's amplitude is MODE_RMS_G * sqrt(2).
 MODE_DAMPING = 0.01
 MODE_RMS_G = 0.01
+# The ADC's default sample rate, which is the decimation chain's input rate.
+F_OS_HZ = 25600.0
 
 
 @dataclass(frozen=True)
@@ -69,17 +71,16 @@ class SensorSpec:
 
 @dataclass(frozen=True)
 class AdcSpec:
-    """Ideal unsigned ADC sampling at the oversampled rate."""
+    """Ideal unsigned ADC sampling at the decimation chain's input rate."""
 
     bits: int = 12
     vref_v: float = 3.3
-    f_os_hz: float = 25600.0
 
     def __post_init__(self):
         if not 1 <= self.bits <= 24:
             raise ValueError(f"ADC bits out of range: {self.bits}")
-        if not all(0 < v < math.inf for v in (self.vref_v, self.f_os_hz)):
-            raise ValueError("vref and sample rate must be positive and finite")
+        if not 0 < self.vref_v < math.inf:
+            raise ValueError("vref must be positive and finite")
 
     @property
     def n_codes(self) -> int:
@@ -120,7 +121,7 @@ def _resonator_coeffs(freq_hz: float, fs_hz: float):
 def record_samples(
     model: StructureModel,
     duration_s: float,
-    f_os_hz: float = AdcSpec.f_os_hz,
+    f_os_hz: float = F_OS_HZ,
     excitation: str = "ambient",
 ) -> int:
     """Length of the record synth_structure_response returns for these inputs.
@@ -156,7 +157,7 @@ def _offset_tables(freq_hz: float, f_os_hz: float) -> tuple[np.ndarray, np.ndarr
 def synth_structure_response(
     model: StructureModel,
     duration_s: float,
-    f_os_hz: float = AdcSpec.f_os_hz,
+    f_os_hz: float = F_OS_HZ,
     seed: int = 0,
     excitation: str = "ambient",
     start: int = 0,
@@ -239,7 +240,7 @@ def inject_transient(
     accel: np.ndarray,
     event: EventSpec,
     carrier_hz: float,
-    f_os_hz: float = AdcSpec.f_os_hz,
+    f_os_hz: float = F_OS_HZ,
     start: int = 0,
     record_len: int | None = None,
 ) -> np.ndarray:
@@ -285,7 +286,7 @@ def trigger_index(accel: np.ndarray, threshold_g: float) -> int | None:
 def apply_sensor(
     accel: np.ndarray,
     spec: SensorSpec = SensorSpec(),
-    f_os_hz: float = AdcSpec.f_os_hz,
+    f_os_hz: float = F_OS_HZ,
     seed: int | np.random.Generator = 0,
 ) -> np.ndarray:
     """Map acceleration to sensor output voltage, adding broadband noise.

@@ -406,3 +406,75 @@ def test_design_filter_over_every_budget_and_save_path_exits_cleanly(
 def test_repro_over_every_outdir_exits_cleanly(tmp_path_factory, target, outdir):
     with _in_fresh_dir(tmp_path_factory):
         _exits_cleanly(["repro", target, f"--outdir={outdir}"])
+
+
+def test_run_mode_at_or_above_nyquist_is_a_config_error(tmp_path, capsys):
+    # a 20 Hz ADC cannot sample the structure's 13.125 Hz mode; the parser
+    # sizes the record with the run's own function, which refuses it
+    path = _write(tmp_path, "[scenario]\nseed = 2\n[signal-synth]\nf_os_hz = 20\n"
+                  "[dsp-chain]\nn_stages = 1\ntotal_decim = 1\ncutoff_hz = 5\n"
+                  "[energy-model]\nt_acq_s = 100\n")
+    t0 = time.perf_counter()
+    assert main(["run", path, "--outputs", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert time.perf_counter() - t0 < 1.0
+    assert capsys.readouterr().err == ("config error: mode at 13.125 Hz is at or above "
+                                       "Nyquist (10.0 Hz)\n")
+
+
+def test_run_attenuation_the_design_cannot_measure_is_a_config_error(tmp_path, capsys):
+    # the stage check reads at most 240 dB; 238 dB plus the 3 dB design
+    # margin used to grow a stage for 0.8 s before failing to converge
+    path = _write(tmp_path, GOOD + "[dsp-chain]\nstopband_atten_db = 238\ncoeff_budget = 100000\n")
+    t0 = time.perf_counter()
+    assert main(["run", path, "--outputs", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert time.perf_counter() - t0 < 1.0
+    assert capsys.readouterr().err == ("config error: stopband_atten_db = 238.0 is above "
+                                       "237.0 dB, the most the design can verify\n")
+
+
+def test_run_of_a_plan_with_no_sessions_still_acquires_at_most_a_day(tmp_path, capsys):
+    # a run acquires one session even where the plan bills none; this one,
+    # a 1e5 s record of 2.56e9 input samples, would run well past 1 s
+    path = _write(tmp_path, GOOD.replace("t_acq_s = 45", "t_acq_s = 1e5")
+                  + "n_sessions_per_day = 0\n")
+    t0 = time.perf_counter()
+    assert main(["run", path, "--outputs", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert time.perf_counter() - t0 < 1.0
+    assert capsys.readouterr().err == ("config error: plan needs 130778 s of activity, "
+                                       "more than one day\n")
+
+
+# Each key of the scenario table that takes a number, drawn over its whole
+# range; the event keys come all three or none.
+_NUMBERS = {key: _COUNTS if t is int else _REALS for key, t in scenario._TYPES.items()
+            if t in (int, float) or key == "rssi_dbm"}
+_EVENT = ("event_onset_s", "event_peak_g", "event_duration_s")
+_NUMERIC_KEYS = st.builds(
+    lambda keys, event: {**keys, **event},
+    st.fixed_dictionaries({}, optional={k: s for k, s in _NUMBERS.items() if k not in _EVENT}),
+    st.one_of(st.just({}), st.fixed_dictionaries({k: _NUMBERS[k] for k in _EVENT})))
+
+
+def _scenario_text(values: dict) -> str:
+    """A scenario file setting each key given, in its section, and seed 2 if no seed is."""
+    values = {"seed": 2, **values}
+    return "".join(f"[{section}]\n" + "".join(f"{key} = {values[key]!r}\n"
+                                              for key in keys if key in values)
+                   for section, keys in scenario._TABLE.items())
+
+
+@settings(max_examples=40, deadline=None)
+@example(values={"f_os_hz": 20.0, "n_stages": 1, "total_decim": 1, "cutoff_hz": 5.0,
+                 "t_acq_s": 100.0}, expect=EXIT_CONFIG)
+@example(values={"stopband_atten_db": 238.0, "coeff_budget": 100000}, expect=EXIT_CONFIG)
+@example(values={"t_acq_s": 1e307}, expect=EXIT_CONFIG)
+@example(values={"n_sessions_per_day": 0, "t_acq_s": 1e300}, expect=EXIT_CONFIG)
+@given(values=_NUMERIC_KEYS, expect=st.none())
+def test_run_over_every_numeric_key_exits_cleanly(tmp_path_factory, values, expect):
+    with _in_fresh_dir(tmp_path_factory):
+        Path("s.ini").write_text(_scenario_text(values))
+        t0 = time.perf_counter()
+        code = main(["run", "s.ini", "--outputs=out"])
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_STAGE)
+        assert code == EXIT_OK or time.perf_counter() - t0 < 1.0
+        assert expect is None or code == expect

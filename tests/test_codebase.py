@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import importlib
 import re
 import typing
 from pathlib import Path
@@ -103,7 +104,7 @@ def test_every_setting_is_a_key_a_derived_rate_or_varied_by_a_preset():
     # sets it, the parser does not derive it, and the named presets all
     # give it one value, then one value is all it ever takes: a constant.
     keyed = {path for keys in scenario._TABLE.values() for path in keys.values()}
-    derived = {"decimator.f_in_hz", "plan.f_s_hz"}
+    derived = {"plan.f_s_hz"}
     named = {path: list(scenario._NAMES[key].values())
              for keys in scenario._TABLE.values() for key, path in keys.items()
              if key in scenario._NAMES}
@@ -126,6 +127,47 @@ def test_every_setting_is_a_key_a_derived_rate_or_varied_by_a_preset():
             instances = named.get(f.name, [getattr(scenario.Scenario, f.name)])
             walk(cls, f.name, [obj for obj in instances if obj is not None])
     assert constant == set()
+
+
+def _fields_with_defaults() -> set[str]:
+    """"Class.field" for every field with a default of a dataclass defined in ``src/``."""
+    found = set()
+    for p in sorted((ROOT / "src" / "shmtwin").glob("*.py")):
+        if p.stem == "__main__":
+            continue
+        module = importlib.import_module(f"shmtwin.{p.stem}")
+        for cls in vars(module).values():
+            if (isinstance(cls, type) and dataclasses.is_dataclass(cls)
+                    and cls.__module__ == module.__name__):
+                found |= {f"{cls.__name__}.{f.name}" for f in dataclasses.fields(cls)
+                          if f.default is not dataclasses.MISSING
+                          or f.default_factory is not dataclasses.MISSING}
+    return found
+
+
+def _keyword_names(source: str) -> set[str]:
+    """Names a module's calls pass arguments by."""
+    return {kw.arg for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)
+            for kw in node.keywords if kw.arg is not None}
+
+
+def test_every_field_with_a_default_is_set_by_some_caller():
+    # A default that no scenario key sets, the parser does not derive, and
+    # no call of the program, its scripts or the benchmark passes by name is
+    # a value only a test can change: a constant.
+    set_by_key = set()
+    for path in [p for keys in scenario._TABLE.values() for p in keys.values()] + ["plan.f_s_hz"]:
+        cls = scenario.Scenario
+        for name in path.split("."):
+            set_by_key.add(f"{cls.__name__}.{name}")
+            hint = typing.get_type_hints(cls)[name]
+            cls = (typing.get_args(hint) or (hint,))[0]
+    passed = set().union(*(_keyword_names(p.read_text(encoding="utf-8"))
+                           for d in ("src", "scripts", "perfbench")
+                           for p in sorted((ROOT / d).rglob("*.py"))))
+    unset = {name for name in _fields_with_defaults() - set_by_key
+             if name.partition(".")[2] not in passed}
+    assert unset == set()
 
 
 def _attribute_readers(source: str, attrs: set[str]) -> dict[str, set[str]]:

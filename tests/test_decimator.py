@@ -157,10 +157,12 @@ def test_spec_refuses_a_budget_below_its_kaiser_floor():
         DecimatorSpec(coeff_budget=213)
 
 
-def test_spec_refuses_an_attenuation_whose_kaiser_beta_overflows_i0():
+def test_spec_refuses_an_attenuation_whose_kaiser_beta_overflows_i0(monkeypatch):
     # the stopband deviation is a denormal here, so beta moves in steps:
     # 6446 dB takes the last beta below exp's overflow at log(DBL_MAX),
-    # 6447 dB the first above it
+    # 6447 dB the first above it; the beta check comes before the ceiling
+    # on what the design can measure, which is lifted to reach it here
+    monkeypatch.setattr(decimator, "MAX_STOPBAND_ATTEN_DB", math.inf)
     limit = math.log(np.finfo(float).max)
     below = DecimatorSpec(stopband_atten_db=6446.0, coeff_budget=100000)
     assert limit - 0.04 < below._plan[2] < limit
@@ -351,25 +353,39 @@ def test_constant_input_settles_to_dc_gain(default_chain):
     assert np.allclose(y[settle:], 0.37, atol=1e-9)
 
 
-@pytest.mark.parametrize("spec, message", [
+@pytest.mark.parametrize("spec, rejects_every_window, message", [
     # a stage meets its ripple budget at the 512 passband points its design
     # checks, and peaks above it between them
     (DecimatorSpec(n_stages=1, total_decim=4, f_in_hz=400.0, cutoff_hz=45.0,
-                   passband_ripple_db=0.0015),
+                   passband_ripple_db=0.0015), False,
      "composite ripple 0.00150162 dB exceeds 0.0015 dB"),
     # likewise in the stopband, where near 190 dB the 3 dB design margin no
     # longer covers what the 0.1 Hz alias sweep finds between its 2048 points
     (DecimatorSpec(n_stages=1, total_decim=64, f_in_hz=6400.0, cutoff_hz=20.0,
-                   stopband_atten_db=190.0, coeff_budget=2000),
+                   stopband_atten_db=190.0, coeff_budget=2000), False,
      "composite attenuation 189.77 dB below 190.0 dB"),
-    # no window meets a target above the 240 dB the gain check can measure
-    (DecimatorSpec(n_stages=1, total_decim=2, f_in_hz=200.0, cutoff_hz=5.0,
-                   stopband_atten_db=250.0),
-     "stage at 200.0 Hz did not converge by 413 taps"),
+    # the spec refuses a target the stage check cannot measure, so only a
+    # check that rejects every window reaches the loop's bound
+    (DecimatorSpec(n_stages=1, total_decim=2, f_in_hz=200.0, cutoff_hz=5.0), True,
+     "stage at 200.0 Hz did not converge by 301 taps"),
 ], ids=["ripple", "attenuation", "no-convergence"])
-def test_design_that_misses_its_spec_says_what_it_missed(spec, message):
+def test_design_that_misses_its_spec_says_what_it_missed(monkeypatch, spec, rejects_every_window,
+                                                        message):
+    if rejects_every_window:
+        monkeypatch.setattr(decimator, "_stage_meets", lambda *args: False)
+        design_decimator.cache_clear()  # a spec designed before would not be designed again
     with pytest.raises(FilterDesignError, match=f"^{re.escape(message)}$"):
         design_decimator(spec)
+
+
+def test_spec_refuses_an_attenuation_its_design_cannot_measure():
+    # the stage check counts no gain below 1e-12, so it reads at most
+    # 240 dB, and each stage aims 3 dB above the spec
+    assert decimator.MAX_STOPBAND_ATTEN_DB == 237.0
+    DecimatorSpec(stopband_atten_db=237.0, coeff_budget=100000)
+    with pytest.raises(ValueError, match=r"^stopband_atten_db = 238.0 is above 237.0 dB, "
+                                         r"the most the design can verify$"):
+        DecimatorSpec(stopband_atten_db=238.0, coeff_budget=100000)
 
 
 def test_identity_spec_reports_zero_margins():

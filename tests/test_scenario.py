@@ -194,11 +194,11 @@ def test_stage_domains_are_checked_at_parse(text, field):
 
 @pytest.mark.parametrize("change", [
     lambda s: replace(s, decimator=replace(s.decimator, f_in_hz=51200.0)),
-    lambda s: replace(s, adc=AdcSpec(f_os_hz=12800.0)),
     lambda s: replace(s, decimator=replace(s.decimator, total_decim=128)),
-], ids=["decimator-input", "adc", "decimator-output"])
+], ids=["decimator-input", "decimator-output"])
 def test_a_scenario_whose_rates_disagree_is_a_config_error(change):
-    # the parser sets every copy of the rate; a scenario built in Python may not
+    # the parser sets both copies of the output rate; a scenario built in
+    # Python may not
     with pytest.raises(ConfigError, match="sample rates disagree"):
         change(parse_scenario_text(MINIMAL))
 
@@ -531,7 +531,7 @@ def test_run_peak_memory_in_record_sizes(tmp_path):
     s = parse_scenario_text(
         f"[scenario]\nseed = 3\noutputs = {tmp_path}/out\n[energy-model]\nt_acq_s = 30\n")
     run_scenario(s, write=False)  # warm-up: filter design and lazy imports
-    record_bytes = int(round(s.plan.t_acq_s * s.adc.f_os_hz)) * 8
+    record_bytes = int(round(s.plan.t_acq_s * s.decimator.f_in_hz)) * 8
     tracemalloc.start()
     try:
         run_scenario(s, write=False)
@@ -672,7 +672,7 @@ _DWELL_EVENT = (
 
 def _sequential_front_end(s):
     """The front end as one plain loop over blocks of the public stage functions."""
-    f_os = s.adc.f_os_hz
+    f_os = s.decimator.f_in_hz
     n = record_samples(s.structure, s.plan.t_acq_s, f_os, s.excitation)
     stages, _ = design_decimator(s.decimator)
     noise = np.random.default_rng(s.seed + 1)

@@ -10,6 +10,7 @@ from shmtwin.signals import (
     _offset_tables,
     _resonator_coeffs,
     MODE_DAMPING,
+    F_OS_HZ,
     MODE_RMS_G,
     AdcSpec,
     EventSpec,
@@ -202,10 +203,10 @@ def test_front_end_matches_plain_expressions_bit_for_bit(excitation):
     # the clip path is driven too
     sensor, adc = SensorSpec(sensitivity_v_per_g=66.0), AdcSpec()
     accel_ref, volts_ref, codes_ref = _naive_front_end(
-        FOUR_MODES, 3.0, adc.f_os_hz, 11, excitation, sensor, adc)
-    accel = synth_structure_response(FOUR_MODES, 3.0, adc.f_os_hz, seed=11,
+        FOUR_MODES, 3.0, F_OS_HZ, 11, excitation, sensor, adc)
+    accel = synth_structure_response(FOUR_MODES, 3.0, F_OS_HZ, seed=11,
                                      excitation=excitation)
-    volts = apply_sensor(accel, sensor, adc.f_os_hz, seed=12)
+    volts = apply_sensor(accel, sensor, F_OS_HZ, seed=12)
     codes, n_sat = quantize(volts, adc)
     assert 0 < n_sat < codes.size
     assert np.array_equal(accel, accel_ref)
@@ -246,8 +247,8 @@ def test_dwell_codes_equal_the_np_sin_codes(structure):
     model, adc = STRUCTURES[structure], AdcSpec()
     codes = []
     for accel in (synth_structure_response(model, 60.0, seed=0, excitation="dwell"),
-                  _np_sin_tones(model, 60.0, adc.f_os_hz, 0)):
-        codes.append(quantize(apply_sensor(accel, SensorSpec(), adc.f_os_hz, seed=1), adc))
+                  _np_sin_tones(model, 60.0, F_OS_HZ, 0)):
+        codes.append(quantize(apply_sensor(accel, SensorSpec(), F_OS_HZ, seed=1), adc))
     assert np.array_equal(codes[0][0], codes[1][0])
     assert codes[0][1] == codes[1][1]
 
