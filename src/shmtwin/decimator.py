@@ -97,8 +97,10 @@ MAX_SWEEP_POINTS = 2**22
 
 # The attenuation check counts no gain below _GAIN_FLOOR, so it reads at most
 # 240 dB; each stage aims a fixed margin above the spec, which may ask for 237.
+# Each stage's ripple is judged on the composite's grid of _PASS_POINTS points.
 _GAIN_FLOOR = 1e-12
 _ATTEN_MARGIN_DB = 3.0
+_PASS_POINTS = 2001
 MAX_STOPBAND_ATTEN_DB = -20.0 * math.log10(_GAIN_FLOOR) - _ATTEN_MARGIN_DB
 
 
@@ -320,9 +322,14 @@ def _atten_db(gain: np.ndarray) -> float:
     return float(np.min(-20.0 * np.log10(np.maximum(gain, _GAIN_FLOOR))))
 
 
+def _sweep_points(width_hz: float) -> int:
+    """Points of one alias band's sweep: 0.1 Hz apart or closer, at least 65."""
+    return max(int(width_hz / 0.1), 64) + 1
+
+
 def _stage_meets(h, fs, f_pass, f_stop, pp_budget_db, atten_target_db) -> bool:
     stage = (FilterStage(h, 1),)
-    if _ripple_db(_gain(stage, fs, np.linspace(0.0, f_pass, 512))) > pp_budget_db:
+    if _ripple_db(_gain(stage, fs, np.linspace(0.0, f_pass, _PASS_POINTS))) > pp_budget_db:
         return False
     return _atten_db(_gain(stage, fs, np.linspace(f_stop, fs / 2.0, 2048))) >= atten_target_db
 
@@ -346,7 +353,7 @@ def design_decimator(
     # the sweep's points, without listing its bands: each spans twice the
     # protected edge, though the input Nyquist may cut the last one short
     n_bands = math.floor((spec.f_in_hz / 2.0 + f_protect) / spec.f_out_hz)
-    points = n_bands * (max(int(2.0 * f_protect / 0.1), 64) + 1)
+    points = n_bands * _sweep_points(2.0 * f_protect)
     if points > MAX_SWEEP_POINTS:
         raise FilterDesignError(f"the alias sweep needs {points} points, above the cap "
                                 f"{MAX_SWEEP_POINTS} (2**22)")
@@ -359,6 +366,7 @@ def design_decimator(
         while True:
             h = _kaiser_lowpass(n, (f_protect + f_stop) / 2.0, beta, fs)
             h = 0.5 * (h + h[::-1])  # symmetry is exact up to rounding
+            h = h / np.sum(h)  # the taps as stored, which the stage check judges
             if _stage_meets(h, fs, f_protect, f_stop, pp_budget, atten_target):
                 break
             n += 2
@@ -366,7 +374,7 @@ def design_decimator(
                 raise FilterDesignError(
                     f"stage at {fs} Hz did not converge by {n_cap} taps"
                 )
-        stages.append(FilterStage(h / np.sum(h), d))
+        stages.append(FilterStage(h, d))
 
     total = sum(s.n_taps for s in stages)
     if total > spec.coeff_budget:
@@ -420,8 +428,8 @@ def measure_response(stages: Sequence[FilterStage], spec: DecimatorSpec) -> Filt
     honestly reports 0 dB.
     """
     fs = spec.f_in_hz
-    ripple = _ripple_db(_gain(stages, fs, np.linspace(0.0, spec.protected_edge_hz, 2001)))
-    grid = np.concatenate([np.zeros(0)] + [np.linspace(lo, hi, max(int((hi - lo) / 0.1), 64) + 1)
+    ripple = _ripple_db(_gain(stages, fs, np.linspace(0.0, spec.protected_edge_hz, _PASS_POINTS)))
+    grid = np.concatenate([np.zeros(0)] + [np.linspace(lo, hi, _sweep_points(hi - lo))
                                            for lo, hi in _alias_bands(spec)])
     atten = min((_atten_db(_gain(stages, fs, grid[i:i + _SWEEP_CHUNK]))
                  for i in range(0, len(grid), _SWEEP_CHUNK)), default=0.0)

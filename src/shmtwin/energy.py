@@ -173,13 +173,12 @@ def energy_day(
     params: EnergyParams = EnergyParams(),
 ) -> EnergyBreakdown:
     """Daily energy: session costs times session count plus sleep floor."""
-    if plan.n_sessions_per_day == 0:
-        sleep_j = SECONDS_PER_DAY * params.sleep_power_w
-        return EnergyBreakdown(plan, 0.0, 0.0, 0.0, sleep_j, sleep_j)
     t_acq, t_radio, e_acq, e_tx = session(plan, coverage, params)
+    # a run acquires one session even where the plan bills none
+    t_need = max(plan.n_sessions_per_day, 1) * (t_acq + t_radio)
+    if t_need > SECONDS_PER_DAY:
+        raise ValueError(f"plan needs {t_need:.6g} s of activity, more than one day")
     t_active = plan.n_sessions_per_day * (t_acq + t_radio)
-    if t_active > SECONDS_PER_DAY:
-        raise ValueError(f"plan needs {t_active:.6g} s of activity, more than one day")
     e_sleep = (SECONDS_PER_DAY - t_active) * params.sleep_power_w
     e_day = plan.n_sessions_per_day * (e_acq + e_tx) + e_sleep
     if not math.isfinite(e_day):  # a finite but huge k_acq

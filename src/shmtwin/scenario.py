@@ -153,9 +153,7 @@ class Scenario:
             raise ConfigError(f"sample rates disagree: decimator {dec.f_in_hz!r} -> "
                               f"{dec.f_out_hz!r} Hz, plan {self.plan.f_s_hz!r} Hz")
         try:
-            # a run acquires one session even where the plan bills none
-            energy_day(replace(self.plan, n_sessions_per_day=max(self.plan.n_sessions_per_day, 1)),
-                       self.coverage)
+            energy_day(self.plan, self.coverage)
             n_in = record_samples(self.structure, self.plan.t_acq_s, dec.f_in_hz, self.excitation)
         except ValueError as e:
             raise ConfigError(str(e)) from e

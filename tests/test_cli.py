@@ -288,6 +288,19 @@ def test_run_plan_that_overflows_is_a_short_config_error(tmp_path, capsys, t_acq
     assert capsys.readouterr().err == err
 
 
+@pytest.mark.parametrize("t_acq, need", [("1e300", "1.30769e+300"), ("1e5", "130778")])
+def test_lifetime_refuses_the_zero_session_plans_run_refuses(tmp_path, capsys, t_acq, need):
+    # a run acquires one session even where the plan bills none; lifetime
+    # judges the plan by the same rule and prints no plan
+    err = f"config error: plan needs {need} s of activity, more than one day\n"
+    assert main(["lifetime", "--tacq", t_acq, "--sessions", "0"]) == EXIT_CONFIG
+    assert capsys.readouterr() == ("", err)
+    path = _write(tmp_path, GOOD.replace("t_acq_s = 45", f"t_acq_s = {t_acq}")
+                  + "n_sessions_per_day = 0\n")
+    assert main(["run", path, "--outputs", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert capsys.readouterr() == ("", err)
+
+
 COUNT_MESSAGE = "config error: session count must be at most 1.79769e+308\n"
 HUGE_COUNT = "1" + "0" * 400
 

@@ -139,6 +139,30 @@ def test_overcommitted_day_rejected():
         energy_day(SessionPlan(n_sessions_per_day=6, t_acq_s=14400.0))
 
 
+@pytest.mark.parametrize("coverage", list(CoverageClass))
+def test_zero_session_plan_still_fits_one_session_in_the_day(coverage):
+    # a run acquires one session even where the plan bills none, so a plan
+    # of no sessions is refused exactly where a plan of one is
+    def fits(n_packets):
+        plan = SessionPlan(t_acq_s=6.5 * n_packets)
+        return session_active_s(plan, coverage) <= SECONDS_PER_DAY
+
+    lo, hi = 1, 2**20  # the longest session that fits has lo packets
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if fits(mid) else (lo, mid)
+    assert fits(lo) and not fits(hi)
+    floor = energy_day(SessionPlan(n_sessions_per_day=0, t_acq_s=6.5 * lo), coverage)
+    assert floor.t_active_s == 0.0
+    assert floor.e_day_j == pytest.approx(SECONDS_PER_DAY * SLEEP_W, rel=1e-12)
+    refusals = []
+    for n_sessions in (0, 1):
+        with pytest.raises(ValueError, match="more than one day") as e:
+            energy_day(SessionPlan(n_sessions_per_day=n_sessions, t_acq_s=6.5 * hi), coverage)
+        refusals.append(str(e.value))
+    assert refusals[0] == refusals[1]
+
+
 def test_overcommitted_day_message_stays_short():
     # a huge but finite acquisition prints its activity compactly
     with pytest.raises(ValueError, match="more than one day") as e:
