@@ -138,6 +138,9 @@ class DecimatorSpec:
             raise ValueError("cutoff must lie in (0, f_out/2]")
         if not all(0 < v < math.inf for v in (self.passband_ripple_db, self.stopband_atten_db)):
             raise ValueError("ripple and attenuation targets must be positive and finite")
+        if self.stopband_atten_db > MAX_STOPBAND_ATTEN_DB:
+            raise ValueError(f"stopband_atten_db = {self.stopband_atten_db!r} is above "
+                             f"{MAX_STOPBAND_ATTEN_DB} dB, the most the design can verify")
         # Split the composite ripple evenly over the filtering stages;
         # cascaded peak-to-peak ripples add to first order.  Stopband gets a
         # fixed design margin.
@@ -145,25 +148,19 @@ class DecimatorSpec:
         atten_target = self.stopband_atten_db + _ATTEN_MARGIN_DB
         try:
             r = 10.0 ** (pp_budget / 20.0)
-            deviations = ((r - 1.0) / (r + 1.0), 10.0 ** (-atten_target / 20.0))
+            delta = (r - 1.0) / (r + 1.0)
         except OverflowError:  # 10 ** (ripple / 20) is beyond a float
-            deviations = (math.nan, math.nan)
-        for key, delta in zip(("passband_ripple_db", "stopband_atten_db"), deviations):
-            if not delta > 0.0:  # 0 where the deviation underflows
-                raise ValueError(f"{key} = {getattr(self, key)!r} is out of range: its "
-                                 f"per-stage deviation {delta} is not a positive float")
+            delta = math.nan
+        if not delta > 0.0:  # 0 where the deviation underflows
+            raise ValueError(f"passband_ripple_db = {self.passband_ripple_db!r} is out of "
+                             f"range: its per-stage deviation {delta} is not a positive float")
         # Kaiser-windowed sinc: passband and stopband deviations are equal,
-        # so size the window for whichever requirement is tighter.
-        atten_design = -20.0 * math.log10(min(deviations))
+        # so size the window for whichever requirement is tighter.  The
+        # stopband's is 1e-12 or more under the ceiling, and a positive
+        # passband one is above 1e-16, so Kaiser's beta stays below 35 and
+        # I0(beta) is a finite float.
+        atten_design = -20.0 * math.log10(min(delta, 10.0 ** (-atten_target / 20.0)))
         beta = _kaiser_beta(atten_design)
-        try:
-            _i0(beta)           # the window's normaliser; every tap's I0 is below it
-        except OverflowError:
-            raise ValueError(f"stopband_atten_db = {self.stopband_atten_db!r} is out of "
-                             f"range: its Kaiser beta {beta} overflows I0(beta)") from None
-        if self.stopband_atten_db > MAX_STOPBAND_ATTEN_DB:
-            raise ValueError(f"stopband_atten_db = {self.stopband_atten_db!r} is above "
-                             f"{MAX_STOPBAND_ATTEN_DB} dB, the most the design can verify")
         # Each stage's design starts from Kaiser's length estimate and only
         # grows, so the estimates' sum bounds the chain from below: a chain
         # that cannot fit the budget is refused before any window is designed;

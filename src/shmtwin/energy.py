@@ -207,10 +207,11 @@ def battery_life_days_sim(
     for the closed form, deliberately not routed through energy_day: it
     adds the one session's bill once per session instead of multiplying."""
     t_acq, t_radio, e_acq, e_radio = session(plan, coverage, params)
-    t_active = plan.n_sessions_per_day * (t_acq + t_radio)
-    if t_active > SECONDS_PER_DAY:
+    # a run acquires one session even where the plan bills none
+    t_sess = t_acq + t_radio
+    if max(plan.n_sessions_per_day, 1) * t_sess > SECONDS_PER_DAY:
         raise ValueError("plan exceeds one day of activity")
-    spent = (SECONDS_PER_DAY - t_active) * params.sleep_power_w
+    spent = (SECONDS_PER_DAY - plan.n_sessions_per_day * t_sess) * params.sleep_power_w
     for _ in range(plan.n_sessions_per_day):
         spent = spent + e_radio + e_acq
     if not math.isfinite(spent):

@@ -59,7 +59,6 @@ from .modal import (
     verdict_line,
 )
 from .radio import (
-    SAMPLES_PER_PACKET,
     CoverageClass,
     SinkReport,
     UplinkRecord,
@@ -76,9 +75,10 @@ from .signals import (
     SensorSpec,
     StructureModel,
     apply_sensor,
+    check_record,
+    event_span,
     inject_transient,
     quantize,
-    record_samples,
     synth_structure_response,
     trigger_index,
 )
@@ -154,25 +154,21 @@ class Scenario:
                               f"{dec.f_out_hz!r} Hz, plan {self.plan.f_s_hz!r} Hz")
         try:
             energy_day(self.plan, self.coverage)
-            n_in = record_samples(self.structure, self.plan.t_acq_s, dec.f_in_hz, self.excitation)
+            check_record(self.structure, self.record_samples, dec.f_in_hz, self.excitation)
+            if self.event is not None:
+                event_span(self.event, dec.f_in_hz, self.record_samples)
         except ValueError as e:
             raise ConfigError(str(e)) from e
-        # the plan bills round(t_acq_s * f_s) samples, the chain emits
-        # ceil(n_in / total_decim), and the two may fall either side of a
-        # packet boundary
-        n_out = -(-n_in // dec.total_decim)
-        n_pkt = -(-n_out // SAMPLES_PER_PACKET)
-        if n_pkt != self.plan.n_packets:
-            raise ConfigError(f"t_acq_s = {self.plan.t_acq_s!r} bills {self.plan.n_packets} "
-                              f"packets but its {n_out}-sample record sends {n_pkt}")
-        if self.event is not None:
-            # inject_transient's sample arithmetic; an infinite event never fits
-            end = (self.event.onset_s + self.event.duration_s) * dec.f_in_hz
-            if not math.isfinite(end) or round(end) > n_in:
-                raise ConfigError("event extends past the end of the record")
-            if not math.isfinite(self.sensor.sensitivity_v_per_g * self.event.peak_g):
-                raise ConfigError(f"event_peak_g = {self.event.peak_g!r} senses to a "
-                                  "non-finite voltage")
+        if (self.event is not None
+                and not math.isfinite(self.sensor.sensitivity_v_per_g * self.event.peak_g)):
+            raise ConfigError(f"event_peak_g = {self.event.peak_g!r} senses to a "
+                              "non-finite voltage")
+
+    @property
+    def record_samples(self) -> int:
+        """Input samples of a run's record: ``total_decim`` for each sample
+        the plan bills, so the chain emits exactly the samples the plan bills."""
+        return self.plan.samples_per_session * self.decimator.total_decim
 
 
 # The scenario file: section -> key -> the Scenario field the key reads and
@@ -488,15 +484,14 @@ def run_scenario(s: Scenario, write: bool = True) -> RunResult:
     """Run the pipeline, and write the bundle if ``write``.  The front end is
     ``_sense`` over this scenario's synthesis, event and trigger search; its
     output counts are rounded to the int16 word once, over the whole record."""
-    f_os = s.decimator.f_in_hz
-    n = record_samples(s.structure, s.plan.t_acq_s, f_os, s.excitation)
+    f_os, n = s.decimator.f_in_hz, s.record_samples
 
     with stage("dsp"):
         stages, filt_report = design_decimator(s.decimator)
         chain = ChainState(stages, n)
 
     with stage("synth"):
-        ambient = (synth_structure_response(s.structure, s.plan.t_acq_s, f_os_hz=f_os,
+        ambient = (synth_structure_response(s.structure, n, f_os_hz=f_os,
                                             seed=s.seed, excitation=s.excitation)
                    if s.excitation == "ambient" else None)
     trig = None
@@ -504,14 +499,14 @@ def run_scenario(s: Scenario, write: bool = True) -> RunResult:
     def synth(i0: int, i1: int) -> np.ndarray:
         nonlocal trig
         if ambient is None:
-            accel = synth_structure_response(s.structure, s.plan.t_acq_s, f_os_hz=f_os,
+            accel = synth_structure_response(s.structure, n, f_os_hz=f_os,
                                              seed=s.seed, excitation=s.excitation,
                                              start=i0, stop=i1)
         else:
             accel = ambient[i0:i1]
         if s.event is not None:
-            accel = inject_transient(accel, s.event, s.structure.freqs[0],
-                                     f_os_hz=f_os, start=i0, record_len=n)
+            accel = inject_transient(accel, s.event, s.structure.freqs[0], n,
+                                     f_os_hz=f_os, start=i0)
         if trig is None and s.trigger_threshold_g is not None:
             hit = trigger_index(accel, s.trigger_threshold_g)
             trig = None if hit is None else i0 + hit

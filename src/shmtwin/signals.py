@@ -118,26 +118,17 @@ def _resonator_coeffs(freq_hz: float, fs_hz: float):
     return b, a
 
 
-def record_samples(
-    model: StructureModel,
-    duration_s: float,
-    f_os_hz: float = F_OS_HZ,
-    excitation: str = "ambient",
-) -> int:
-    """Length of the record synth_structure_response returns for these inputs.
-
-    Raises ValueError for any input it would reject, so a caller that
-    synthesizes block by block can fail before the first block.
-    """
-    if duration_s <= 0:
-        raise ValueError(f"duration must be positive, got {duration_s}")
+def check_record(model: StructureModel, n: int, f_os_hz: float, excitation: str) -> None:
+    """Raise ValueError for a record synth_structure_response would reject,
+    so a caller that synthesizes block by block can fail before the first block."""
+    if n < 1:
+        raise ValueError(f"a record needs at least one sample, got {n}")
     if excitation not in ("ambient", "dwell"):
         raise ValueError(f"unknown excitation {excitation!r}")
     nyquist = f_os_hz / 2.0
     for f in model.freqs:
         if f >= nyquist:
             raise ValueError(f"mode at {f} Hz is at or above Nyquist ({nyquist} Hz)")
-    return int(round(duration_s * f_os_hz))
 
 
 # Spacing of the dwell-tone anchors, in record samples; not a block size.
@@ -156,14 +147,15 @@ def _offset_tables(freq_hz: float, f_os_hz: float) -> tuple[np.ndarray, np.ndarr
 
 def synth_structure_response(
     model: StructureModel,
-    duration_s: float,
+    n: int,
     f_os_hz: float = F_OS_HZ,
     seed: int = 0,
     excitation: str = "ambient",
     start: int = 0,
     stop: int | None = None,
 ) -> np.ndarray:
-    """Synthesize the acceleration seen at the sensor mount, in g.
+    """Synthesize ``n`` samples at ``f_os_hz`` of the acceleration seen at
+    the sensor mount, in g.
 
     excitation="ambient": each mode is an independent white-noise
     realization filtered by its resonator, scaled so that its sample RMS
@@ -188,7 +180,7 @@ def synth_structure_response(
     Ambient synthesis normalizes each mode over the whole record and
     returns only the whole record.
     """
-    n = record_samples(model, duration_s, f_os_hz, excitation)
+    check_record(model, n, f_os_hz, excitation)
     stop = n if stop is None else stop
     if not 0 <= start <= stop <= n:
         raise ValueError(f"samples [{start}, {stop}) are not within a record of {n}")
@@ -236,13 +228,22 @@ def synth_structure_response(
     return accel
 
 
+def event_span(event: EventSpec, f_os_hz: float, n: int) -> tuple[int, int]:
+    """Samples [i0, i1) of the event's burst in a record of ``n`` samples at
+    ``f_os_hz``; raises ValueError if the burst ends past the record."""
+    end = (event.onset_s + event.duration_s) * f_os_hz
+    if not math.isfinite(end) or round(end) > n:  # an end beyond any float never fits
+        raise ValueError("event extends past the end of the record")
+    return int(round(event.onset_s * f_os_hz)), int(round(end))
+
+
 def inject_transient(
     accel: np.ndarray,
     event: EventSpec,
     carrier_hz: float,
+    n: int,
     f_os_hz: float = F_OS_HZ,
     start: int = 0,
-    record_len: int | None = None,
 ) -> np.ndarray:
     """Add a half-sine-enveloped tone burst; returns a new array.
 
@@ -250,16 +251,10 @@ def inject_transient(
     equals ``event.peak_g`` up to sampling granularity.  Samples outside
     [onset, onset + duration) are unchanged.
 
-    ``accel`` may be one block of a longer record: it then holds samples
-    [start, start + len(accel)) of a record of ``record_len`` samples, and
-    gets the part of the burst that falls inside it.  By default the block
-    ends the record.
+    ``accel`` holds samples [start, start + len(accel)) of a record of ``n``
+    samples, and gets the part of the burst that falls inside it.
     """
-    n = start + len(accel) if record_len is None else record_len
-    i0 = int(round(event.onset_s * f_os_hz))
-    i1 = int(round((event.onset_s + event.duration_s) * f_os_hz))
-    if i1 > n:
-        raise ValueError("event extends past the end of the series")
+    i0, i1 = event_span(event, f_os_hz, n)
     out = np.array(accel, dtype=float, copy=True)
     i0, i1 = max(i0, start), min(i1, start + len(accel))
     if i1 <= i0 or event.peak_g == 0.0:

@@ -65,15 +65,15 @@ def test_run_tolerance_that_underflows_is_a_config_error(tmp_path, capsys, key, 
 
 
 def test_run_attenuation_whose_kaiser_beta_overflows_is_a_config_error(tmp_path, capsys):
-    # the spec accepts the denormal stopband deviation; its window would not fit a float
+    # its window would not fit a float, but the ceiling on what the design
+    # can verify refuses it before Kaiser's beta is taken
     path = _write(tmp_path, GOOD + "[dsp-chain]\nstopband_atten_db = 6455\n"
                   "coeff_budget = 100000\n")
     t0 = time.perf_counter()
     assert main(["run", path, "--outputs", str(tmp_path / "o")]) == EXIT_CONFIG
     assert time.perf_counter() - t0 < 1.0
-    err = capsys.readouterr().err
-    assert err.startswith("config error: stopband_atten_db = 6455.0 is out of range: ")
-    assert err.endswith(" overflows I0(beta)\n")
+    assert capsys.readouterr().err == ("config error: stopband_atten_db = 6455.0 is above "
+                                       "237.0 dB, the most the design can verify\n")
 
 
 def test_run_plan_whose_daily_energy_overflows_is_a_config_error(tmp_path, capsys):
@@ -423,7 +423,7 @@ def test_repro_over_every_outdir_exits_cleanly(tmp_path_factory, target, outdir)
 
 def test_run_mode_at_or_above_nyquist_is_a_config_error(tmp_path, capsys):
     # a 20 Hz ADC cannot sample the structure's 13.125 Hz mode; the parser
-    # sizes the record with the run's own function, which refuses it
+    # checks the record with synthesis's own check, which refuses it
     path = _write(tmp_path, "[scenario]\nseed = 2\n[signal-synth]\nf_os_hz = 20\n"
                   "[dsp-chain]\nn_stages = 1\ntotal_decim = 1\ncutoff_hz = 5\n"
                   "[energy-model]\nt_acq_s = 100\n")

@@ -204,6 +204,18 @@ def test_each_session_constant_has_one_reader():
                        "block_s": {"energy.session"}}
 
 
+def test_one_rule_turns_a_sessions_duration_into_samples():
+    # the plan rounds t_acq_s to its sample count once, and a run's record
+    # is that count times the decimation; any other reader of the duration
+    # in the program only reports it
+    readers: set[str] = set()
+    for p in sorted((ROOT / "src" / "shmtwin").glob("*.py")):
+        found = _attribute_readers(p.read_text(encoding="utf-8"), {"t_acq_s"})
+        readers |= {f"{p.stem}.{w}" for w in found["t_acq_s"]}
+    assert readers == {"energy.__post_init__", "energy.samples_per_session",
+                       "energy.rows", "repro.repro_table3"}
+
+
 # The published figures that the model reads: the five energy contributions,
 # the two coverage multipliers and the two cells' energies.
 _MODEL_FIGURES = {52.596, 2.1816, 659.72, 450.83, 616.97, 3.8, 2.8, 226440.0, 71928.0}

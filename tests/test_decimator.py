@@ -157,18 +157,33 @@ def test_spec_refuses_a_budget_below_its_kaiser_floor():
         DecimatorSpec(coeff_budget=213)
 
 
-def test_spec_refuses_an_attenuation_whose_kaiser_beta_overflows_i0(monkeypatch):
-    # the stopband deviation is a denormal here, so beta moves in steps:
-    # 6446 dB takes the last beta below exp's overflow at log(DBL_MAX),
-    # 6447 dB the first above it; the beta check comes before the ceiling
-    # on what the design can measure, which is lifted to reach it here
-    monkeypatch.setattr(decimator, "MAX_STOPBAND_ATTEN_DB", math.inf)
-    limit = math.log(np.finfo(float).max)
-    below = DecimatorSpec(stopband_atten_db=6446.0, coeff_budget=100000)
-    assert limit - 0.04 < below._plan[2] < limit
-    with pytest.raises(ValueError, match=r"stopband_atten_db = 6447.0 is out of range: its "
-                                         r"Kaiser beta 709\.89\d* overflows I0\(beta\)"):
-        DecimatorSpec(stopband_atten_db=6447.0, coeff_budget=100000)
+def test_kaiser_beta_stays_below_35_at_the_tightest_accepted_targets():
+    # the ceiling is checked before beta, so the stopband deviation is at
+    # least 1e-12; the tightest ripple whose deviation is not 0 takes beta
+    # to its most, far below I0's overflow near 709.8
+    def spec(ripple, atten=237.0):
+        return DecimatorSpec(n_stages=1, total_decim=2, f_in_hz=200.0, cutoff_hz=45.0,
+                             passband_ripple_db=ripple, stopband_atten_db=atten,
+                             coeff_budget=10**6)
+
+    lo, hi = 0.0, 1e-14  # refused, accepted
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        if mid in (lo, hi):
+            break
+        try:
+            spec(mid)
+            hi = mid
+        except ValueError:
+            lo = mid
+    with pytest.raises(ValueError, match="per-stage deviation 0.0 is not a positive float"):
+        spec(lo)
+    beta = spec(hi)._plan[2]
+    assert 34 < beta < 35
+    assert math.isfinite(decimator._i0(beta))
+    assert spec(1.0)._plan[2] == pytest.approx(25.5, abs=0.05)  # 237 dB sets it
+    with pytest.raises(ValueError, match="is above 237.0 dB"):
+        spec(hi, atten=math.nextafter(237.0, math.inf))
 
 
 def test_alias_sweep_above_the_cap_fails_before_any_window_or_band(monkeypatch):

@@ -163,6 +163,27 @@ def test_zero_session_plan_still_fits_one_session_in_the_day(coverage):
     assert refusals[0] == refusals[1]
 
 
+@pytest.mark.parametrize("coverage", list(CoverageClass))
+def test_sim_refuses_the_zero_session_plans_the_closed_form_refuses(coverage):
+    # the cross-check keeps the one-session rule without energy_day: a plan
+    # of no sessions is refused exactly where the closed form refuses it
+    def refused(f, n_packets):
+        try:
+            f(SessionPlan(n_sessions_per_day=0, t_acq_s=6.5 * n_packets), LS336000, coverage)
+        except ValueError:
+            return True
+        return False
+
+    lo, hi = 1, 2**20  # the longest session that fits has lo packets
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if refused(battery_life_days, mid) else (mid, hi)
+    assert [refused(battery_life_days_sim, n) for n in (lo, hi)] == [False, True]
+    plan = SessionPlan(n_sessions_per_day=0, t_acq_s=6.5 * lo)
+    assert (battery_life_days_sim(plan, LS336000, coverage)
+            == pytest.approx(battery_life_days(plan, LS336000, coverage), rel=1e-12))
+
+
 def test_overcommitted_day_message_stays_short():
     # a huge but finite acquisition prints its activity compactly
     with pytest.raises(ValueError, match="more than one day") as e:

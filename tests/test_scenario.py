@@ -25,7 +25,6 @@ from shmtwin.signals import (
     apply_sensor,
     inject_transient,
     quantize,
-    record_samples,
     synth_structure_response,
     trigger_index,
 )
@@ -209,11 +208,34 @@ def test_plan_longer_than_a_day_is_a_config_error():
         parse_scenario_text(MINIMAL + "[energy-model]\nt_acq_s = 15000\n")
 
 
-def test_plan_that_bills_other_packets_than_it_sends_is_a_config_error():
-    # round(13.0001 * 100) = 1300 samples bill 2 packets; the chain emits
-    # ceil(round(13.0001 * 25600) / 256) = 1301 samples, which fill 3
-    with pytest.raises(ConfigError, match="t_acq_s = 13.0001 bills 2 packets"):
-        parse_scenario_text(MINIMAL + "[energy-model]\nt_acq_s = 13.0001\n")
+def _sent(s):
+    """A run's output samples, packets sent and data bytes, as its bundle reports them."""
+    with tempfile.TemporaryDirectory() as out:
+        r = run_scenario(replace(s, outputs=out))
+        rows = dict(line.split(",", 1)
+                    for line in (r.outputs / "summary.csv").read_text().splitlines())
+    return r.samples_out.size, int(rows["packets_sent"]), int(rows["data_bytes"])
+
+
+@pytest.mark.parametrize("t_acq, samples, packets", [(13.0001, 1300, 2), (180.004, 18000, 28)])
+def test_run_sends_the_samples_its_plan_bills(t_acq, samples, packets):
+    # 13.0001 s is 1300.01 samples at 100 Hz and 332,802.56 at 25.6 kHz:
+    # the record is the plan's 1300 samples times the decimation, so the
+    # chain emits 1300 samples in the 2 packets billed, not 1301 in 3
+    s = parse_scenario_text(MINIMAL + f"[energy-model]\nt_acq_s = {t_acq}\n")
+    assert (s.plan.samples_per_session, s.plan.n_packets) == (samples, packets)
+    assert s.record_samples == samples * 256
+    assert _sent(s) == (samples, packets, 2 * samples)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.floats(11.0, 30.0), st.sampled_from([64, 128, 256]), st.integers(0, 2**32 - 1))
+def test_any_dwell_run_sends_the_samples_its_plan_bills(t_acq, total_decim, seed):
+    s = parse_scenario_text(f"[scenario]\nseed = {seed}\n[dsp-chain]\n"
+                            f"total_decim = {total_decim}\n[energy-model]\nt_acq_s = {t_acq!r}\n")
+    assert s.excitation == "dwell"
+    assert _sent(s) == (s.plan.samples_per_session, s.plan.n_packets,
+                        2 * s.plan.samples_per_session)
 
 
 @pytest.mark.parametrize("error", [ValueError, RuntimeError, OSError])
@@ -600,14 +622,14 @@ def test_block_size_does_not_change_the_run(tmp_path, monkeypatch, extra, block)
     monkeypatch.setattr(scenario, "run_chain", counting)
 
     def run(name):
-        # 307,201 input samples: no multiple of any stage's decimation
+        # 307,200 input samples, the plan's 1,200 times the decimation
         text = (f"[scenario]\nseed = 11\noutputs = {tmp_path}/{name}\n"
-                f"[energy-model]\nt_acq_s = 12.00002\n" + extra)
+                f"[energy-model]\nt_acq_s = 12\n" + extra)
         sizes.clear()
         r = run_scenario(parse_scenario_text(text))
-        # the last stage holds its 1,201 outputs, fewer than a run, until
+        # the last stage holds its 1,200 outputs, fewer than a run, until
         # the record's last block flushes them
-        assert sizes[-1] == r.samples_out.size == 1201 < decimator._MIN_RUN
+        assert sizes[-1] == r.samples_out.size == 1200 < decimator._MIN_RUN
         assert not any(sizes[:-1])
         return r, (r.outputs / "summary.csv").read_text(), _dir_digest(r.outputs)
 
@@ -672,19 +694,18 @@ _DWELL_EVENT = (
 
 def _sequential_front_end(s):
     """The front end as one plain loop over blocks of the public stage functions."""
-    f_os = s.decimator.f_in_hz
-    n = record_samples(s.structure, s.plan.t_acq_s, f_os, s.excitation)
+    f_os, n = s.decimator.f_in_hz, s.record_samples
     stages, _ = design_decimator(s.decimator)
     noise = np.random.default_rng(s.seed + 1)
     chain = ChainState(stages, n)
     out, n_sat, trig = [], 0, None
     for i0 in range(0, n, scenario._BLOCK):
         i1 = min(i0 + scenario._BLOCK, n)
-        accel = synth_structure_response(s.structure, s.plan.t_acq_s, f_os_hz=f_os,
+        accel = synth_structure_response(s.structure, n, f_os_hz=f_os,
                                          seed=s.seed, excitation=s.excitation,
                                          start=i0, stop=i1)
-        accel = inject_transient(accel, s.event, s.structure.freqs[0],
-                                 f_os_hz=f_os, start=i0, record_len=n)
+        accel = inject_transient(accel, s.event, s.structure.freqs[0], n,
+                                 f_os_hz=f_os, start=i0)
         hit = trigger_index(accel, s.trigger_threshold_g)
         if trig is None and hit is not None:
             trig = i0 + hit

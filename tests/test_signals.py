@@ -17,6 +17,7 @@ from shmtwin.signals import (
     SensorSpec,
     StructureModel,
     apply_sensor,
+    event_span,
     inject_transient,
     quantize,
     synth_structure_response,
@@ -36,19 +37,19 @@ def test_mode_validation():
 def test_mode_above_nyquist_rejected():
     model = StructureModel((60.0,), "hot")
     with pytest.raises(ValueError):
-        synth_structure_response(model, 1.0, f_os_hz=100.0)
+        synth_structure_response(model, 100, f_os_hz=100.0)
 
 
 def test_bad_excitation_and_duration_rejected():
-    with pytest.raises(ValueError):
-        synth_structure_response(FOUR_MODES, 1.0, excitation="hammer")
-    with pytest.raises(ValueError):
-        synth_structure_response(FOUR_MODES, 0.0)
+    with pytest.raises(ValueError, match="unknown excitation 'hammer'"):
+        synth_structure_response(FOUR_MODES, 25600, excitation="hammer")
+    with pytest.raises(ValueError, match="a record needs at least one sample, got 0"):
+        synth_structure_response(FOUR_MODES, 0)
 
 
 def test_ambient_rms_matches_spec():
     model = StructureModel((2.807,), "one")
-    x = synth_structure_response(model, 30.0, seed=1)
+    x = synth_structure_response(model, 30 * 25600, seed=1)
     assert np.sqrt(np.mean(x**2)) == pytest.approx(MODE_RMS_G, rel=1e-9)
 
 
@@ -62,7 +63,7 @@ def _raw_peak_bin_err(x, f_os, freq, half_window_hz=0.5):
 
 
 def test_dwell_peaks_within_one_bin_of_modes():
-    x = synth_structure_response(FOUR_MODES, 180.0, seed=0, excitation="dwell")
+    x = synth_structure_response(FOUR_MODES, 180 * 25600, seed=0, excitation="dwell")
     for f in FOUR_MODES.freqs:
         assert _raw_peak_bin_err(x, 25600.0, f) <= 1.0
 
@@ -71,7 +72,7 @@ def test_ambient_peaks_near_modes():
     # A noise-driven resonance's single-record spectral peak wanders within
     # the resonance width (~ damping * freq), so the bound scales with mode
     # frequency rather than being a fixed bin count.
-    x = synth_structure_response(FOUR_MODES, 180.0, seed=0, excitation="ambient")
+    x = synth_structure_response(FOUR_MODES, 180 * 25600, seed=0, excitation="ambient")
     df = 25600.0 / x.size
     for f in FOUR_MODES.freqs:
         width_bins = MODE_DAMPING * f / df
@@ -122,13 +123,28 @@ def test_quantize_equals_plain_clip_floor(volts, adc):
 
 def test_event_injection_peak_and_bounds():
     ev = EventSpec(onset_s=0.5, peak_g=0.8, duration_s=0.2)
-    x = inject_transient(np.zeros(25600), ev, 2.807)
+    x = inject_transient(np.zeros(25600), ev, 2.807, 25600)
     k = int(np.argmax(np.abs(x)))
     assert abs(x[k]) == pytest.approx(0.8, rel=1e-6)
     assert abs(k / 25600.0 - 0.6) < 0.01          # crest at envelope center
     assert np.all(x[: int(0.5 * 25600) - 1] == 0)
     with pytest.raises(ValueError):
-        inject_transient(np.zeros(1000), EventSpec(0.0, 0.5, 1.0), 2.807)  # too long
+        inject_transient(np.zeros(1000), EventSpec(0.0, 0.5, 1.0), 2.807, 1000)  # too long
+
+
+def test_event_span_is_the_bursts_samples_within_the_record():
+    ev = EventSpec(onset_s=0.5, peak_g=0.8, duration_s=0.5)
+    assert event_span(ev, 100.0, 100) == (50, 100)  # ends at the last sample
+    with pytest.raises(ValueError, match="event extends past the end of the record"):
+        event_span(ev, 100.0, 99)
+
+
+def test_event_whose_end_overflows_is_past_the_end():
+    # its end, times the rate, is not a finite float; rounding it raised
+    # OverflowError, which no stage maps
+    ev = EventSpec(onset_s=1e308, peak_g=0.1, duration_s=1e308)
+    with pytest.raises(ValueError, match="event extends past the end of the record"):
+        inject_transient(np.zeros(10), ev, 2.8, 10)
 
 
 @pytest.mark.parametrize("onset, duration", [
@@ -145,7 +161,7 @@ def test_event_onset_and_duration_must_be_finite_and_non_negative(onset, duratio
 @pytest.mark.parametrize("carrier_hz", [2.284, 2.807, 8.379])
 def test_event_burst_rings_at_its_carrier(carrier_hz):
     ev = EventSpec(onset_s=0.5, peak_g=0.8, duration_s=2.0)
-    x = inject_transient(np.zeros(3 * 25600), ev, carrier_hz)
+    x = inject_transient(np.zeros(3 * 25600), ev, carrier_hz, 3 * 25600)
     burst = x[int(0.5 * 25600) + 1:int(2.5 * 25600)]
     crossings = np.count_nonzero(np.diff(np.signbit(burst)))
     assert abs(crossings - 2 * carrier_hz * ev.duration_s) <= 1
@@ -154,7 +170,7 @@ def test_event_burst_rings_at_its_carrier(carrier_hz):
 
 def test_trigger_index():
     ev = EventSpec(onset_s=0.5, peak_g=0.8, duration_s=0.2)
-    x = inject_transient(np.zeros(25600), ev, 2.807)
+    x = inject_transient(np.zeros(25600), ev, 2.807, 25600)
     idx = trigger_index(x, 0.4)
     assert idx is not None and 0.5 <= idx / 25600.0 <= 0.7
     assert trigger_index(x, 0.9) is None
@@ -163,16 +179,15 @@ def test_trigger_index():
 
 
 def test_synth_deterministic_per_seed():
-    a = synth_structure_response(FOUR_MODES, 2.0, seed=7)
-    b = synth_structure_response(FOUR_MODES, 2.0, seed=7)
-    c = synth_structure_response(FOUR_MODES, 2.0, seed=8)
+    a = synth_structure_response(FOUR_MODES, 51200, seed=7)
+    b = synth_structure_response(FOUR_MODES, 51200, seed=7)
+    c = synth_structure_response(FOUR_MODES, 51200, seed=8)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
 
-def _naive_front_end(model, duration_s, f_os_hz, seed, excitation, sensor, adc):
+def _naive_front_end(model, n, f_os_hz, seed, excitation, sensor, adc):
     """The front end written as plain whole-array expressions: the oracle."""
-    n = int(round(duration_s * f_os_hz))
     rng = np.random.default_rng(seed)
     accel = np.zeros(n)
     # dwell: angle addition from anchors every 4096 record samples
@@ -203,8 +218,8 @@ def test_front_end_matches_plain_expressions_bit_for_bit(excitation):
     # the clip path is driven too
     sensor, adc = SensorSpec(sensitivity_v_per_g=66.0), AdcSpec()
     accel_ref, volts_ref, codes_ref = _naive_front_end(
-        FOUR_MODES, 3.0, F_OS_HZ, 11, excitation, sensor, adc)
-    accel = synth_structure_response(FOUR_MODES, 3.0, F_OS_HZ, seed=11,
+        FOUR_MODES, 3 * 25600, F_OS_HZ, 11, excitation, sensor, adc)
+    accel = synth_structure_response(FOUR_MODES, 3 * 25600, F_OS_HZ, seed=11,
                                      excitation=excitation)
     volts = apply_sensor(accel, sensor, F_OS_HZ, seed=12)
     codes, n_sat = quantize(volts, adc)
@@ -214,9 +229,9 @@ def test_front_end_matches_plain_expressions_bit_for_bit(excitation):
     assert np.array_equal(codes, codes_ref)
 
 
-def _np_sin_tones(model, duration_s, f_os_hz, seed):
+def _np_sin_tones(model, n, f_os_hz, seed):
     """Dwell tones as one np.sin per sample, the expression the anchors replace."""
-    t = np.arange(int(round(duration_s * f_os_hz))) / f_os_hz
+    t = np.arange(n) / f_os_hz
     rng = np.random.default_rng(seed)
     accel = np.zeros(t.size)
     for f in model.freqs:
@@ -226,15 +241,15 @@ def _np_sin_tones(model, duration_s, f_os_hz, seed):
 
 
 def test_dwell_tones_within_1e_12_g_of_np_sin():
-    accel = synth_structure_response(FOUR_MODES, 180.0, seed=0, excitation="dwell")
-    err = np.max(np.abs(accel - _np_sin_tones(FOUR_MODES, 180.0, 25600.0, 0)))
+    accel = synth_structure_response(FOUR_MODES, 180 * 25600, seed=0, excitation="dwell")
+    err = np.max(np.abs(accel - _np_sin_tones(FOUR_MODES, 180 * 25600, 25600.0, 0)))
     assert err <= 1e-12, f"{err:.3g} g"
 
 
 @pytest.mark.parametrize("block", [1000, 4096 + 7])
 def test_dwell_blocks_with_unaligned_bounds_join_the_whole_record(block):
-    whole = synth_structure_response(FOUR_MODES, 3.0, seed=5, excitation="dwell")
-    blocks = [synth_structure_response(FOUR_MODES, 3.0, seed=5, excitation="dwell",
+    whole = synth_structure_response(FOUR_MODES, 3 * 25600, seed=5, excitation="dwell")
+    blocks = [synth_structure_response(FOUR_MODES, whole.size, seed=5, excitation="dwell",
                                        start=i0, stop=min(i0 + block, whole.size))
               for i0 in range(0, whole.size, block)]
     assert np.concatenate(blocks).tobytes() == whole.tobytes()
@@ -246,8 +261,8 @@ def test_dwell_codes_equal_the_np_sin_codes(structure):
     # 1.2e-3 g LSB; no code may move, or the shipped bundles would change.
     model, adc = STRUCTURES[structure], AdcSpec()
     codes = []
-    for accel in (synth_structure_response(model, 60.0, seed=0, excitation="dwell"),
-                  _np_sin_tones(model, 60.0, F_OS_HZ, 0)):
+    for accel in (synth_structure_response(model, 60 * 25600, seed=0, excitation="dwell"),
+                  _np_sin_tones(model, 60 * 25600, F_OS_HZ, 0)):
         codes.append(quantize(apply_sensor(accel, SensorSpec(), F_OS_HZ, seed=1), adc))
     assert np.array_equal(codes[0][0], codes[1][0])
     assert codes[0][1] == codes[1][1]
@@ -255,7 +270,7 @@ def test_dwell_codes_equal_the_np_sin_codes(structure):
 
 def test_dwell_block_takes_one_sin_and_cos_per_anchor_and_mode(monkeypatch):
     def block_at(i0):
-        return synth_structure_response(FOUR_MODES, 10.0, seed=2, excitation="dwell",
+        return synth_structure_response(FOUR_MODES, 10 * 25600, seed=2, excitation="dwell",
                                         start=i0, stop=i0 + 65536)
 
     def counting(ufunc):
@@ -277,9 +292,9 @@ def test_dwell_block_takes_one_sin_and_cos_per_anchor_and_mode(monkeypatch):
 
 def test_front_end_stages_leave_their_inputs_unchanged(default_chain):
     _, stages, _ = default_chain
-    accel = synth_structure_response(FOUR_MODES, 2.0, seed=4, excitation="dwell")
+    accel = synth_structure_response(FOUR_MODES, 51200, seed=4, excitation="dwell")
     accel_before = accel.copy()
-    inject_transient(accel, EventSpec(onset_s=0.5, peak_g=0.3, duration_s=0.5), 2.807)
+    inject_transient(accel, EventSpec(onset_s=0.5, peak_g=0.3, duration_s=0.5), 2.807, 51200)
     volts = apply_sensor(accel, seed=5)
     assert np.array_equal(accel, accel_before)
     volts_before = volts.copy()
@@ -292,6 +307,6 @@ def test_front_end_stages_leave_their_inputs_unchanged(default_chain):
 
 def test_synthesis_outside_the_record_or_a_block_of_ambient_rejected():
     with pytest.raises(ValueError, match=r"samples \[50, 101\) are not within a record of 100"):
-        synth_structure_response(FOUR_MODES, 1.0, 100.0, excitation="dwell", start=50, stop=101)
+        synth_structure_response(FOUR_MODES, 100, 100.0, excitation="dwell", start=50, stop=101)
     with pytest.raises(ValueError, match="ambient synthesis returns only the whole record"):
-        synth_structure_response(FOUR_MODES, 1.0, 100.0, excitation="ambient", stop=50)
+        synth_structure_response(FOUR_MODES, 100, 100.0, excitation="ambient", stop=50)
