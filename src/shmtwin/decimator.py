@@ -21,6 +21,7 @@ means flatness to 45 Hz and aliasing protection for everything folding onto
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -324,26 +325,22 @@ def _sweep_points(width_hz: float) -> int:
     return max(int(width_hz / 0.1), 64) + 1
 
 
-def _stage_meets(h, fs, f_pass, f_stop, pp_budget_db, atten_target_db) -> bool:
-    stage = (FilterStage(h, 1),)
-    if _ripple_db(_gain(stage, fs, np.linspace(0.0, f_pass, _PASS_POINTS))) > pp_budget_db:
-        return False
-    return _atten_db(_gain(stage, fs, np.linspace(f_stop, fs / 2.0, 2048))) >= atten_target_db
-
-
 @functools.lru_cache(maxsize=8)
 def design_decimator(
     spec: DecimatorSpec = DecimatorSpec(),
 ) -> tuple[tuple[FilterStage, ...], FilterReport]:
     """Design all stages and verify the cascade against the spec.
 
-    Returns the stages, as a tuple, and the measured report the verification
-    used.  The design is cached per spec: equal specs get the same stage
-    objects back, whose coefficients are read-only.  Raises
+    Each stage grows from Kaiser's estimate until it alone, from its input
+    to its output rate, meets its targets on ``_sweep``, which also measures
+    the chain.  Returns the stages, as a tuple, and the measured report the
+    verification used.  The design is cached per spec: equal specs get the
+    same stage objects back, whose coefficients are read-only.  Raises
     FilterDesignError if the alias sweep needs more than ``MAX_SWEEP_POINTS``
     (before any window is designed), a stage cannot close, the coefficient
-    budget is exceeded, or the composite response misses the targets; a
-    failing spec is not cached and raises again on every call.
+    budget is exceeded, or the composite response misses the targets, which
+    a one-stage chain cannot; a failing spec is not cached and raises again
+    on every call.
     """
     pp_budget, atten_target, beta, plan = spec._plan
     f_protect = spec.protected_edge_hz
@@ -364,7 +361,9 @@ def design_decimator(
             h = _kaiser_lowpass(n, (f_protect + f_stop) / 2.0, beta, fs)
             h = 0.5 * (h + h[::-1])  # symmetry is exact up to rounding
             h = h / np.sum(h)  # the taps as stored, which the stage check judges
-            if _stage_meets(h, fs, f_protect, f_stop, pp_budget, atten_target):
+            # the stage alone, judged as a chain is; all() stops at the first miss
+            ripple, attens = _sweep((FilterStage(h, d),), fs, fs / d, f_protect)
+            if ripple <= pp_budget and all(a >= atten_target for a in attens):
                 break
             n += 2
             if n > n_cap:
@@ -396,25 +395,31 @@ def design_decimator(
 # measurement
 
 
-def _alias_bands(spec: DecimatorSpec) -> list[tuple[float, float]]:
-    """Input-rate bands that fold onto the protected band after decimation."""
-    f_protect = spec.protected_edge_hz
+def _alias_bands(f_in: float, f_out: float, f_protect: float) -> list[tuple[float, float]]:
+    """Bands of a chain fed at f_in that fold onto [0, f_protect] at its output rate f_out."""
     bands = []
-    m = 1
-    while True:
-        lo = m * spec.f_out_hz - f_protect
-        hi = m * spec.f_out_hz + f_protect
-        if lo > spec.f_in_hz / 2.0:
-            break
-        bands.append((max(lo, f_protect), min(hi, spec.f_in_hz / 2.0)))
-        m += 1
-    return bands
+    for m in itertools.count(1):
+        lo, hi = m * f_out - f_protect, m * f_out + f_protect
+        if lo > f_in / 2.0:
+            return bands
+        bands.append((max(lo, f_protect), min(hi, f_in / 2.0)))
 
 
 # Alias-band points whose gain is evaluated at once: the bands are swept
 # as one grid in chunks of this size, so the Horner loop makes its numpy
 # calls per chunk rather than per band, over temporaries of fixed size.
 _SWEEP_CHUNK = 16384
+
+
+def _sweep(stages: Sequence[FilterStage], f_in: float, f_out: float, f_protect: float):
+    """A chain's ripple over [0, f_protect] on ``_PASS_POINTS`` points, dB, and a
+    lazy iterator of the least attenuation, dB, of each ``_SWEEP_CHUNK`` chunk
+    of its alias bands, each swept at ``_sweep_points``."""
+    ripple = _ripple_db(_gain(stages, f_in, np.linspace(0.0, f_protect, _PASS_POINTS)))
+    grid = np.concatenate([np.zeros(0)] + [np.linspace(lo, hi, _sweep_points(hi - lo))
+                                           for lo, hi in _alias_bands(f_in, f_out, f_protect)])
+    return ripple, (_atten_db(_gain(stages, f_in, grid[i:i + _SWEEP_CHUNK]))
+                    for i in range(0, len(grid), _SWEEP_CHUNK))
 
 
 def measure_response(stages: Sequence[FilterStage], spec: DecimatorSpec) -> FilterReport:
@@ -424,15 +429,10 @@ def measure_response(stages: Sequence[FilterStage], spec: DecimatorSpec) -> Filt
     0.1 Hz or finer; a chain with no decimation has no alias bands and
     honestly reports 0 dB.
     """
-    fs = spec.f_in_hz
-    ripple = _ripple_db(_gain(stages, fs, np.linspace(0.0, spec.protected_edge_hz, _PASS_POINTS)))
-    grid = np.concatenate([np.zeros(0)] + [np.linspace(lo, hi, _sweep_points(hi - lo))
-                                           for lo, hi in _alias_bands(spec)])
-    atten = min((_atten_db(_gain(stages, fs, grid[i:i + _SWEEP_CHUNK]))
-                 for i in range(0, len(grid), _SWEEP_CHUNK)), default=0.0)
+    ripple, attens = _sweep(stages, spec.f_in_hz, spec.f_out_hz, spec.protected_edge_hz)
     return FilterReport(
         passband_ripple_db=ripple,
-        stopband_atten_db=atten,
+        stopband_atten_db=min(attens, default=0.0),
         group_delay_samples_out=_delay_input_samples(stages) / spec.total_decim,
         stage_taps=tuple(s.n_taps for s in stages),
     )

@@ -32,25 +32,22 @@ def _write_str(path, text: str) -> None:
         f.write(data)
 
 
-def _equal_length(columns: dict[str, np.ndarray]) -> tuple[dict[str, np.ndarray], int]:
-    if not columns:
+def _equal_length(lengths) -> int:
+    """The one length of a table's columns, given each column's length."""
+    sizes = set(lengths)
+    if not sizes:
         raise ValueError("need at least one column")
-    arrays = {k: np.asarray(v) for k, v in columns.items()}
-    sizes = {a.size for a in arrays.values()}
     if len(sizes) != 1:
         raise ValueError("columns must have equal length")
     (n,) = sizes
-    return arrays, n
+    return n
 
 
 def write_csv_columns(path, columns: dict[str, list | np.ndarray]) -> None:
     """A list column is written as it stands, so it must hold Python ints
     and floats; any other column is read as a numpy array."""
-    if not columns:
-        raise ValueError("need at least one column")
     values = [v if isinstance(v, list) else np.asarray(v).tolist() for v in columns.values()]
-    if len(set(map(len, values))) != 1:
-        raise ValueError("columns must have equal length")
+    _equal_length(map(len, values))
     header = io.StringIO()
     csv.writer(header).writerow(columns.keys())
     # ``%r`` formats a float or an int as repr does.
@@ -60,7 +57,8 @@ def write_csv_columns(path, columns: dict[str, list | np.ndarray]) -> None:
 
 def write_npy_columns(path, columns: dict[str, np.ndarray]) -> None:
     """Columns as one structured array whose field names are the column names."""
-    arrays, n = _equal_length(columns)
+    arrays = {k: np.asarray(v) for k, v in columns.items()}
+    n = _equal_length(a.size for a in arrays.values())
     rec = np.empty(n, dtype=[(k, "<f8") for k in arrays])
     for k, a in arrays.items():
         rec[k] = a

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -202,7 +203,7 @@ def test_alias_sweep_above_the_cap_fails_before_any_window_or_band(monkeypatch):
 def test_sweep_cap_counts_the_points_the_sweep_takes(monkeypatch):
     # the default chain: 128 bands of 901 points, the last cut to 451
     spec = DecimatorSpec()
-    bands = decimator._alias_bands(spec)
+    bands = decimator._alias_bands(spec.f_in_hz, spec.f_out_hz, spec.protected_edge_hz)
     assert sum(max(int((hi - lo) / 0.1), 64) + 1 for lo, hi in bands) == 114878
     monkeypatch.setattr(decimator, "MAX_SWEEP_POINTS", 128 * 901 - 1)
     with pytest.raises(FilterDesignError, match="needs 115328 points, above the cap 115327"):
@@ -368,28 +369,36 @@ def test_constant_input_settles_to_dc_gain(default_chain):
     assert np.allclose(y[settle:], 0.37, atol=1e-9)
 
 
-@pytest.mark.parametrize("spec, stage_meets, message", [
-    # a one-stage chain's stage check judges its taps as the composite
-    # check does, so only a check that accepts every window reaches the
-    # composite's ripple refusal: the first window, at Kaiser's estimate,
-    # peaks above the budget
+@pytest.mark.parametrize("spec, accepts, message", [
+    # a one-stage chain's stage judge measures it as the composite check
+    # does, so only a judge that accepts every window reaches the composite
+    # refusals: the first window, at Kaiser's estimate, peaks above the
+    # ripple budget in one case and falls short of the attenuation in the
+    # other
     (DecimatorSpec(n_stages=1, total_decim=4, f_in_hz=400.0, cutoff_hz=45.0,
                    passband_ripple_db=0.0015), True,
      "composite ripple 0.00150162 dB exceeds 0.0015 dB"),
-    # near 190 dB the 3 dB design margin no longer covers what the 0.1 Hz
-    # alias sweep finds between the stage check's 2048 stopband points
     (DecimatorSpec(n_stages=1, total_decim=64, f_in_hz=6400.0, cutoff_hz=20.0,
-                   stopband_atten_db=190.0, coeff_budget=2000), None,
-     "composite attenuation 189.77 dB below 190.0 dB"),
-    # the spec refuses a target the stage check cannot measure, so only a
-    # check that rejects every window reaches the loop's bound
+                   stopband_atten_db=190.0, coeff_budget=2000), True,
+     "composite attenuation 185.89 dB below 190.0 dB"),
+    # the spec refuses a target the stage judge cannot measure, so only a
+    # judge that rejects every window reaches the loop's bound
     (DecimatorSpec(n_stages=1, total_decim=2, f_in_hz=200.0, cutoff_hz=5.0), False,
      "stage at 200.0 Hz did not converge by 301 taps"),
 ], ids=["ripple", "attenuation", "no-convergence"])
-def test_design_that_misses_its_spec_says_what_it_missed(monkeypatch, spec, stage_meets, message):
-    if stage_meets is not None:
-        monkeypatch.setattr(decimator, "_stage_meets", lambda *args: stage_meets)
-        design_decimator.cache_clear()  # a spec designed before would not be designed again
+def test_design_that_misses_its_spec_says_what_it_missed(monkeypatch, spec, accepts, message):
+    sweep, judged = decimator._sweep, []
+
+    def judge(*args):
+        # a one-stage chain's first sweep judges the stage loop's first
+        # window; once it is accepted, the next is measure_response's
+        judged.append(args)
+        if accepts and len(judged) > 1:
+            return sweep(*args)
+        return -math.inf if accepts else math.inf, iter(())
+
+    monkeypatch.setattr(decimator, "_sweep", judge)
+    design_decimator.cache_clear()  # a spec designed before would not be designed again
     with pytest.raises(FilterDesignError, match=f"^{re.escape(message)}$"):
         design_decimator(spec)
 
@@ -420,19 +429,35 @@ def _one_stage_specs(draw):
 
 @settings(max_examples=25, deadline=None)
 @given(_one_stage_specs())
-def test_no_one_stage_chain_is_refused_for_composite_ripple(spec):
-    try:
-        (stage,), report = design_decimator.__wrapped__(spec)  # past the cache
-    except FilterDesignError as e:
-        assert not str(e).startswith("composite ripple"), (spec, str(e))
-        return
-    # the stage check reads the stored taps' ripple as the composite check
-    # reads it, to the bit: it passes at that budget and fails just below
-    fs, _, f_stop, _ = spec._plan[3][0]
-    meets = [decimator._stage_meets(stage.coeffs, fs, spec.protected_edge_hz, f_stop, budget,
-                                    -math.inf)
-             for budget in (report.passband_ripple_db, np.nextafter(report.passband_ripple_db, 0))]
-    assert meets == [True, False], spec
+def test_no_one_stage_chain_is_refused_by_a_composite_check(spec):
+    sweep, judged = decimator._sweep, []
+
+    def recording(*args):  # every chunk, so the judgment is whole
+        ripple, attens = sweep(*args)
+        attens = list(attens)
+        judged.append((ripple, min(attens, default=0.0)))
+        return ripple, iter(attens)
+
+    with mock.patch.object(decimator, "_sweep", recording):
+        try:
+            _, report = design_decimator.__wrapped__(spec)  # past the cache
+        except FilterDesignError as e:
+            assert not str(e).startswith("composite"), (spec, str(e))
+            return
+    # the stage judge read the window it accepted as the composite check
+    # then read the chain, to the bit
+    *_, accepted, composite = judged
+    assert accepted == composite == (report.passband_ripple_db, report.stopband_atten_db), spec
+
+
+def test_one_stage_meets_an_attenuation_it_met_between_grid_points():
+    # its stage check once sampled the stopband at 2048 points, ~1.5 Hz
+    # apart, between which this chain's 0.1 Hz alias sweep read 175.98 dB
+    _, report = design_decimator(DecimatorSpec(
+        n_stages=1, total_decim=64, f_in_hz=6400.0, cutoff_hz=5.0, stopband_atten_db=176.0,
+        coeff_budget=2000))
+    assert report.stage_taps == (997,)
+    assert report.stopband_atten_db >= 176.0
 
 
 def test_spec_refuses_an_attenuation_its_design_cannot_measure():
@@ -455,8 +480,8 @@ def _report_band_by_band(stages, spec):
     """measure_response as one sweep per alias band, the plain form of it."""
     fs = spec.f_in_hz
     gain = decimator._gain(stages, fs, np.linspace(0.0, spec.protected_edge_hz, 2001))
-    sweeps = (np.linspace(lo, hi, max(int((hi - lo) / 0.1), 64) + 1)
-              for lo, hi in decimator._alias_bands(spec))
+    bands = decimator._alias_bands(spec.f_in_hz, spec.f_out_hz, spec.protected_edge_hz)
+    sweeps = (np.linspace(lo, hi, max(int((hi - lo) / 0.1), 64) + 1) for lo, hi in bands)
     return decimator.FilterReport(
         passband_ripple_db=decimator._ripple_db(gain),
         stopband_atten_db=min((decimator._atten_db(decimator._gain(stages, fs, w))
@@ -488,7 +513,8 @@ def test_one_sweep_report_equals_the_band_by_band_report(spec, monkeypatch):
 
     monkeypatch.setattr(decimator, "_gain", counting_gain)
     assert decimator.measure_response(stages, spec) == expected
-    points = sum(max(int((hi - lo) / 0.1), 64) + 1 for lo, hi in decimator._alias_bands(spec))
+    bands = decimator._alias_bands(spec.f_in_hz, spec.f_out_hz, spec.protected_edge_hz)
+    points = sum(max(int((hi - lo) / 0.1), 64) + 1 for lo, hi in bands)
     assert counted[0] == 2001 and sum(counted[1:]) == points
     if spec.total_decim > 1:  # the sweep spans several chunks, the last one partial
         assert points > 2 * decimator._SWEEP_CHUNK and points % decimator._SWEEP_CHUNK

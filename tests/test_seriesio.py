@@ -31,9 +31,9 @@ def test_csv_columns_exact_round_trip(tmp_path):
 
 
 def test_csv_columns_rejects_bad_input(tmp_path):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^need at least one column$"):
         write_csv_columns(tmp_path / "x.csv", {})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^columns must have equal length$"):
         write_csv_columns(tmp_path / "x.csv",
                           {"a": np.zeros(3), "b": np.zeros(4)})
 
@@ -80,9 +80,9 @@ def test_npy_columns_keep_names_and_order(tmp_path):
 
 
 def test_npy_columns_rejects_bad_input(tmp_path):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^need at least one column$"):
         write_npy_columns(tmp_path / "x.npy", {})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^columns must have equal length$"):
         write_npy_columns(tmp_path / "x.npy",
                           {"a": np.zeros(3), "b": np.zeros(4)})
 
